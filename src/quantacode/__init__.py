@@ -23,6 +23,7 @@ from .errors import (  # noqa: F401
     RatioNotLessThanOne,
     SumOutOfTolerance,
     SymbolOutOfRange,
+    TableTooWide,
     TargetUnachievableWithinScan,
     WidthTooSmall,
     ZeroFrequency,

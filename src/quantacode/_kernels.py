@@ -449,8 +449,17 @@ def rc_encode_py(syms, pos, starts, fpos, t: int) -> bytes:
     return bytes(out)
 
 
+class _OverRead(Exception):
+    """The decoder needed more than 8 bytes past the end of its input."""
+
+
 def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
-    """Inverse of rc_encode_py; raises IndexError past-the-end via `over` count."""
+    """Inverse of rc_encode_py; returns (symbols, over).
+
+    `over` counts the zero bytes read past the end of `data`.  Decoding stops
+    as soon as it reaches 9, where an honest stream never gets; the symbols
+    not yet decoded are then left undefined.
+    """
     m = len(starts)
     rng = _MASK32
     code = 0
@@ -466,32 +475,37 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
             ptr += 1
             return b
         over += 1
+        if over > 8:
+            raise _OverRead
         return 0
 
     for _ in range(5):
         code = ((code << 8) | read()) & _MASK32
-    for i in range(n):
-        r = rng // t
-        dv = code // r
-        if dv >= t:
-            dv = t - 1
-        lo, hi = 0, m - 1
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if starts[mid] <= dv:
-                lo = mid
+    try:
+        for i in range(n):
+            r = rng // t
+            dv = code // r
+            if dv >= t:
+                dv = t - 1
+            lo, hi = 0, m - 1
+            while lo < hi:
+                mid = (lo + hi + 1) >> 1
+                if starts[mid] <= dv:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            base = starts[lo] * r
+            code -= base
+            if lo == m - 1:
+                rng -= base
             else:
-                hi = mid - 1
-        base = starts[lo] * r
-        code -= base
-        if lo == m - 1:
-            rng -= base
-        else:
-            rng = fpos[lo] * r
-        while rng < _TOP24:
-            code = ((code << 8) | read()) & _MASK32
-            rng <<= 8
-        syms[i] = order[lo]
+                rng = fpos[lo] * r
+            while rng < _TOP24:
+                code = ((code << 8) | read()) & _MASK32
+                rng <<= 8
+            syms[i] = order[lo]
+    except _OverRead:
+        pass
     return syms, over
 
 

@@ -13,11 +13,24 @@ Three ways to approximate a source by f/t tables:
   delta_star otherwise) is what the Diophantine existence results constrain,
   so the scan doubles as a desk-scale empirical check of those results.
 
-All record and threshold classifications are decided by exact integer
-cross-multiplication (never by floating comparisons): with p_i = P_i / d and
-A = max_i |t*P_i - f_i*d|, delta_star = A/(d*t), and e.g.
-t^(1+1/m)*delta_star < m/(m+1) is equivalent to
-t * A**m * (m+1)**m < m**m * d**m.
+All record and threshold decisions are exact: with p_i = P_i / d and
+A = max_i |t*P_i - f_i*d|, delta_star = A/(d*t), a record is decided by the
+cross-multiplication A*t' < A'*t, and e.g. t^(1+1/m)*delta_star < m/(m+1)
+by t * A**m * (m+1)**m < m**m * d**m, both in Python integers.
+
+On the int64 path a float64 prescreen only *excludes* rows.  A row is a
+record candidate when A/t < (1 + 1e-9) * (running minimum of A/t), and a
+fact-constant candidate when (t*A/d)**2 < kappa**2 * (1 + 1e-9) (m = 2) or
+t * (A/d)**m < (m/(m+1))**m * (1 + 1e-9).  Each float quantity carries a
+relative error of a few units of 2**-53 per operation: about 4 for A/t
+(8 between a row and the running minimum), and about 4m + 4 for
+t * (A/d)**m, since the m-th power multiplies the error of A/d by m; int64
+scans have m <= 64, so under 3e-14 in all.  The 1e-9 slack exceeds that,
+so every true record or hit is a candidate.  A/d >= 2**-62 never
+underflows; only (A/d)**m can, when the true t * (A/d)**m is far below the
+bound, and then the row stays a candidate.  Every candidate, and every row
+of an exact-path chunk, is then decided by the integer tests above, in
+ascending t, so no positive result ever rests on a float.
 """
 
 from __future__ import annotations
@@ -36,6 +49,7 @@ from .precision import working_dps
 from .prob_model import FrequencyTable, ProbabilityVector
 
 _CHUNK = 4096
+_SLACK = 1e-9  # relative widening of every float64 prescreen bound
 
 
 def round_min_max(p: ProbabilityVector, t: int) -> FrequencyTable:
@@ -127,9 +141,6 @@ class RecordEntry:
     delta_star: Fraction
     quality: object
 
-    def beats(self, other: "RecordEntry") -> bool:
-        return self.delta_star < other.delta_star
-
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -146,11 +157,6 @@ class ScanResult:
         return [r.t for r in self.records]
 
 
-def _scan_chunk(nums, d, lo, hi):
-    a, _ = _kernels.minmax_scan(nums, d, lo, hi)
-    return list(int(v) for v in a)
-
-
 def _quality_value(m: int, t: int, a: int, d: int, dps: int | None):
     if m == 2:
         return Fraction(t * a, d)
@@ -158,38 +164,109 @@ def _quality_value(m: int, t: int, a: int, d: int, dps: int | None):
         return mp.mpf(t) ** (mp.mpf(1) / m) * mp.mpf(a) / d
 
 
-def _beats_threshold(m: int, t: int, a: int, d: int, kappa_square: Fraction) -> bool:
-    """Exact test of t-normalized quality against the existence constant."""
-    if m == 2:
-        v = t * a
-        return v * v * kappa_square.denominator < kappa_square.numerator * d * d
-    return t * a**m * (m + 1) ** m < m**m * d**m
+def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False,
+                 jobs: int = 1):
+    """Yield (lo, A, F) for consecutive chunks of t in [m, t_max], in order.
 
-
-def _iter_deltastar(p: ProbabilityVector, t_max: int, jobs: int = 1):
-    """Yield (t, A) for t in [m, t_max] with delta_star = A/(d*t), in order."""
+    A[j] is the delta_star numerator of t = lo + j (delta_star = A/(d*t)):
+    an int64 ndarray when the scan fits int64, else a list of Python ints.
+    F holds the matching frequency rows when `want_freqs`, else None.  On
+    the exact path `jobs > 1` splits the range over a process pool.
+    """
     nums, d, m = p.numerators, p.common_denominator, p.m
     if jobs > 1 and not _kernels.fits_int64(nums, d, t_max):
-        spans = []
         step = max(1, (t_max - m + 1) // jobs + 1)
-        lo = m
-        while lo <= t_max:
-            hi = min(lo + step - 1, t_max)
-            spans.append((lo, hi))
-            lo = hi + 1
+        spans = [(lo, min(lo + step - 1, t_max)) for lo in range(m, t_max + 1, step)]
         with concurrent.futures.ProcessPoolExecutor(jobs) as ex:
-            futs = [ex.submit(_scan_chunk, nums, d, lo, hi) for lo, hi in spans]
-            for (lo, hi), fut in zip(spans, futs):
-                for off, a in enumerate(fut.result()):
-                    yield lo + off, a
+            futs = [ex.submit(_kernels.minmax_scan, nums, d, lo, hi, want_freqs)
+                    for lo, hi in spans]
+            for (lo, _), fut in zip(spans, futs):
+                yield (lo, *fut.result())
         return
-    lo = m
-    while lo <= t_max:
+    for lo in range(m, t_max + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, t_max)
-        a_arr, _ = _kernels.minmax_scan(nums, d, lo, hi)
-        for off in range(hi - lo + 1):
-            yield lo + off, int(a_arr[off])
-        lo = hi + 1
+        yield (lo, *_kernels.minmax_scan(nums, d, lo, hi, want_freqs))
+
+
+def _iter_deltastar(p: ProbabilityVector, t_max: int):
+    """Yield (t, A) for t in [m, t_max] with delta_star = A/(d*t), in order."""
+    for lo, a_chunk, _ in _iter_chunks(p, t_max):
+        for off, a in enumerate(a_chunk):
+            yield lo + off, int(a)
+
+
+def _threshold_tests(m: int, d: int, kappa):
+    """Exact and float64 forms of "quality beats the fact constant".
+
+    exact(t, a) decides t**2 * delta_star < kappa (m = 2; default generic
+    2**-1.5) or t**(1+1/m) * delta_star < m/(m+1) by integer
+    cross-multiplication, with the per-scan constants computed here, once.
+    screen(t, x), on float64 arrays with x = A/d, is the same inequality
+    widened by _SLACK: it is true wherever exact(t, a) is.
+    """
+    if m == 2:
+        kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
+        k_den, rhs = kappa_square.denominator, kappa_square.numerator * d * d
+        bound = float(kappa_square) * (1 + _SLACK)
+        return (lambda t, a: (t * a) ** 2 * k_den < rhs,
+                lambda t, x: (t * x) ** 2 < bound)
+    lhs_c, rhs = (m + 1) ** m, m**m * d**m
+    bound = float(Fraction(m, m + 1) ** m) * (1 + _SLACK)
+    return (lambda t, a: t * a**m * lhs_c < rhs,
+            lambda t, x: t * x**m < bound)
+
+
+def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
+          jobs: int = 1):
+    """The record/threshold fold over _iter_chunks.
+
+    Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A) of its
+    record denominators and hit_ts its fact-constant hits (empty unless
+    `hits`), both in ascending t.  A ends at the first exact table
+    (A = 0), the final record; the scan stops there.  On int64 chunks a
+    float64 prescreen excludes the rows that cannot be records or hits, and
+    only the remaining candidates are decided exactly; on exact chunks every
+    row is a candidate.
+    """
+    m, d = p.m, p.common_denominator
+    if hits:
+        exact_hit, screen_hit = _threshold_tests(m, d, kappa)
+    best_a = best_t = None
+    best_q = math.inf   # float64 min of A/t so far; too high only widens the screen
+    for lo, a_chunk, _ in _iter_chunks(p, t_max, jobs=jobs):
+        fast = isinstance(a_chunk, np.ndarray)
+        if fast:
+            zeros = np.flatnonzero(a_chunk == 0)
+            stop = int(zeros[0]) if zeros.size else None
+        else:
+            stop = a_chunk.index(0) if 0 in a_chunk else None
+        if stop is not None:
+            a_chunk = a_chunk[:stop + 1]
+        if fast:
+            t_f = np.arange(lo, lo + len(a_chunk), dtype=np.float64)
+            a_f = a_chunk.astype(np.float64)
+            q = a_f / t_f
+            prev = np.minimum.accumulate(np.concatenate(([best_q], q[:-1])))
+            best_q = min(float(prev[-1]), float(q[-1]))
+            rec_j = np.flatnonzero(q < prev * (1 + _SLACK))
+            rec_cand = zip(rec_j.tolist(), a_chunk[rec_j].tolist())
+            if hits:
+                with np.errstate(over="ignore", under="ignore"):
+                    hit_j = np.flatnonzero(screen_hit(t_f, a_f / float(d)))
+                hit_cand = zip(hit_j.tolist(), a_chunk[hit_j].tolist())
+        else:
+            rec_cand, hit_cand = enumerate(a_chunk), enumerate(a_chunk)
+        recs = []
+        for j, a in rec_cand:
+            t = lo + j
+            if best_a is None or a * best_t < best_a * t:
+                best_a, best_t = a, t
+                recs.append((t, a))
+        hit_ts = ([lo + j for j, a in hit_cand if a and exact_hit(lo + j, a)]
+                  if hits else [])
+        yield lo, a_chunk, recs, hit_ts
+        if stop is not None:
+            return
 
 
 def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
@@ -206,28 +283,19 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
     m, d = p.m, p.common_denominator
-    if m == 2:
-        kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
-        label = kappa.label if kappa is not None else "generic"
-    else:
-        kappa_square = None
-        label = f"{m}/{m + 1}"
+    label = (f"{m}/{m + 1}" if m > 2
+             else kappa.label if kappa is not None else "generic")
     records: list[RecordEntry] = []
     hits: list[int] = []
-    best_a, best_t = None, None
-    for t, a in _iter_deltastar(p, t_max, jobs=jobs):
-        if a and _beats_threshold(m, t, a, d, kappa_square):
-            hits.append(t)
-        if best_a is None or a * best_t < best_a * t:
-            best_a, best_t = a, t
+    for _, _, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs):
+        hits.extend(hit_ts)
+        for t, a in recs:
             f, a2 = _kernels.minmax_freqs_exact(p.numerators, d, t)
             assert a2 == a
             records.append(RecordEntry(
                 t, tuple(f), Fraction(a, d * t),
                 _quality_value(m, t, a, d, dps) if a else Fraction(0),
             ))
-            if a == 0:
-                break
     return ScanResult(records, hits, t_max, m, label)
 
 
@@ -241,19 +309,11 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
     m, d = p.m, p.common_denominator
-    kappa_square = None
-    if m == 2:
-        kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
-    best_a, best_t = None, None
-    for t, a in _iter_deltastar(p, t_max, jobs=jobs):
-        beats = bool(a) and _beats_threshold(m, t, a, d, kappa_square)
-        is_rec = best_a is None or a * best_t < best_a * t
-        if is_rec:
-            best_a, best_t = a, t
-        quality = _quality_value(m, t, a, d, dps) if a else Fraction(0)
-        yield t, Fraction(a, d * t), quality, is_rec, beats
-        if a == 0:
-            break
+    for lo, a_chunk, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs):
+        rec_set, hit_set = {t for t, _ in recs}, set(hit_ts)
+        for t, a in enumerate(map(int, a_chunk), lo):
+            quality = _quality_value(m, t, a, d, dps) if a else Fraction(0)
+            yield t, Fraction(a, d * t), quality, t in rec_set, t in hit_set
 
 
 # ---- width-constrained search -----------------------------------------------
@@ -276,12 +336,9 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int,
     nums, d, m = p.numerators, p.common_denominator, p.m
 
     if objective == "min_delta":
-        best_a, best_t = None, None
-        for t, a in _iter_deltastar(p, t_hi):
-            if best_a is None or a * best_t < best_a * t:
-                best_a, best_t = a, t
-                if a == 0:
-                    break
+        for _, _, recs, _ in _fold(p, t_hi, hits=False):
+            if recs:
+                best_t = recs[-1][0]
         f, _ = _kernels.minmax_freqs_exact(nums, d, best_t)
         return FrequencyTable.from_freqs(p, f)
 
@@ -289,24 +346,20 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int,
     log_pf_term = float(np.dot(pf, np.log(pf)))
     candidates = []  # (d_float, t)
     best_float = math.inf
-    lo = m
-    while lo <= t_hi:
-        hi = min(lo + _CHUNK - 1, t_hi)
-        a_arr, f_arr = _kernels.minmax_scan(nums, d, lo, hi, want_freqs=True)
+    for lo, a_arr, f_arr in _iter_chunks(p, t_hi, want_freqs=True):
         a_np = np.asarray(a_arr)
         if (a_np == 0).any():
             # an exact table has divergence 0, unbeatable; smallest t wins
             t = lo + int(np.flatnonzero(a_np == 0)[0])
             f, _ = _kernels.minmax_freqs_exact(nums, d, t)
             return FrequencyTable.from_freqs(p, f)
-        t_range = np.arange(lo, hi + 1, dtype=np.float64)
+        t_range = np.arange(lo, lo + len(a_np), dtype=np.float64)
         fmat = np.asarray(f_arr, dtype=np.float64)
         d_float = log_pf_term + np.log(t_range) - np.log(fmat) @ pf
         best_float = min(best_float, float(d_float.min()))
         band = best_float + max(abs(best_float) * 1e-9, 1e-12)
         keep = np.flatnonzero(d_float <= band)
         candidates.extend((float(d_float[j]), lo + int(j)) for j in keep)
-        lo = hi + 1
     band = best_float + max(abs(best_float) * 1e-9, 1e-12)
     candidates = [c for c in candidates if c[0] <= band]
     candidates.sort(key=lambda c: (c[0], c[1]))

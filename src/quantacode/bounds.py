@@ -34,7 +34,7 @@ import mpmath as mp
 import numpy as np
 
 from . import _kernels
-from .approx import best_table_under_width, continued_fraction_terms
+from .approx import _iter_chunks, best_table_under_width, continued_fraction_terms
 from .errors import (
     AlphabetNotMary,
     DimensionMismatch,
@@ -435,16 +435,13 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     Float64 prescreen per denominator; candidates near the target are decided
     at the working precision, in ascending t, so the first exact hit wins.
     """
-    nums, d, m = p.numerators, p.common_denominator, p.m
+    m = p.m
     pf = np.array([float(x) for x in p.probs])
     log_term = float(np.dot(pf, np.log(pf)))
     r_float = float(r)
     screen = r_float * (1 + 1e-9) + 1e-300
     wdps = working_dps(dps)
-    lo = m
-    while lo <= t_cap:
-        hi = min(lo + 4095, t_cap)
-        a_arr, f_arr = _kernels.minmax_scan(nums, d, lo, hi, want_freqs=True)
+    for lo, a_arr, f_arr in _iter_chunks(p, t_cap, want_freqs=True):
         if isinstance(f_arr, list):
             cand = []
             for off, f in enumerate(f_arr):
@@ -454,7 +451,7 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
                 if dv <= screen:
                     cand.append((t, f))
         else:
-            t_range = np.arange(lo, hi + 1, dtype=np.float64)
+            t_range = np.arange(lo, lo + len(a_arr), dtype=np.float64)
             d_float = (log_term + np.log(t_range)
                        - np.log(np.asarray(f_arr, dtype=np.float64)) @ pf)
             cand = [(lo + int(j), tuple(int(v) for v in f_arr[j]))
@@ -465,7 +462,6 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
                 dv = mp.fsum(pm_[i] * mp.log(pm_[i] * t / f[i]) for i in range(m))
                 if dv <= r:
                     return t
-        lo = hi + 1
     return None
 
 

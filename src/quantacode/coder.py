@@ -23,7 +23,7 @@ import mpmath as mp
 import numpy as np
 
 from . import _kernels
-from .errors import CorruptStream, DimensionMismatch, SymbolOutOfRange
+from .errors import CorruptStream, DimensionMismatch, SymbolOutOfRange, TableTooWide
 from .precision import working_dps
 from .prob_model import FrequencyTable, ProbabilityVector
 from .bounds import kl_divergence
@@ -36,7 +36,7 @@ FRAME_MAGIC = b"QC01"
 
 def _check_table(table: FrequencyTable):
     if table.t > MAX_TOTAL:
-        raise ValueError(
+        raise TableTooWide(
             f"t = {table.t} exceeds the coder limit 2**24; "
             f"use a narrower table"
         )

@@ -74,6 +74,10 @@ class ZeroFrequency(QuantacodeError):
     """A frequency table entry is < 1."""
 
 
+class TableTooWide(QuantacodeError):
+    """The table total t exceeds the coder limit 2**24."""
+
+
 class SymbolOutOfRange(QuantacodeError):
     """An input symbol index is outside [0, m)."""
 

@@ -33,12 +33,6 @@ def working_dps(dps: int | None = None) -> int:
     return DEFAULT_DPS
 
 
-def mpf_from_fraction(x: Fraction, dps: int | None = None) -> mp.mpf:
-    """Convert an exact rational to an mpf, rounding once at the working precision."""
-    with mp.workdps(working_dps(dps)):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-
-
 def to_mpf(x, dps: int | None = None) -> mp.mpf:
     """Coerce int/str/Fraction/float/mpf to mpf at the working precision.
 

@@ -23,6 +23,8 @@ from quantacode import (
     silver_pair,
     silver_surrogate,
 )
+from quantacode import _kernels
+from quantacode.approx import _CHUNK
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 
 from conftest import random_decimal_probs
@@ -261,3 +263,81 @@ class TestBestTableUnderWidth:
         d1 = quantacode.kl_divergence(golden_pair(), t1).nats
         d2 = quantacode.kl_divergence(golden_pair(), t2).nats
         assert d2 <= d1
+
+
+# ---- the int64 fold against a row-by-row exact oracle -----------------------
+
+def exact_fold(p, t_max):
+    """Row-by-row reference fold in Fractions: [(t, is_record, beats_fact)],
+    ending at the first exact table; binary sources use kappa**2 = 1/8."""
+    nums, d, m = p.numerators, p.common_denominator, p.m
+    rows, best = [], None
+    for t in range(m, t_max + 1):
+        _, a = _kernels.minmax_freqs_exact(nums, d, t)
+        ds = Fraction(a, d * t)
+        is_rec = best is None or ds < best
+        if is_rec:
+            best = ds
+        if m == 2:
+            beats = (t * t * ds) ** 2 < Fraction(1, 8)
+        else:
+            beats = t * (t * ds) ** m < Fraction(m, m + 1) ** m
+        rows.append((t, is_rec, a > 0 and beats))
+        if a == 0:
+            break
+    return rows
+
+
+def _fold_sources():
+    rng = np.random.default_rng(31)
+    out = [pytest.param(ProbabilityVector(random_decimal_probs(rng, m)), id=f"m{m}")
+           for m in (2, 3, 4, 6, 8, 24, 64)]
+    n = _CHUNK + 2
+    spikes = [Fraction(k, 100) + Fraction(s, 10**11)
+              for k, s in zip([2] * 36 + [1] * 28, [1, -1] * 32)]
+    eps = Fraction(1, 6 * 4100)
+    near = Fraction(1, 3) + eps + eps / 10**8
+    edge = Fraction(1367, 4100) + Fraction(35352, 10**5) / 4100**2
+    out += [
+        # repair rows: t * p_min < 1 up to t = 8130, across two chunk ends
+        pytest.param(parse_probability_vector(["0.000123", "0.4", "0.599877"]),
+                     id="repair"),
+        # exact table mid-chunk: first exact row t = d = 6000
+        pytest.param(parse_probability_vector(["1001/6000", "1999/6000", "1/2"]),
+                     id="exact-mid-chunk"),
+        # exact table at t = d = 2 + _CHUNK, the first row of the second chunk
+        pytest.param(ProbabilityVector([Fraction(1001, n), Fraction(n - 1001, n)]),
+                     id="exact-first-row"),
+        # A/t ties exactly: every t = 3k up to ~2.5e5 repeats delta_star(3)
+        pytest.param(parse_probability_vector(["0.333334", "0.666666"]), id="tie"),
+        # near-tie: delta_star(4100) = eps - 2*eps/1e8 undercuts delta_star(3)
+        # = eps by 2e-8 relative, a record that a too-tight screen would drop
+        pytest.param(ProbabilityVector([near, 1 - near]), id="near-tie"),
+        # near-bound: at t = 4100, t**2 * delta_star = 0.35352 beats the
+        # generic kappa = 0.353553... by 1e-4 relative
+        pytest.param(ProbabilityVector([edge, 1 - edge]), id="near-bound"),
+        # (A/d)**64 underflows float64 at every t = 100k, each an exact hit
+        pytest.param(ProbabilityVector(spikes), id="underflow"),
+    ]
+    return out
+
+
+FOLD_T_MAX = 2 * _CHUNK + 64  # three chunks, so folds cross chunk boundaries
+
+
+@pytest.mark.parametrize("p", _fold_sources())
+def test_int64_fold_matches_row_by_row_oracle(p):
+    assert _kernels.fits_int64(p.numerators, p.common_denominator, FOLD_T_MAX)
+    rows = exact_fold(p, FOLD_T_MAX)
+    want_recs = [t for t, rec, _ in rows if rec]
+    want_hits = [t for t, _, beat in rows if beat]
+
+    res = record_scan(p, FOLD_T_MAX)
+    assert res.record_ts == want_recs
+    assert res.fact_hits == want_hits
+    flags = [(t, rec, beat) for t, _, _, rec, beat in scan_rows(p, FOLD_T_MAX)]
+    assert flags == rows
+    width = 13  # 2**13 < FOLD_T_MAX spans two chunks
+    best = [r for r in res.records if r.t <= 1 << width][-1]
+    table = best_table_under_width(p, width)
+    assert (table.t, table.freqs) == (best.t, best.freqs)

@@ -133,6 +133,18 @@ class TestCodecCommands:
                          "--raw")
         assert code == 2
 
+    def test_table_wider_than_coder_exit_code(self, tmp_path, capsys):
+        table = tmp_path / "table.txt"
+        code, _, _ = run(capsys, "approximate", "-p", "0.5,0.5",
+                         "-t", str((1 << 24) + 2), "-o", str(table))
+        assert code == 0
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(bytes([0, 1, 1, 0]))
+        code, _, err = run(capsys, "encode", "-i", str(inp), "--table",
+                           str(table), "-o", str(tmp_path / "out.qc"))
+        assert code == 2
+        assert err.startswith("error:") and "2**24" in err
+
     def test_corrupt_stream_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.qc"
         bad.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")

@@ -7,6 +7,7 @@ from quantacode import (
     FrequencyTable,
     ProbabilityVector,
     SymbolOutOfRange,
+    TableTooWide,
     decode,
     decode_framed,
     encode,
@@ -18,6 +19,8 @@ from quantacode import (
     round_min_max,
     sample_symbols,
 )
+
+from quantacode import _kernels
 
 from conftest import random_decimal_probs
 
@@ -77,7 +80,7 @@ class TestValidation:
     def test_oversized_total_rejected(self):
         p = parse_probability_vector(["0.5", "0.5"])
         table = round_min_max(p, (1 << 24) + 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(TableTooWide):
             encode([0], table)
 
     def test_truncated_stream_detected(self):
@@ -107,6 +110,21 @@ class TestFraming:
         blob = encode_framed([0, 1], table)
         with pytest.raises(CorruptStream):
             decode_framed(blob[:10])
+
+    def test_forged_count_stops_at_first_overread(self):
+        # a 30-symbol stream whose header claims 10**6 symbols
+        p = parse_probability_vector(["0.7", "0.2", "0.1"])
+        table = round_min_max(p, 10)
+        blob = bytearray(encode_framed(sample_symbols(p, 30, seed=2), table))
+        n_at = 8 + len(table.serialize_text().encode())
+        blob[n_at:n_at + 8] = (10**6).to_bytes(8, "big")
+        payload = bytes(blob[n_at + 8:])
+        fpos = [table.freqs[s] for s in table.order]
+        _, over = _kernels.rc_decode_py(payload, 10**6, table.order, table.cum,
+                                        fpos, table.t)
+        assert over == 9
+        with pytest.raises(CorruptStream):
+            decode_framed(bytes(blob))
 
 
 class TestRates:
