@@ -32,7 +32,6 @@ from .prob_model import (  # noqa: F401
     ErrorProfile,
     FrequencyTable,
     ProbabilityVector,
-    cumulative,
     error_profile,
     golden_pair,
     golden_surrogate,

@@ -69,9 +69,10 @@ def round_min_max(p: ProbabilityVector, t: int) -> FrequencyTable:
 
 
 def exhaustive_best(p: ProbabilityVector, t: int) -> FrequencyTable:
-    """Brute-force oracle: enumerate every composition of t into m positive
-    parts and return the delta_star minimizer (ties: lexicographically
-    smallest).  Only for m <= 4 and t <= 64."""
+    """Brute-force oracle: the delta_star minimizer over every composition
+    of t into m positive parts (ties: lexicographically smallest), found by
+    exact enumeration with a bound that cuts only branches that cannot win.
+    Only for m <= 4 and t <= 64."""
     if p.m > 4 or t > 64:
         raise InstanceTooLarge(f"exhaustive search limited to m <= 4, t <= 64; "
                                f"got m = {p.m}, t = {t}")

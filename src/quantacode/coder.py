@@ -61,7 +61,7 @@ def encode(symbols, table: FrequencyTable) -> bytes:
         raise SymbolOutOfRange(f"symbol {bad} outside [0, {table.m})")
     fpos = [table.freqs[s] for s in table.order]
     return _kernels.rc_encode(syms, table.position_of_symbol, table.cum,
-                              fpos, table.t, table.width_bits)
+                              fpos, table.t)
 
 
 def decode(data: bytes, n: int, table: FrequencyTable) -> np.ndarray:
@@ -71,6 +71,16 @@ def decode(data: bytes, n: int, table: FrequencyTable) -> np.ndarray:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
+    # Each symbol shrinks the range by at least 1 - (t - f_max)/(2t), the
+    # last interval included, since r = range // t >= range/(2t) when
+    # range >= 2**24 >= t.  The range stays in [2**24, 2**32) and each byte
+    # read multiplies it by 256, so an honest stream has
+    # n*(t - f_max) < 16*t*(bytes read + 1), and the decoder reads at most
+    # len(data) + 8 bytes.  A larger n is forged: reject it before
+    # allocating n symbols.
+    if n * (table.t - max(table.freqs)) > 16 * table.t * (len(data) + 9):
+        raise CorruptStream(f"symbol count {n} exceeds what "
+                            f"{len(data)} payload bytes can hold")
     fpos = [table.freqs[s] for s in table.order]
     syms, status = _kernels.rc_decode(data, n, table.order, table.cum,
                                       fpos, table.t)

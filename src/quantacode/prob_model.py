@@ -137,6 +137,15 @@ def canonical_order(p: ProbabilityVector) -> tuple[int, ...]:
     return tuple(sorted(range(p.m), key=lambda i: (p.probs[i], i)))
 
 
+def _interval_starts(order, freqs) -> tuple[int, ...]:
+    """Low end of each symbol's interval, by canonical position."""
+    starts, acc = [], 0
+    for sym in order:
+        starts.append(acc)
+        acc += freqs[sym]
+    return tuple(starts)
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Integer frequencies f_i with denominator t = sum f_i.
@@ -166,11 +175,7 @@ class FrequencyTable:
             raise ValueError(f"t = {self.t} != sum(freqs) = {sum(self.freqs)}")
         if sorted(self.order) != list(range(m)):
             raise ValueError("order is not a permutation of the symbols")
-        starts, acc = [], 0
-        for sym in self.order:
-            starts.append(acc)
-            acc += self.freqs[sym]
-        if tuple(starts) != self.cum:
+        if _interval_starts(self.order, self.freqs) != self.cum:
             raise ValueError("cum does not match the cumulative sums of freqs")
         if self.width_bits != register_width(self.t):
             raise ValueError(
@@ -185,11 +190,8 @@ class FrequencyTable:
             raise DimensionMismatch(f"{len(freqs)} freqs for {p.m} symbols")
         order = canonical_order(p)
         t = sum(freqs)
-        starts, acc = [], 0
-        for sym in order:
-            starts.append(acc)
-            acc += freqs[sym]
-        return cls(freqs, t, order, tuple(starts), register_width(t))
+        return cls(freqs, t, order, _interval_starts(order, freqs),
+                   register_width(t))
 
     @property
     def m(self) -> int:
@@ -265,11 +267,8 @@ class FrequencyTable:
             prev = s
         if prev != t:
             raise ValueError(f"cumulative sums end at {prev}, expected t = {t}")
-        starts, acc = [], 0
-        for sym in order:
-            starts.append(acc)
-            acc += freqs[sym]
-        return cls(tuple(freqs), t, tuple(order), tuple(starts), width)
+        return cls(tuple(freqs), t, tuple(order),
+                   _interval_starts(order, freqs), width)
 
 
 @dataclass(frozen=True)
@@ -289,23 +288,6 @@ def error_profile(p: ProbabilityVector, table: FrequencyTable) -> ErrorProfile:
                    for i in range(p.m))
     delta_star = max(abs(d) for d in deltas)
     return ErrorProfile(deltas, delta_star, delta_star / p.p_min)
-
-
-def cumulative(p: ProbabilityVector, table: FrequencyTable):
-    """Canonical permutation and inclusive cumulative sums s_1..s_m.
-
-    Symbols are ordered by ascending p_i (ties by ascending index); s_k is
-    the sum of the frequencies of the first k symbols in that order, so the
-    sequence is strictly increasing and ends at t.
-    """
-    if table.m != p.m:
-        raise DimensionMismatch(f"table has {table.m} symbols, source has {p.m}")
-    order = canonical_order(p)
-    sums, acc = [], 0
-    for sym in order:
-        acc += table.freqs[sym]
-        sums.append(acc)
-    return order, tuple(sums)
 
 
 # ---- irrational surrogates --------------------------------------------------

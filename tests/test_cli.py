@@ -1,5 +1,11 @@
 import numpy as np
 
+from quantacode import (
+    encode_framed,
+    parse_probability_vector,
+    round_min_max,
+    sample_symbols,
+)
 from quantacode.cli import main
 
 
@@ -144,6 +150,19 @@ class TestCodecCommands:
                            str(table), "-o", str(tmp_path / "out.qc"))
         assert code == 2
         assert err.startswith("error:") and "2**24" in err
+
+    def test_forged_huge_count_exit_code(self, tmp_path, capsys):
+        p = parse_probability_vector(["0.7", "0.2", "0.1"])
+        table = round_min_max(p, 10)
+        blob = bytearray(encode_framed(sample_symbols(p, 30, seed=2), table))
+        n_at = 8 + len(table.serialize_text().encode())
+        blob[n_at:n_at + 8] = (2**40).to_bytes(8, "big")
+        bad = tmp_path / "forged.qc"
+        bad.write_bytes(bytes(blob))
+        code, _, err = run(capsys, "decode", "-i", str(bad),
+                           "-o", str(tmp_path / "o.bin"))
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_corrupt_stream_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.qc"

@@ -111,20 +111,37 @@ class TestFraming:
         with pytest.raises(CorruptStream):
             decode_framed(blob[:10])
 
-    def test_forged_count_stops_at_first_overread(self):
-        # a 30-symbol stream whose header claims 10**6 symbols
+    @staticmethod
+    def forged(n):
+        """A framed 30-symbol stream whose header claims n symbols."""
         p = parse_probability_vector(["0.7", "0.2", "0.1"])
         table = round_min_max(p, 10)
         blob = bytearray(encode_framed(sample_symbols(p, 30, seed=2), table))
         n_at = 8 + len(table.serialize_text().encode())
-        blob[n_at:n_at + 8] = (10**6).to_bytes(8, "big")
-        payload = bytes(blob[n_at + 8:])
+        blob[n_at:n_at + 8] = n.to_bytes(8, "big")
+        return table, bytes(blob), bytes(blob[n_at + 8:])
+
+    def test_forged_count_stops_at_first_overread(self):
+        table, blob, payload = self.forged(10**6)
         fpos = [table.freqs[s] for s in table.order]
         _, over = _kernels.rc_decode_py(payload, 10**6, table.order, table.cum,
                                         fpos, table.t)
         assert over == 9
         with pytest.raises(CorruptStream):
-            decode_framed(bytes(blob))
+            decode_framed(blob)
+
+    def test_forged_huge_count_rejected_before_decoding(self):
+        # a count of 2**40 would need an 8 TiB symbol buffer
+        _, blob, _ = self.forged(2**40)
+        with pytest.raises(CorruptStream, match="symbol count"):
+            decode_framed(blob)
+
+    def test_count_bound_admits_runs_of_the_likeliest_symbol(self):
+        # the cheapest symbols per unit of t - f_max come nearest the bound
+        p = parse_probability_vector(["0.0625", "0.9375"])
+        table = FrequencyTable.from_freqs(p, [1 << 20, 15 << 20])
+        syms = np.ones(20000, dtype=np.int64)
+        assert np.array_equal(decode(encode(syms, table), syms.size, table), syms)
 
 
 class TestRates:

@@ -13,7 +13,6 @@ from quantacode import (
     ProbabilityVector,
     SumOutOfTolerance,
     ZeroFrequency,
-    cumulative,
     error_profile,
     golden_pair,
     golden_surrogate,
@@ -110,21 +109,21 @@ class TestErrorProfile:
 class TestCumulative:
     def test_tie_broken_by_index(self):
         p = parse_probability_vector(["0.5", "0.5"])
-        order, sums = cumulative(p, FrequencyTable.from_freqs(p, [1, 1]))
-        assert order == (0, 1)
-        assert sums == (1, 2)
+        table = FrequencyTable.from_freqs(p, [1, 1])
+        assert table.order == (0, 1)
+        assert table.inclusive_sums() == (1, 2)
 
     def test_descending_source(self):
         p = parse_probability_vector(["0.7", "0.2", "0.1"])
-        order, sums = cumulative(p, FrequencyTable.from_freqs(p, [7, 2, 1]))
-        assert order == (2, 1, 0)
-        assert sums == (1, 3, 10)
+        table = FrequencyTable.from_freqs(p, [7, 2, 1])
+        assert table.order == (2, 1, 0)
+        assert table.inclusive_sums() == (1, 3, 10)
 
     def test_already_ascending(self):
         p = parse_probability_vector(["0.1", "0.9"])
-        order, sums = cumulative(p, FrequencyTable.from_freqs(p, [1, 9]))
-        assert order == (0, 1)
-        assert sums == (1, 10)
+        table = FrequencyTable.from_freqs(p, [1, 9])
+        assert table.order == (0, 1)
+        assert table.inclusive_sums() == (1, 10)
 
     @given(st.integers(2, 8), st.integers(0, 2**32))
     def test_strictly_increasing_ends_at_t(self, m, seed):
@@ -132,7 +131,7 @@ class TestCumulative:
         p = ProbabilityVector(random_decimal_probs(rng, m))
         freqs = 1 + rng.multinomial(40, [float(x) for x in p.probs])
         table = FrequencyTable.from_freqs(p, freqs.tolist())
-        _, sums = cumulative(p, table)
+        sums = table.inclusive_sums()
         assert all(a < b for a, b in zip(sums, sums[1:]))
         assert sums[-1] == table.t
 
