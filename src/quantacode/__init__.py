@@ -15,6 +15,7 @@ from .errors import (  # noqa: F401
     DenominatorTooSmall,
     DimensionMismatch,
     InstanceTooLarge,
+    InvalidArgument,
     KappaMissing,
     NonPositiveProbability,
     NonPositiveTarget,

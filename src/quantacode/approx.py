@@ -106,24 +106,18 @@ def cf_convergents(x: Fraction, max_q: int):
         raise ValueError(f"x must lie in (0, 1), got {x}")
     if max_q < 1:
         raise ValueError(f"max_q must be >= 1, got {max_q}")
-    num, den = x.numerator, x.denominator
-    h_prev, h = 1, 0  # numerators
-    k_prev, k = 0, 1  # denominators
+    h_prev, h = 0, 1  # numerators h_-2, h_-1
+    k_prev, k = 1, 0  # denominators k_-2, k_-1
     out = []
-    first = True
-    while den:
-        a, rem = divmod(num, den)
-        if not first:
-            h_prev, h = h, a * h + h_prev
-            k_prev, k = k, a * k + k_prev
-        first = False
+    for a in continued_fraction_terms(x):
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
         if k > max_q:
             break
         if out and out[-1][1] == k:
             out[-1] = (h, k)  # a1 = 1 repeats q = 1; keep the better one
         else:
             out.append((h, k))
-        num, den = den, rem
     return out
 
 
@@ -319,60 +313,17 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
 
 # ---- width-constrained search -----------------------------------------------
 
-def best_table_under_width(p: ProbabilityVector, width_bits: int,
-                           objective: str = "min_delta",
-                           dps: int | None = None) -> FrequencyTable:
-    """Best table over all t in [m, 2**width_bits].
+def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTable:
+    """The table minimizing delta_star exactly over all t in [m, 2**width_bits].
 
-    objective "min_delta" minimizes delta_star exactly; "min_divergence"
-    minimizes D(p || f/t), prescreened in float64 and decided among the
-    near-minimal candidates at the working precision.  Ties go to the
-    smallest t either way.
+    Ties go to the smallest t.  The guaranteed plan starts from this table;
+    when its divergence misses the target, ``bounds.plan_precision`` falls
+    back to the smallest t <= 2**width_bits that meets it.
     """
-    if objective not in ("min_delta", "min_divergence"):
-        raise ValueError(f"unknown objective {objective!r}")
     t_hi = 1 << width_bits
     if t_hi < p.m:
         raise WidthTooSmall(f"2**{width_bits} < m = {p.m}")
-    nums, d, m = p.numerators, p.common_denominator, p.m
-
-    if objective == "min_delta":
-        for _, _, recs, _ in _fold(p, t_hi, hits=False):
-            if recs:
-                best_t = recs[-1][0]
-        f, _ = _kernels.minmax_freqs_exact(nums, d, best_t)
-        return FrequencyTable.from_freqs(p, f)
-
-    pf = np.array([float(x) for x in p.probs])
-    log_pf_term = float(np.dot(pf, np.log(pf)))
-    candidates = []  # (d_float, t)
-    best_float = math.inf
-    for lo, a_arr, f_arr in _iter_chunks(p, t_hi, want_freqs=True):
-        a_np = np.asarray(a_arr)
-        if (a_np == 0).any():
-            # an exact table has divergence 0, unbeatable; smallest t wins
-            t = lo + int(np.flatnonzero(a_np == 0)[0])
-            f, _ = _kernels.minmax_freqs_exact(nums, d, t)
-            return FrequencyTable.from_freqs(p, f)
-        t_range = np.arange(lo, lo + len(a_np), dtype=np.float64)
-        fmat = np.asarray(f_arr, dtype=np.float64)
-        d_float = log_pf_term + np.log(t_range) - np.log(fmat) @ pf
-        best_float = min(best_float, float(d_float.min()))
-        band = best_float + max(abs(best_float) * 1e-9, 1e-12)
-        keep = np.flatnonzero(d_float <= band)
-        candidates.extend((float(d_float[j]), lo + int(j)) for j in keep)
-    band = best_float + max(abs(best_float) * 1e-9, 1e-12)
-    candidates = [c for c in candidates if c[0] <= band]
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    candidates = candidates[:64]
-    wdps = working_dps(dps)
-    best = None
-    with mp.workdps(wdps):
-        pm = [mp.mpf(x.numerator) / x.denominator for x in p.probs]
-        for _, t in sorted(candidates, key=lambda c: c[1]):
-            f, _ = _kernels.minmax_freqs_exact(nums, d, t)
-            dv = mp.fsum(pm[i] * mp.log(pm[i] * t / f[i]) for i in range(m))
-            if best is None or dv < best[0]:
-                best = (dv, t, f)
-    _, t, f = best
-    return FrequencyTable.from_freqs(p, f)
+    for _, _, recs, _ in _fold(p, t_hi, hits=False):
+        if recs:
+            best_t = recs[-1][0]
+    return round_min_max(p, best_t)

@@ -26,6 +26,7 @@ counts bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,11 +34,16 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from . import _kernels
-from .approx import _iter_chunks, best_table_under_width, continued_fraction_terms
+from .approx import (
+    _iter_chunks,
+    best_table_under_width,
+    continued_fraction_terms,
+    round_min_max,
+)
 from .errors import (
     AlphabetNotMary,
     DimensionMismatch,
+    InvalidArgument,
     KappaMissing,
     NonPositiveTarget,
     PreconditionViolated,
@@ -250,7 +256,7 @@ def corollary2_width(m: int, target_r, p_min: Fraction, kappa: Kappa | None = No
     if m == 2 and kappa is None:
         raise KappaMissing("binary width bound needs an explicit kappa")
     if m > 2 and kappa is not None:
-        raise ValueError("kappa only applies to binary sources")
+        raise InvalidArgument("kappa only applies to binary sources")
     p_min = Fraction(p_min)
     with mp.workdps(working_dps(dps)):
         pm = mp.mpf(p_min.numerator) / p_min.denominator
@@ -331,38 +337,31 @@ def build_bound_report(p: ProbabilityVector, table: FrequencyTable,
     prof = error_profile(p, table)
     ds, pm, m, t = prof.delta_star, p.p_min, p.m, table.t
     div = kl_divergence(p, table, dps)
-    applicable = {}
 
-    lemma1 = None
-    if prof.ratio < 1:
-        lemma1 = lemma1_bound(m, ds, pm, dps)
-        applicable["lemma1"] = True
-    else:
-        applicable["lemma1"] = False
+    def bound_or_none(bound, *args):
+        try:
+            return bound(*args, dps)
+        except (RatioNotLessThanOne, PreconditionViolated):
+            return None
 
-    theorem1 = None
-    qual1 = 2 * t * ds <= 1  # delta_star <= 1/(2t), exact
-    if 2 * t * pm > 1:
-        theorem1 = theorem1_bound(m, t, pm, dps)
-    applicable["theorem1"] = theorem1 is not None and qual1
-
-    theorem2 = None
+    lemma1 = bound_or_none(lemma1_bound, m, ds, pm)
+    theorem1 = bound_or_none(theorem1_bound, m, t, pm)
     used_kappa = None
     if m == 2:
         used_kappa = kappa or KAPPA_GENERIC
         sq = used_kappa.square
-        dom = (t * t * pm.numerator) ** 2 * sq.denominator > pm.denominator**2 * sq.numerator
+        theorem2 = bound_or_none(theorem2_bound_binary, t, pm, used_kappa)
         qual2 = ((ds.numerator * t * t) ** 2 * sq.denominator
                  <= ds.denominator**2 * sq.numerator)  # delta_star <= kappa/t**2
-        if dom:
-            theorem2 = theorem2_bound_binary(t, pm, used_kappa, dps)
-        applicable["theorem2"] = theorem2 is not None and qual2
     else:
-        dom = t ** (m + 1) * pm.numerator**m > pm.denominator**m
+        theorem2 = bound_or_none(theorem2_bound_mary, m, t, pm)
         qual2 = ds.numerator**m * t ** (m + 1) <= ds.denominator**m
-        if dom:
-            theorem2 = theorem2_bound_mary(m, t, pm, dps)
-        applicable["theorem2"] = theorem2 is not None and qual2
+    applicable = {
+        "lemma1": lemma1 is not None,
+        # delta_star <= 1/(2t), exact
+        "theorem1": theorem1 is not None and 2 * t * ds <= 1,
+        "theorem2": theorem2 is not None and qual2,
+    }
 
     return BoundReport(m, t, ds, prof.ratio, div.nats, div.bits,
                        lemma1, theorem1, theorem2, used_kappa, applicable)
@@ -430,38 +429,37 @@ class PrecisionPlan:
 
 def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
                         dps: int | None):
-    """Smallest t whose exact divergence is <= r, or None.
+    """Smallest t in [m, t_cap] whose kl_divergence is <= r, or None.
 
-    Float64 prescreen per denominator; candidates near the target are decided
-    at the working precision, in ascending t, so the first exact hit wins.
+    A float64 estimate screens each row.  Since sum_i p_i = 1,
+    D = c + ln t - sum_i p_i ln f_i with c = sum_i p_i ln p_i.  With
+    u = 2**-53, H = -c <= ln m, and t and every f_i <= t exact below 2**53:
+    each p_i rounds once (relative u, moving ln p_i by under 2u); each
+    np.log is within 4 ulp (relative 8u); an m-term dot product errs by at
+    most (m + 1)*u times the sum of its |terms|, H for c and
+    sum_i p_i ln f_i <= ln t for the other; and the last two additions err
+    by u*(H + ln t) and u*|estimate|.  So the estimate is within
+    u*((m + 11)*H + (m + 19)*ln t + 2 + |estimate|) of D.  kl_divergence
+    rounds its terms and their sum at dps digits, which moves it from D by
+    under 10**(1 - dps) * (ln m + ln t + 1 + D).  For dps >= 3, every row
+    that kl_divergence accepts thus has an estimate below r + E with
+        E = ((m + 20)*u + 10**(1 - dps)) * (ln m + ln t_cap + 2 + r),
+    whose spare factor also covers the rounding of r and of r + E.  A p_i
+    that underflows to 0 makes the estimate NaN, and NaN rows pass too.
+    Each passing row is decided by kl_divergence, the sum plan_precision
+    verifies, in ascending t, so the first accepted t is the answer.
     """
-    m = p.m
     pf = np.array([float(x) for x in p.probs])
-    log_term = float(np.dot(pf, np.log(pf)))
-    r_float = float(r)
-    screen = r_float * (1 + 1e-9) + 1e-300
-    wdps = working_dps(dps)
-    for lo, a_arr, f_arr in _iter_chunks(p, t_cap, want_freqs=True):
-        if isinstance(f_arr, list):
-            cand = []
-            for off, f in enumerate(f_arr):
-                t = lo + off
-                dv = log_term + np.log(t) - sum(
-                    pf[i] * np.log(f[i]) for i in range(m))
-                if dv <= screen:
-                    cand.append((t, f))
-        else:
-            t_range = np.arange(lo, lo + len(a_arr), dtype=np.float64)
-            d_float = (log_term + np.log(t_range)
-                       - np.log(np.asarray(f_arr, dtype=np.float64)) @ pf)
-            cand = [(lo + int(j), tuple(int(v) for v in f_arr[j]))
-                    for j in np.flatnonzero(d_float <= screen)]
-        with mp.workdps(wdps):
-            pm_ = [mp.mpf(x.numerator) / x.denominator for x in p.probs]
-            for t, f in cand:
-                dv = mp.fsum(pm_[i] * mp.log(pm_[i] * t / f[i]) for i in range(m))
-                if dv <= r:
-                    return t
+    c = float(np.dot(pf, np.log(pf)))
+    slack = (p.m + 20) * 2.0**-53 + 10.0 ** (1 - working_dps(dps))
+    screen = float(r) + slack * (math.log(p.m) + math.log(t_cap) + 2 + float(r))
+    for lo, _, f_arr in _iter_chunks(p, t_cap, want_freqs=True):
+        t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
+        d_float = c + np.log(t_f) - np.log(np.asarray(f_arr, dtype=np.float64)) @ pf
+        for j in np.flatnonzero(~(d_float > screen)):
+            table = FrequencyTable.from_freqs(p, f_arr[j])
+            if kl_divergence(p, table, dps).nats <= r:
+                return table.t
     return None
 
 
@@ -469,47 +467,46 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
                    dps: int | None = None) -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
 
-    guaranteed: take the always-sufficient width from corollary1_width, pick
-    the delta_star-minimizing table within it, verify exactly.
+    guaranteed: take the always-sufficient width W from corollary1_width and
+    the delta_star-minimizing table within it.  Should that table miss the
+    target, fall back to the smallest t <= 2**W whose divergence meets it;
+    such a t exists exactly when the minimum divergence over t <= 2**W meets
+    the target.
     opportunistic: scan t upward and return the first denominator whose exact
     divergence meets the target; its width is typically near the record
     (corollary-2) bound for favorable sources.
 
-    Both modes give up once t would exceed 2**(corollary1_width + 2); the two
-    extra bits absorb the worst-case gap between delta_star < 1/t and the
-    1/(2t) the width bound assumes.
+    Both modes decide the target with kl_divergence, the same sum the plan
+    verifies.  Opportunistic mode gives up once t would exceed
+    2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
+    absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
+    width bound assumes.
     """
     if mode not in ("guaranteed", "opportunistic"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     r = to_mpf(target_r, dps)
     if not r > 0:
         raise NonPositiveTarget(f"target redundancy must be > 0, got {target_r}")
     w1, raw = corollary1_width(p.m, r, p.p_min, dps)
     w_eff = max(w1, register_width(p.m))
-    cap = 1 << (w1 + 2)
 
+    verified = None
     if mode == "guaranteed":
-        table = best_table_under_width(p, w_eff, "min_delta", dps=dps)
-        dv = kl_divergence(p, table, dps).nats
-        if not dv <= r:
-            table = best_table_under_width(p, w_eff, "min_divergence", dps=dps)
-            dv = kl_divergence(p, table, dps).nats
-            if not dv <= r:
-                raise TargetUnachievableWithinScan(
-                    f"no denominator up to 2**{w_eff} reaches "
-                    f"{format_decimal(r, 8)} nats"
-                )
+        cap_bits = w_eff
+        table = best_table_under_width(p, w_eff)
+        verified = kl_divergence(p, table, dps).nats
     else:
-        t = _first_qualifying_t(p, r, min(cap, 1 << 24), dps)
+        cap_bits = min(w1 + 2, 24)
+    if verified is None or not verified <= r:
+        t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
         if t is None:
             raise TargetUnachievableWithinScan(
-                f"no denominator up to 2**{w1 + 2} reaches "
+                f"no denominator up to 2**{cap_bits} reaches "
                 f"{format_decimal(r, 8)} nats"
             )
-        f, _ = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator, t)
-        table = FrequencyTable.from_freqs(p, f)
+        table = round_min_max(p, t)
+        verified = kl_divergence(p, table, dps).nats
 
-    verified = kl_divergence(p, table, dps).nats
     width = table.width_bits
     return PrecisionPlan(r, width, table.t, table, verified, w1, raw,
                          memory_cost(p.m, width), mode)

@@ -72,7 +72,7 @@ def cmd_approximate(args) -> int:
     if args.t is not None:
         table = round_min_max(p, args.t)
     else:
-        table = best_table_under_width(p, args.width, dps=args.precision)
+        table = best_table_under_width(p, args.width)
     report = build_bound_report(p, table, kappa=_kappa(args.kappa),
                                 dps=args.precision)
     _write(args.out, table.serialize_text(delta_star=report.delta_star))

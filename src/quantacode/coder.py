@@ -23,7 +23,13 @@ import mpmath as mp
 import numpy as np
 
 from . import _kernels
-from .errors import CorruptStream, DimensionMismatch, SymbolOutOfRange, TableTooWide
+from .errors import (
+    CorruptStream,
+    DimensionMismatch,
+    InvalidArgument,
+    SymbolOutOfRange,
+    TableTooWide,
+)
 from .precision import working_dps
 from .prob_model import FrequencyTable, ProbabilityVector
 from .bounds import kl_divergence
@@ -68,7 +74,7 @@ def decode(data: bytes, n: int, table: FrequencyTable) -> np.ndarray:
     """Exact inverse of encode for a stream of n symbols."""
     _check_table(table)
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     if n == 0:
         return np.empty(0, dtype=np.int64)
     # Each symbol shrinks the range by at least 1 - (t - f_max)/(2t), the
@@ -160,7 +166,7 @@ def measure_rate(p: ProbabilityVector, table: FrequencyTable, n: int,
     sampling noise and the O(1/n) flush overhead.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise InvalidArgument(f"n must be >= 1, got {n}")
     if table.m != p.m:
         raise DimensionMismatch(f"table has {table.m} symbols, source has {p.m}")
     syms = sample_symbols(p, n, seed)

@@ -10,6 +10,13 @@ class QuantacodeError(Exception):
     """Base class for all quantacode errors."""
 
 
+class InvalidArgument(QuantacodeError, ValueError):
+    """An argument lies outside the domain of the function it was passed to.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 # ---- probability vectors ----------------------------------------------------
 
 class NonPositiveProbability(QuantacodeError):

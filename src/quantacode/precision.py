@@ -42,8 +42,6 @@ def to_mpf(x, dps: int | None = None) -> mp.mpf:
     with mp.workdps(working_dps(dps)):
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        if isinstance(x, str):
-            return mp.mpf(x)
         return mp.mpf(x)
 
 

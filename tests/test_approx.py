@@ -245,25 +245,6 @@ class TestBestTableUnderWidth:
         with pytest.raises(WidthTooSmall):
             best_table_under_width(irrational_triple(), 1)
 
-    def test_min_divergence_objective(self):
-        p = parse_probability_vector(["0.7", "0.2", "0.1"])
-        table = best_table_under_width(p, 4, objective="min_divergence")
-        assert table.t == 10  # exact table has D = 0; smallest such t
-
-    def test_min_divergence_zero_plateau_tie_break(self):
-        # every multiple of 10 is exact under width 8; smallest must win
-        p = parse_probability_vector(["0.7", "0.2", "0.1"])
-        table = best_table_under_width(p, 8, objective="min_divergence")
-        assert table.t == 10
-
-    def test_min_divergence_close_to_min_delta_for_golden(self):
-        import quantacode
-        t1 = best_table_under_width(golden_pair(), 5, objective="min_delta")
-        t2 = best_table_under_width(golden_pair(), 5, objective="min_divergence")
-        d1 = quantacode.kl_divergence(golden_pair(), t1).nats
-        d2 = quantacode.kl_divergence(golden_pair(), t2).nats
-        assert d2 <= d1
-
 
 # ---- the int64 fold against a row-by-row exact oracle -----------------------
 

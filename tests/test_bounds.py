@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quantacode import (
     AlphabetNotMary,
     FrequencyTable,
+    InvalidArgument,
     KappaMissing,
     NonPositiveTarget,
     PreconditionViolated,
@@ -22,6 +23,7 @@ from quantacode import (
     error_profile,
     golden_pair,
     golden_surrogate,
+    irrational_triple,
     kappa_select,
     kl_divergence,
     lemma1_bound,
@@ -35,6 +37,8 @@ from quantacode import (
 from quantacode.bounds import (
     KAPPA_GENERIC,
     KAPPA_GOLDEN,
+    WidthBound,
+    _first_qualifying_t,
     lemma1_exact,
     looks_golden_equivalent,
     theorem1_exact,
@@ -228,6 +232,10 @@ class TestWidthCorollaries:
         with pytest.raises(KappaMissing):
             corollary2_width(2, "1e-3", Fraction(3, 10))
 
+    def test_corollary2_rejects_kappa_for_mary(self):
+        with pytest.raises(InvalidArgument):
+            corollary2_width(3, "1e-3", Fraction(1, 5), kappa=KAPPA_GENERIC)
+
 
 class TestGoldenHeuristic:
     def test_golden_surrogate_flagged(self):
@@ -315,9 +323,66 @@ class TestPlanner:
             plan_precision(golden_pair(), "1e-5", mode="opportunistic")
 
     def test_first_qualifying_respects_cap(self):
-        from quantacode.bounds import _first_qualifying_t
         from quantacode.precision import to_mpf
         assert _first_qualifying_t(golden_pair(), to_mpf("1e-12"), 50, None) is None
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidArgument):
+            plan_precision(golden_pair(), "1e-5", mode="fastest")
+
+    def test_opportunistic_matches_brute_force(self):
+        # for the first two sources R = D(t0) is so small that a screen
+        # widened only by a relative 1e-9 drops t = 383 and t = 895; the
+        # random sources and the exact-path presets add cover
+        def first_t(p, r):
+            return next(t for t in range(p.m, 1 << 24)
+                        if kl_divergence(p, round_min_max(p, t)).nats <= r)
+
+        cases = [(ProbabilityVector([Fraction(12167, 20000), Fraction(7833, 20000)]),
+                  2298, 383),
+                 (ProbabilityVector([Fraction(193297, 10**6), Fraction(403259, 10**6),
+                                     Fraction(100861, 250000)]), 895, 895),
+                 (golden_pair(), 400, None), (irrational_triple(), 400, None)]
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            m = int(rng.integers(2, 5))
+            cases.append((ProbabilityVector(random_decimal_probs(rng, m)),
+                          int(rng.integers(m, 1500)), None))
+        for p, t0, expected in cases:
+            r = kl_divergence(p, round_min_max(p, t0)).nats
+            t = first_t(p, r)
+            assert expected in (None, t)
+            assert _first_qualifying_t(p, r, t0, None) == t
+            assert plan_precision(p, r, mode="opportunistic").t == t
+
+    def test_low_precision_screen_keeps_what_kl_divergence_accepts(self):
+        # the tables at t = 9 and t = 639 = 71 * 9 have the same ratios, so
+        # t = 9 meets R exactly; at 6 digits the rounding of kl_divergence
+        # far exceeds the float64 error of the screen
+        p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
+        r = kl_divergence(p, round_min_max(p, 639), dps=6).nats
+        assert _first_qualifying_t(p, r, 639, 6) == 9
+        assert plan_precision(p, r, mode="opportunistic", dps=6).t == 9
+
+    def test_guaranteed_fallback_takes_first_qualifying_t(self, monkeypatch):
+        import quantacode.bounds as B
+        p = golden_pair()
+        monkeypatch.setattr(B, "best_table_under_width",
+                            lambda p, w: round_min_max(p, p.m))
+        plan = plan_precision(p, "1e-3", mode="guaranteed")
+        first = next(t for t in range(p.m, (1 << plan.corollary1_width) + 1)
+                     if kl_divergence(p, round_min_max(p, t)).nats <= plan.target_r)
+        assert plan.t == first
+        assert plan.table == round_min_max(p, first)
+
+    def test_guaranteed_fallback_raises_when_nothing_qualifies(self, monkeypatch):
+        import quantacode.bounds as B
+        monkeypatch.setattr(B, "best_table_under_width",
+                            lambda p, w: round_min_max(p, p.m))
+        monkeypatch.setattr(B, "corollary1_width",
+                            lambda m, r, pm, dps: WidthBound(3, mp.mpf(4)))
+        with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*3 "):
+            plan_precision(golden_pair(), "1e-5", mode="guaranteed")
 
     def test_eta_below_one_for_golden_records(self):
         plan = plan_precision(golden_pair(), "1e-5", mode="opportunistic")

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from quantacode import (
     CorruptStream,
     FrequencyTable,
+    InvalidArgument,
     ProbabilityVector,
     SymbolOutOfRange,
     TableTooWide,
@@ -82,6 +83,17 @@ class TestValidation:
         table = round_min_max(p, (1 << 24) + 2)
         with pytest.raises(TableTooWide):
             encode([0], table)
+
+    def test_negative_count_rejected(self):
+        p, table = uniform_table(2)
+        with pytest.raises(InvalidArgument) as exc:
+            decode(b"", -1, table)
+        assert isinstance(exc.value, ValueError)
+
+    def test_rate_needs_a_symbol(self):
+        p, table = uniform_table(2)
+        with pytest.raises(InvalidArgument):
+            measure_rate(p, table, 0, seed=1)
 
     def test_truncated_stream_detected(self):
         p = parse_probability_vector(["0.7", "0.2", "0.1"])
