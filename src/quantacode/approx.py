@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,7 +45,12 @@ import mpmath as mp
 import numpy as np
 
 from . import _kernels
-from .errors import DenominatorTooSmall, InstanceTooLarge, WidthTooSmall
+from .errors import (
+    DenominatorTooSmall,
+    InstanceTooLarge,
+    InvalidArgument,
+    WidthTooSmall,
+)
 from .precision import working_dps
 from .prob_model import FrequencyTable, ProbabilityVector
 
@@ -103,9 +109,9 @@ def cf_convergents(x: Fraction, max_q: int):
     [0; 1, ...] the zeroth convergent 0/1 is superseded by 1/1 and dropped.
     """
     if not 0 < x < 1:
-        raise ValueError(f"x must lie in (0, 1), got {x}")
+        raise InvalidArgument(f"x must lie in (0, 1), got {x}")
     if max_q < 1:
-        raise ValueError(f"max_q must be >= 1, got {max_q}")
+        raise InvalidArgument(f"max_q must be >= 1, got {max_q}")
     h_prev, h = 0, 1  # numerators h_-2, h_-1
     k_prev, k = 1, 0  # denominators k_-2, k_-1
     out = []
@@ -166,8 +172,13 @@ def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False,
     A[j] is the delta_star numerator of t = lo + j (delta_star = A/(d*t)):
     an int64 ndarray when the scan fits int64, else a list of Python ints.
     F holds the matching frequency rows when `want_freqs`, else None.  On
-    the exact path `jobs > 1` splits the range over a process pool.
+    the exact path `jobs > 1` splits the range over a process pool; jobs
+    must lie in [1, os.cpu_count()], checked before any worker starts
+    (the default jobs = 1 skips os.cpu_count(), slow on some systems).
     """
+    if jobs != 1 and not 1 <= jobs <= (os.cpu_count() or 1):
+        raise InvalidArgument(f"jobs must lie in [1, {os.cpu_count() or 1}] "
+                              f"(the CPU count), got {jobs}")
     nums, d, m = p.numerators, p.common_denominator, p.m
     if jobs > 1 and not _kernels.fits_int64(nums, d, t_max):
         step = max(1, (t_max - m + 1) // jobs + 1)
@@ -294,21 +305,21 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
     return ScanResult(records, hits, t_max, m, label)
 
 
-def scan_rows(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
-              dps: int | None = None):
+def scan_rows(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1):
     """Per-denominator scan rows for CSV export.
 
-    Yields (t, delta_star, quality, is_record, beats_fact) with exact
-    delta_star; quality as in RecordEntry.  Stops after an exact table.
+    Yields (t, A, is_record, beats_fact) with delta_star = A/(d*t) exact
+    (d = p.common_denominator); the quality of RecordEntry is then t*A/d
+    for m = 2 and (t * A**m / d**m)**(1/m) otherwise.  Stops after an
+    exact table.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
-    m, d = p.m, p.common_denominator
     for lo, a_chunk, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs):
         rec_set, hit_set = {t for t, _ in recs}, set(hit_ts)
-        for t, a in enumerate(map(int, a_chunk), lo):
-            quality = _quality_value(m, t, a, d, dps) if a else Fraction(0)
-            yield t, Fraction(a, d * t), quality, t in rec_set, t in hit_set
+        for t, a in enumerate(a_chunk.tolist() if isinstance(a_chunk, np.ndarray)
+                              else a_chunk, lo):
+            yield t, a, t in rec_set, t in hit_set
 
 
 # ---- width-constrained search -----------------------------------------------

@@ -385,14 +385,14 @@ class PrecisionPlan:
 
     def __post_init__(self):
         if not self.verified_divergence <= self.target_r:
-            raise ValueError("plan verification failed: divergence above target")
+            raise InvalidArgument("plan verification failed: divergence above target")
         # corollary-1 clamps to >= 1, which can dip below the smallest width
         # able to hold m symbols at all; allow that floor
         floor = register_width(max(self.table.m, 2))
         if self.width_bits > max(self.corollary1_width, floor):
-            raise ValueError("plan width exceeds the guaranteed-sufficient width")
+            raise InvalidArgument("plan width exceeds the guaranteed-sufficient width")
         if self.memory_bits != memory_cost(self.table.m, self.width_bits):
-            raise ValueError("memory cost must be m * W")
+            raise InvalidArgument("memory cost must be m * W")
 
     def eta(self, dps: int | None = None) -> mp.mpf:
         """Achieved width per log2(m/R): the implementation-quality ratio."""
@@ -463,6 +463,21 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     return None
 
 
+def _decision_dps(m: int, t_cap: int, r: mp.mpf, dps: int | None) -> int:
+    """Digits at which a plan is decided and verified: the working precision,
+    raised where needed so that kl_divergence's rounding bound
+    10**(1 - dps) * (ln m + ln t_cap + 2 + r) (see _first_qualifying_t) is
+    at most r/1000.  At 6 digits that rounding is as large as a divergence
+    near 1e-7 itself, and a plan verified there can miss its target.
+    """
+    c = math.log(m) + math.log(t_cap) + 2
+    y, n = mp.frexp(r)      # r = y * 2**n, 0.5 <= y < 1, at any magnitude
+    log_r = math.log10(float(y)) + n * math.log10(2)
+    # float(r) saturates only above 1e308, where `need` is tiny anyway
+    need = 4 + math.ceil(math.log10(c + min(float(r), 1e300)) - log_r)
+    return max(working_dps(dps), need)
+
+
 def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
                    dps: int | None = None) -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
@@ -477,10 +492,10 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
     (corollary-2) bound for favorable sources.
 
     Both modes decide the target with kl_divergence, the same sum the plan
-    verifies.  Opportunistic mode gives up once t would exceed
-    2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
-    absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
-    width bound assumes.
+    verifies, at the digits _decision_dps asks for.  Opportunistic mode
+    gives up once t would exceed 2**(corollary1_width + 2) or the coder
+    limit 2**24; the two extra bits absorb the worst-case gap between
+    delta_star < 1/t and the 1/(2t) the width bound assumes.
     """
     if mode not in ("guaranteed", "opportunistic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -489,14 +504,14 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
         raise NonPositiveTarget(f"target redundancy must be > 0, got {target_r}")
     w1, raw = corollary1_width(p.m, r, p.p_min, dps)
     w_eff = max(w1, register_width(p.m))
+    cap_bits = w_eff if mode == "guaranteed" else min(w1 + 2, 24)
+    dps = _decision_dps(p.m, 1 << cap_bits, r, dps)
+    r = to_mpf(target_r, dps)
 
     verified = None
     if mode == "guaranteed":
-        cap_bits = w_eff
         table = best_table_under_width(p, w_eff)
         verified = kl_divergence(p, table, dps).nats
-    else:
-        cap_bits = min(w1 + 2, 24)
     if verified is None or not verified <= r:
         t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
         if t is None:

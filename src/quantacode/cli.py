@@ -23,7 +23,7 @@ from .bounds import (
 )
 from .coder import decode, decode_framed, encode, encode_framed, measure_rate
 from .errors import QuantacodeError, TargetUnachievableWithinScan
-from .precision import format_decimal, working_dps
+from .precision import decimal_ratio, decimal_root, working_dps
 from .prob_model import PRESETS, FrequencyTable, parse_probability_vector
 
 _EXIT_OK = 0
@@ -87,23 +87,22 @@ def cmd_approximate(args) -> int:
 def cmd_scan(args) -> int:
     p = _probs(args.probs)
     kappa = _kappa(args.kappa)
+    m, d = p.m, p.common_denominator
+    d_m = d**m
     lines = [_csv_comment(args),
              "t,delta_star_decimal,quality_decimal,is_record,beats_fact_constant"]
     records, hits = [], 0
-    for t, ds, quality, is_rec, beats in scan_rows(
-            p, args.t_max, kappa=kappa, jobs=args.jobs, dps=args.precision):
+    for t, a, is_rec, beats in scan_rows(p, args.t_max, kappa=kappa,
+                                         jobs=args.jobs):
         if is_rec:
             records.append(t)
         hits += beats
-        lines.append(",".join([
-            str(t),
-            format_decimal(ds, 30, dps=args.precision),
-            format_decimal(quality, 30, dps=args.precision),
-            "1" if is_rec else "0",
-            "1" if beats else "0",
-        ]))
+        quality = (decimal_ratio(t * a, d) if m == 2
+                   else decimal_root(t * a**m, d_m, m))
+        lines.append(f"{t},{decimal_ratio(a, d * t)},{quality},"
+                     f"{int(is_rec)},{int(beats)}")
     _write(args.out, "\n".join(lines) + "\n")
-    label = kappa.label if p.m == 2 else f"{p.m}/{p.m + 1}"
+    label = kappa.label if m == 2 else f"{m}/{m + 1}"
     print(f"records: {records}", file=sys.stderr)
     print(f"fact-constant hits ({label}): {hits}", file=sys.stderr)
     return _EXIT_OK
@@ -185,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="working decimal digits (default 50; "
                              "env QUANTACODE_PRECISION)")
         sp.add_argument("--seed", type=int, default=0, help="rng seed")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for scans")
         sp.add_argument("-o", "--out", default=None,
                         help="output path (default stdout)")
 
@@ -202,6 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="per-denominator error/quality CSV")
     common(sp)
     sp.add_argument("--t-max", type=int, required=True)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="worker processes for exact-path scans "
+                         "(1 to the CPU count)")
     sp.add_argument("--kappa", choices=("golden", "generic"), default="generic")
     sp.set_defaults(func=cmd_scan)
 

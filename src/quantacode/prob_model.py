@@ -26,6 +26,7 @@ from math import isqrt, lcm
 from .errors import (
     AlphabetTooSmall,
     DimensionMismatch,
+    InvalidArgument,
     NonPositiveProbability,
     SumOutOfTolerance,
     ZeroFrequency,
@@ -44,7 +45,7 @@ def register_width(t) -> int:
     """
     t = getattr(t, "t", t)
     if t < 2:
-        raise ValueError(f"register width needs t >= 2, got {t}")
+        raise InvalidArgument(f"register width needs t >= 2, got {t}")
     return (t - 1).bit_length()
 
 
@@ -146,6 +147,17 @@ def _interval_starts(order, freqs) -> tuple[int, ...]:
     return tuple(starts)
 
 
+def _three_ints(line: str, what: str) -> list[int]:
+    """The three integer fields of a table-file line."""
+    parts = line.split()
+    try:
+        if len(parts) == 3:
+            return [int(x) for x in parts]
+    except ValueError:
+        pass
+    raise InvalidArgument(f"bad table {what}: {line!r}")
+
+
 @dataclass(frozen=True)
 class FrequencyTable:
     """Integer frequencies f_i with denominator t = sum f_i.
@@ -172,13 +184,13 @@ class FrequencyTable:
             if f < 1:
                 raise ZeroFrequency(f"f[{i}] = {f}; every frequency must be >= 1")
         if self.t != sum(self.freqs):
-            raise ValueError(f"t = {self.t} != sum(freqs) = {sum(self.freqs)}")
+            raise InvalidArgument(f"t = {self.t} != sum(freqs) = {sum(self.freqs)}")
         if sorted(self.order) != list(range(m)):
-            raise ValueError("order is not a permutation of the symbols")
+            raise InvalidArgument("order is not a permutation of the symbols")
         if _interval_starts(self.order, self.freqs) != self.cum:
-            raise ValueError("cum does not match the cumulative sums of freqs")
+            raise InvalidArgument("cum does not match the cumulative sums of freqs")
         if self.width_bits != register_width(self.t):
-            raise ValueError(
+            raise InvalidArgument(
                 f"width_bits = {self.width_bits} != ceil(log2 {self.t})"
             )
 
@@ -196,10 +208,6 @@ class FrequencyTable:
     @property
     def m(self) -> int:
         return len(self.freqs)
-
-    def phat(self, i: int) -> Fraction:
-        """Model probability f_i / t of symbol i."""
-        return Fraction(self.freqs[i], self.t)
 
     def inclusive_sums(self) -> tuple[int, ...]:
         """Cumulative sums s_1..s_m in canonical order; strictly increasing, ends at t."""
@@ -245,28 +253,22 @@ class FrequencyTable:
         rows = [ln.strip() for ln in text.splitlines()
                 if ln.strip() and not ln.lstrip().startswith("#")]
         if not rows:
-            raise ValueError("empty table file")
-        head = rows[0].split()
-        if len(head) != 3:
-            raise ValueError(f"bad table header: {rows[0]!r}")
-        m, t, width = (int(x) for x in head)
+            raise InvalidArgument("empty table file")
+        m, t, width = _three_ints(rows[0], "header")
         if len(rows) != m + 1:
-            raise ValueError(f"expected {m} symbol lines, found {len(rows) - 1}")
+            raise InvalidArgument(f"expected {m} symbol lines, found {len(rows) - 1}")
         order, freqs, prev = [], [0] * m, 0
         for ln in rows[1:]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise ValueError(f"bad table line: {ln!r}")
-            sym, f, s = (int(x) for x in parts)
+            sym, f, s = _three_ints(ln, "line")
             if not 0 <= sym < m:
-                raise ValueError(f"symbol index {sym} out of range")
+                raise InvalidArgument(f"symbol index {sym} out of range")
             if s - prev != f:
-                raise ValueError(f"cumulative sums inconsistent at symbol {sym}")
+                raise InvalidArgument(f"cumulative sums inconsistent at symbol {sym}")
             order.append(sym)
             freqs[sym] = f
             prev = s
         if prev != t:
-            raise ValueError(f"cumulative sums end at {prev}, expected t = {t}")
+            raise InvalidArgument(f"cumulative sums end at {prev}, expected t = {t}")
         return cls(tuple(freqs), t, tuple(order),
                    _interval_starts(order, freqs), width)
 

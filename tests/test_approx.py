@@ -217,8 +217,8 @@ class TestRecordScan:
         res = record_scan(p, 300, kappa=KAPPA_GENERIC)
         rows = list(scan_rows(p, 300, kappa=KAPPA_GENERIC))
         assert [t for t, *_ in rows] == list(range(2, 301))
-        assert [t for t, _, _, rec, _ in rows if rec] == res.record_ts
-        assert [t for t, _, _, _, beat in rows if beat] == res.fact_hits
+        assert [t for t, _, rec, _ in rows if rec] == res.record_ts
+        assert [t for t, _, _, beat in rows if beat] == res.fact_hits
 
     def test_t_max_below_m_rejected(self):
         with pytest.raises(DenominatorTooSmall):
@@ -316,7 +316,7 @@ def test_int64_fold_matches_row_by_row_oracle(p):
     res = record_scan(p, FOLD_T_MAX)
     assert res.record_ts == want_recs
     assert res.fact_hits == want_hits
-    flags = [(t, rec, beat) for t, _, _, rec, beat in scan_rows(p, FOLD_T_MAX)]
+    flags = [(t, rec, beat) for t, _, rec, beat in scan_rows(p, FOLD_T_MAX)]
     assert flags == rows
     width = 13  # 2**13 < FOLD_T_MAX spans two chunks
     best = [r for r in res.records if r.t <= 1 << width][-1]

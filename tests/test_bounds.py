@@ -362,7 +362,17 @@ class TestPlanner:
         p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
         r = kl_divergence(p, round_min_max(p, 639), dps=6).nats
         assert _first_qualifying_t(p, r, 639, 6) == 9
-        assert plan_precision(p, r, mode="opportunistic", dps=6).t == 9
+        # the plan itself is decided at enough digits to meet r: the same t
+        # as at 50 digits, where t = 9 misses r (3.28e-7 > 2.75e-7)
+        assert (plan_precision(p, r, mode="opportunistic", dps=6).t
+                == plan_precision(p, r, mode="opportunistic").t == 151)
+
+    def test_low_precision_plan_meets_target_at_50_digits(self):
+        p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
+        for mode in ("opportunistic", "guaranteed"):
+            plan = plan_precision(p, "2.75e-7", mode=mode, dps=6)
+            d50 = kl_divergence(p, round_min_max(p, plan.t), dps=50).nats
+            assert d50 <= mp.mpf("2.75e-7")
 
     def test_guaranteed_fallback_takes_first_qualifying_t(self, monkeypatch):
         import quantacode.bounds as B

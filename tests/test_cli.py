@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from quantacode import (
     encode_framed,
@@ -78,6 +79,37 @@ class TestScan:
         assert code == 0
         rows = out.read_text().splitlines()
         assert rows[-1].split(",")[0] == "10"
+
+    def test_decimals_do_not_depend_on_precision(self, tmp_path, capsys):
+        bodies = []
+        for dps in ("6", "50"):
+            out = tmp_path / f"scan{dps}.csv"
+            code, _, _ = run(capsys, "scan", "-p", "triple", "--t-max", "300",
+                             "--precision", dps, "-o", str(out))
+            assert code == 0
+            bodies.append(out.read_text().split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+
+    def test_jobs_above_cpu_count_rejected_before_any_pool(self, tmp_path, capsys,
+                                                          monkeypatch):
+        import concurrent.futures
+        import os
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for jobs in (os.cpu_count() + 1, 0):
+            code, _, err = run(capsys, "scan", "-p", "golden", "--t-max", "300",
+                               "--jobs", str(jobs), "-o", str(tmp_path / "s.csv"))
+            assert code == 2
+            assert "jobs must lie in" in err
+
+    def test_jobs_belongs_to_scan_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["approximate", "-p", "0.7,0.3", "-t", "4", "--jobs", "1",
+                  "-o", str(tmp_path / "t.txt")])
+        assert exc.value.code == 2
 
 
 class TestPlan:
