@@ -18,19 +18,52 @@ A = max_i |t*P_i - f_i*d|, delta_star = A/(d*t), a record is decided by the
 cross-multiplication A*t' < A'*t, and e.g. t^(1+1/m)*delta_star < m/(m+1)
 by t * A**m * (m+1)**m < m**m * d**m, both in Python integers.
 
-On the int64 path a float64 prescreen only *excludes* rows.  A row is a
-record candidate when A/t < (1 + 1e-9) * (running minimum of A/t), and a
-fact-constant candidate when (t*A/d)**2 < kappa**2 * (1 + 1e-9) (m = 2) or
-t * (A/d)**m < (m/(m+1))**m * (1 + 1e-9).  Each float quantity carries a
-relative error of a few units of 2**-53 per operation: about 4 for A/t
-(8 between a row and the running minimum), and about 4m + 4 for
-t * (A/d)**m, since the m-th power multiplies the error of A/d by m; int64
-scans have m <= 64, so under 3e-14 in all.  The 1e-9 slack exceeds that,
-so every true record or hit is a candidate.  A/d >= 2**-62 never
-underflows; only (A/d)**m can, when the true t * (A/d)**m is far below the
-bound, and then the row stays a candidate.  Every candidate, and every row
-of an exact-path chunk, is then decided by the integer tests above, in
-ascending t, so no positive result ever rests on a float.
+`record_scan` and `best_table_under_width` need only records and hits, so
+there a float64 prescreen *excludes* rows, and every remaining candidate is
+decided by the integer tests above on the true p, in ascending t: no result
+rests on a float or on a truncated source.  The screen reads
+delta~ = A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
+
+* a chunk that fits int64 is scanned on p itself: D = d, eps = 0;
+* a chunk [lo, hi] of a source that overflows int64 (m <= 64) is scanned on
+  p~ = P~/D, with D = (2**62 - 1) // hi and P~ the min-max table of p at
+  t = D (largest-remainder rounding, so sum P~ = D and every intermediate
+  fits int64).  eps = max_i |p_i - P~_i/D| < 1/D, about hi * 2**-62, is
+  computed exactly and rounded up to a float, then widened by a relative
+  2**-49.  delta_star(p, t) is a minimum over the tables f of t of
+  max_i |p_i - f_i/t|, a maximum of 1-Lipschitz functions of p, so it is
+  1-Lipschitz in the sup norm: |delta_star(p, t) - delta_star(p~, t)| <= eps.
+
+A row t is a record candidate when delta~_t - eps lies below both the
+confirmed best delta_star (rounded up) and delta~_s + eps for every earlier
+row s of its chunk, and a fact-constant candidate when the quality at
+max(delta~_t - eps, 0) passes the bound: (t**2 * delta)**2 < kappa**2
+(m = 2) or t * (t*delta)**m < (m/(m+1))**m, each bound widened by a
+relative 1e-9.  A true record has delta~_t - eps <= delta_star_t <
+delta_star_s <= delta~_s + eps, and a true hit passes at delta_star_t >=
+delta~_t - eps since the quality grows with delta; so the absolute eps
+keeps both candidates in exact arithmetic, and the relative slack covers
+the float64 rounding.  Each float quantity carries a relative error of a
+few units of 2**-53 per operation: about 4 for delta~ (A~, D and two
+divisions) and for the running-minimum side, and about 4m + 8 for
+t * (t*delta)**m, since the m-th power multiplies the error of its base by
+m; m <= 64, so under 4e-14 in all, far below 1e-9.  The differences
+delta~ - eps and t*delta~ - t*eps can cancel: where eps exceeds a third of
+delta~, the 2**-49 widening of eps outweighs the float error of delta~,
+and elsewhere the difference keeps a relative error of a few units.  A~/D >=
+2**-62 never underflows; only the m-th power can, far below the bound, and
+then the row stays a candidate.  An exact table (delta_star = 0) has
+delta~ <= eps, so it is always a record candidate, and once confirmed it
+ends the scan.
+
+The screen pays while eps is far below the records' delta_star, i.e. while
+t**3 is far below 2**62 (t up to about 10**6 for binary sources).  Beyond
+that more rows become candidates, up to every row, which costs the
+big-integer path plus the int64 kernel, a few percent more.  `scan_rows`
+prints every row's exact A and the planner's divergence search needs every
+screened row's exact table, so both scan p itself: their chunks that
+overflow int64, and all chunks when m > 64, take the big-integer path,
+where every row is a candidate.
 """
 
 from __future__ import annotations
@@ -56,6 +89,7 @@ from .prob_model import FrequencyTable, ProbabilityVector
 
 _CHUNK = 4096
 _SLACK = 1e-9  # relative widening of every float64 prescreen bound
+_INT64_TOP = (1 << 62) - 1  # hi * D on a truncated chunk stays at most this
 
 
 def round_min_max(p: ProbabilityVector, t: int) -> FrequencyTable:
@@ -165,38 +199,67 @@ def _quality_value(m: int, t: int, a: int, d: int, dps: int | None):
         return mp.mpf(t) ** (mp.mpf(1) / m) * mp.mpf(a) / d
 
 
-def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False,
-                 jobs: int = 1):
-    """Yield (lo, A, F) for consecutive chunks of t in [m, t_max], in order.
+def _float_up(n: int, q: int) -> float:
+    """The least float >= n/q, for n >= 0 and q > 0."""
+    x = n / q
+    num, den = x.as_integer_ratio()
+    return math.nextafter(x, math.inf) if num * q < n * den else x
 
-    A[j] is the delta_star numerator of t = lo + j (delta_star = A/(d*t)):
-    an int64 ndarray when the scan fits int64, else a list of Python ints.
-    F holds the matching frequency rows when `want_freqs`, else None.  On
-    the exact path `jobs > 1` splits the range over a process pool; jobs
-    must lie in [1, os.cpu_count()], checked before any worker starts
-    (the default jobs = 1 skips os.cpu_count(), slow on some systems).
+
+def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False,
+                 jobs: int = 1, exact: bool = True):
+    """Yield (lo, A, F, D, eps) for consecutive chunks of t in [m, t_max].
+
+    A[j] belongs to t = lo + j, and delta_star(p, t) lies within eps of
+    A[j]/(D*t).  F holds the matching frequency rows when `want_freqs`,
+    else None.  Three kinds of chunk:
+
+    * fits int64: A is an int64 ndarray on p itself, D = d, eps = 0.0;
+    * overflows int64, with `exact` or m > 64: A is a list of Python ints
+      from the big-integer path, D = d, eps = 0.0;
+    * overflows int64, otherwise: the int64 kernel scans the truncated
+      source P~/D with D = (2**62 - 1) // hi (hi the chunk's last t) and P~
+      the min-max table of p at t = D, i.e. largest-remainder rounding with
+      sum P~ = D.  eps = max_i |p_i - P~_i/D| is that table's delta_star,
+      computed exactly, rounded up to a float and widened by a relative
+      2**-49 (see the module docstring).  delta_star is 1-Lipschitz in p
+      under the sup norm, so A[j]/(D*t) = delta_star(P~/D, t) is within eps
+      of delta_star(p, t); F, if asked for, holds P~'s tables.
+
+    On the big-integer path `jobs > 1` splits the range over a process
+    pool; jobs must lie in [1, os.cpu_count()], checked before any worker
+    starts (the default jobs = 1 skips os.cpu_count(), slow on some
+    systems).
     """
     if jobs != 1 and not 1 <= jobs <= (os.cpu_count() or 1):
         raise InvalidArgument(f"jobs must lie in [1, {os.cpu_count() or 1}] "
                               f"(the CPU count), got {jobs}")
     nums, d, m = p.numerators, p.common_denominator, p.m
-    if jobs > 1 and not _kernels.fits_int64(nums, d, t_max):
+    truncate = not exact and m <= 64
+    if jobs > 1 and not truncate and not _kernels.fits_int64(nums, d, t_max):
         step = max(1, (t_max - m + 1) // jobs + 1)
         spans = [(lo, min(lo + step - 1, t_max)) for lo in range(m, t_max + 1, step)]
         with concurrent.futures.ProcessPoolExecutor(jobs) as ex:
             futs = [ex.submit(_kernels.minmax_scan, nums, d, lo, hi, want_freqs)
                     for lo, hi in spans]
             for (lo, _), fut in zip(spans, futs):
-                yield (lo, *fut.result())
+                yield (lo, *fut.result(), d, 0.0)
         return
     for lo in range(m, t_max + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, t_max)
-        yield (lo, *_kernels.minmax_scan(nums, d, lo, hi, want_freqs))
+        if truncate and not _kernels.fits_int64(nums, d, hi):
+            den = _INT64_TOP // hi
+            p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
+            eps = _float_up(a, d * den) * (1 + 2.0**-49)
+            yield (lo, *_kernels.minmax_scan(p_trunc, den, lo, hi, want_freqs),
+                   den, eps)
+        else:
+            yield (lo, *_kernels.minmax_scan(nums, d, lo, hi, want_freqs), d, 0.0)
 
 
 def _iter_deltastar(p: ProbabilityVector, t_max: int):
     """Yield (t, A) for t in [m, t_max] with delta_star = A/(d*t), in order."""
-    for lo, a_chunk, _ in _iter_chunks(p, t_max):
+    for lo, a_chunk, *_ in _iter_chunks(p, t_max):
         for off, a in enumerate(a_chunk):
             yield lo + off, int(a)
 
@@ -207,8 +270,9 @@ def _threshold_tests(m: int, d: int, kappa):
     exact(t, a) decides t**2 * delta_star < kappa (m = 2; default generic
     2**-1.5) or t**(1+1/m) * delta_star < m/(m+1) by integer
     cross-multiplication, with the per-scan constants computed here, once.
-    screen(t, x), on float64 arrays with x = A/d, is the same inequality
-    widened by _SLACK: it is true wherever exact(t, a) is.
+    screen(t, x), on float64 arrays with x = t * delta (A/d on an exact
+    chunk), is the same inequality widened by _SLACK: it is true wherever
+    exact(t, a) is.
     """
     if m == 2:
         kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
@@ -223,55 +287,64 @@ def _threshold_tests(m: int, d: int, kappa):
 
 
 def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
-          jobs: int = 1):
-    """The record/threshold fold over _iter_chunks.
+          jobs: int = 1, exact: bool = True):
+    """The record/threshold fold over _iter_chunks(..., exact=exact).
 
     Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A) of its
     record denominators and hit_ts its fact-constant hits (empty unless
-    `hits`), both in ascending t.  A ends at the first exact table
-    (A = 0), the final record; the scan stops there.  On int64 chunks a
-    float64 prescreen excludes the rows that cannot be records or hits, and
-    only the remaining candidates are decided exactly; on exact chunks every
+    `hits`), both in ascending t, with the true A of p.  The scan stops at
+    the first exact table (A = 0), the final record, and that chunk's A ends
+    there.  On ndarray chunks a float64 prescreen, widened by the chunk's
+    eps, excludes the rows that cannot be records or hits, and only the
+    remaining candidates are decided exactly (on truncated chunks after
+    minmax_freqs_exact rebuilds their true A); on big-integer chunks every
     row is a candidate.
     """
-    m, d = p.m, p.common_denominator
+    m, nums, d = p.m, p.numerators, p.common_denominator
     if hits:
         exact_hit, screen_hit = _threshold_tests(m, d, kappa)
     best_a = best_t = None
-    best_q = math.inf   # float64 min of A/t so far; too high only widens the screen
-    for lo, a_chunk, _ in _iter_chunks(p, t_max, jobs=jobs):
-        fast = isinstance(a_chunk, np.ndarray)
-        if fast:
-            zeros = np.flatnonzero(a_chunk == 0)
-            stop = int(zeros[0]) if zeros.size else None
-        else:
-            stop = a_chunk.index(0) if 0 in a_chunk else None
-        if stop is not None:
-            a_chunk = a_chunk[:stop + 1]
-        if fast:
+    best_q = math.inf   # float64 >= the least delta_star so far
+    for lo, a_chunk, _, den, eps in _iter_chunks(p, t_max, jobs=jobs, exact=exact):
+        if isinstance(a_chunk, np.ndarray):
             t_f = np.arange(lo, lo + len(a_chunk), dtype=np.float64)
-            a_f = a_chunk.astype(np.float64)
-            q = a_f / t_f
-            prev = np.minimum.accumulate(np.concatenate(([best_q], q[:-1])))
-            best_q = min(float(prev[-1]), float(q[-1]))
-            rec_j = np.flatnonzero(q < prev * (1 + _SLACK))
-            rec_cand = zip(rec_j.tolist(), a_chunk[rec_j].tolist())
+            x = a_chunk.astype(np.float64) / float(den)   # t * delta~
+            q = x / t_f                                  # delta~
+            q_low = q_high = q
+            if eps:   # truncated chunk; at eps = 0 these are the identity
+                q_low, q_high = q - eps, q + eps
+                x = np.maximum(x - t_f * eps, 0.0)      # t * max(delta~ - eps, 0)
+            prev = np.minimum.accumulate(np.concatenate(([best_q], q_high[:-1])))
+            rec_j = np.flatnonzero(q_low < prev * (1 + _SLACK))
+            hit_j = rec_j[:0]
             if hits:
                 with np.errstate(over="ignore", under="ignore"):
-                    hit_j = np.flatnonzero(screen_hit(t_f, a_f / float(d)))
+                    hit_j = np.flatnonzero(screen_hit(t_f, x))
+            if eps:   # decide each candidate on the true p
+                true_a = {j: _kernels.minmax_freqs_exact(nums, d, lo + j)[1]
+                          for j in np.union1d(rec_j, hit_j).tolist()}
+                rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
+                hit_cand = [(j, true_a[j]) for j in hit_j.tolist()]
+            else:
+                rec_cand = zip(rec_j.tolist(), a_chunk[rec_j].tolist())
                 hit_cand = zip(hit_j.tolist(), a_chunk[hit_j].tolist())
         else:
             rec_cand, hit_cand = enumerate(a_chunk), enumerate(a_chunk)
-        recs = []
+        recs, end = [], len(a_chunk)
         for j, a in rec_cand:
             t = lo + j
             if best_a is None or a * best_t < best_a * t:
                 best_a, best_t = a, t
                 recs.append((t, a))
-        hit_ts = ([lo + j for j, a in hit_cand if a and exact_hit(lo + j, a)]
+                if a == 0:
+                    end = j + 1
+                    break
+        if recs:
+            best_q = _float_up(best_a, d * best_t)
+        hit_ts = ([lo + j for j, a in hit_cand if j < end and a and exact_hit(lo + j, a)]
                   if hits else [])
-        yield lo, a_chunk, recs, hit_ts
-        if stop is not None:
+        yield lo, a_chunk[:end], recs, hit_ts
+        if best_a == 0:
             return
 
 
@@ -293,7 +366,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
              else kappa.label if kappa is not None else "generic")
     records: list[RecordEntry] = []
     hits: list[int] = []
-    for _, _, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs):
+    for _, _, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs, exact=False):
         hits.extend(hit_ts)
         for t, a in recs:
             f, a2 = _kernels.minmax_freqs_exact(p.numerators, d, t)
@@ -334,7 +407,7 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTa
     t_hi = 1 << width_bits
     if t_hi < p.m:
         raise WidthTooSmall(f"2**{width_bits} < m = {p.m}")
-    for _, _, recs, _ in _fold(p, t_hi, hits=False):
+    for _, _, recs, _ in _fold(p, t_hi, hits=False, exact=False):
         if recs:
             best_t = recs[-1][0]
     return round_min_max(p, best_t)

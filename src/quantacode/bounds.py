@@ -336,7 +336,7 @@ def build_bound_report(p: ProbabilityVector, table: FrequencyTable,
     """Evaluate the divergence and every bound whose premise holds."""
     prof = error_profile(p, table)
     ds, pm, m, t = prof.delta_star, p.p_min, p.m, table.t
-    div = kl_divergence(p, table, dps)
+    div = kl_divergence(p, table, _report_dps(p, table, dps))
 
     def bound_or_none(bound, *args):
         try:
@@ -453,7 +453,7 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     c = float(np.dot(pf, np.log(pf)))
     slack = (p.m + 20) * 2.0**-53 + 10.0 ** (1 - working_dps(dps))
     screen = float(r) + slack * (math.log(p.m) + math.log(t_cap) + 2 + float(r))
-    for lo, _, f_arr in _iter_chunks(p, t_cap, want_freqs=True):
+    for lo, _, f_arr, *_ in _iter_chunks(p, t_cap, want_freqs=True):
         t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
         d_float = c + np.log(t_f) - np.log(np.asarray(f_arr, dtype=np.float64)) @ pf
         for j in np.flatnonzero(~(d_float > screen)):
@@ -464,18 +464,41 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
 
 
 def _decision_dps(m: int, t_cap: int, r: mp.mpf, dps: int | None) -> int:
-    """Digits at which a plan is decided and verified: the working precision,
-    raised where needed so that kl_divergence's rounding bound
+    """Digits at which a plan is decided: the working precision, raised
+    where needed so that kl_divergence's rounding bound
     10**(1 - dps) * (ln m + ln t_cap + 2 + r) (see _first_qualifying_t) is
-    at most r/1000.  At 6 digits that rounding is as large as a divergence
-    near 1e-7 itself, and a plan verified there can miss its target.
+    at most r * 1e-13.  At 6 digits that rounding is as large as a
+    divergence near 1e-7 itself, and a plan decided there can miss its
+    target.  The plan verifies its table at _report_dps digits, at least
+    as many, whose rounding is at most D * 1e-13; so the decision and the
+    verification can disagree only for a D within about 1e-13 of r.
     """
     c = math.log(m) + math.log(t_cap) + 2
     y, n = mp.frexp(r)      # r = y * 2**n, 0.5 <= y < 1, at any magnitude
     log_r = math.log10(float(y)) + n * math.log10(2)
     # float(r) saturates only above 1e308, where `need` is tiny anyway
-    need = 4 + math.ceil(math.log10(c + min(float(r), 1e300)) - log_r)
+    need = 14 + math.ceil(math.log10(c + min(float(r), 1e300)) - log_r)
     return max(working_dps(dps), need)
+
+
+def _report_dps(p: ProbabilityVector, table: FrequencyTable,
+                dps: int | None) -> int:
+    """Digits at which a report evaluates D = D(p || f/t) so that all 12
+    digits it prints are right: the working precision, raised where needed
+    so that kl_divergence's rounding bound 10**(1 - dps) * (c + D), with
+    c = ln m + ln t + 2 (see _first_qualifying_t), is at most D * 1e-13.
+
+    Pinsker's inequality with sum_i |p_i - f_i/t| >= 2 * delta_star gives
+    D >= 2 * delta_star**2, so dps >= 15 + log10(c / (2 * delta_star**2))
+    suffices.  An exact table (delta_star = 0) has D = 0 at any precision.
+    """
+    nums, d, t = p.numerators, p.common_denominator, table.t
+    a = max(abs(t * n - f * d) for n, f in zip(nums, table.freqs))
+    if a == 0:
+        return working_dps(dps)
+    log_c = math.log10((math.log(p.m) + math.log(t) + 2) / 2)
+    log_ds = math.log10(a) - math.log10(d * t)   # delta_star = a / (d*t)
+    return max(working_dps(dps), 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
 
 
 def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
@@ -492,7 +515,8 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
     (corollary-2) bound for favorable sources.
 
     Both modes decide the target with kl_divergence, the same sum the plan
-    verifies, at the digits _decision_dps asks for.  Opportunistic mode
+    verifies, at the digits _decision_dps asks for, and the plan's
+    divergence is evaluated at _report_dps digits.  Opportunistic mode
     gives up once t would exceed 2**(corollary1_width + 2) or the coder
     limit 2**24; the two extra bits absorb the worst-case gap between
     delta_star < 1/t and the 1/(2t) the width bound assumes.
@@ -511,7 +535,7 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
     verified = None
     if mode == "guaranteed":
         table = best_table_under_width(p, w_eff)
-        verified = kl_divergence(p, table, dps).nats
+        verified = kl_divergence(p, table, _report_dps(p, table, dps)).nats
     if verified is None or not verified <= r:
         t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
         if t is None:
@@ -520,7 +544,7 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
                 f"{format_decimal(r, 8)} nats"
             )
         table = round_min_max(p, t)
-        verified = kl_divergence(p, table, dps).nats
+        verified = kl_divergence(p, table, _report_dps(p, table, dps)).nats
 
     width = table.width_bits
     return PrecisionPlan(r, width, table.t, table, verified, w1, raw,

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .precision import working_dps
 from .prob_model import FrequencyTable, ProbabilityVector
-from .bounds import kl_divergence
+from .bounds import _report_dps, kl_divergence
 
 MAX_TOTAL = 1 << 24
 FLUSH_OVERHEAD_BITS = 64  # leading byte + 5 flush bytes, rounded up
@@ -172,6 +172,7 @@ def measure_rate(p: ProbabilityVector, table: FrequencyTable, n: int,
     syms = sample_symbols(p, n, seed)
     blob = encode(syms, table)
     total_bits = 8 * len(blob)
+    dps = _report_dps(p, table, dps)   # so that the printed H and D are right
     h = float(entropy_bits(p, dps))
     d = float(kl_divergence(p, table, dps).bits)
     rate = total_bits / n

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,10 @@ class TestRecordScan:
         par = record_scan(p, 400, kappa=KAPPA_GOLDEN, jobs=2)
         assert seq.record_ts == par.record_ts
         assert seq.fact_hits == par.fact_hits
+        # record_scan screens golden on the int64 kernel; scan rows take the
+        # big-integer path, where jobs > 1 runs the process pool
+        assert (list(scan_rows(p, 400, kappa=KAPPA_GOLDEN, jobs=2))
+                == list(scan_rows(p, 400, kappa=KAPPA_GOLDEN)))
 
     def test_scan_rows_agree_with_record_scan(self):
         p = silver_pair()
@@ -322,3 +327,106 @@ def test_int64_fold_matches_row_by_row_oracle(p):
     best = [r for r in res.records if r.t <= 1 << width][-1]
     table = best_table_under_width(p, width)
     assert (table.t, table.freqs) == (best.t, best.freqs)
+
+
+# ---- the screened fold: sources that overflow int64 --------------------------
+
+def _digit_probs(rng, m, digits=20):
+    """m probabilities with common denominator 10**digits, summing to 1."""
+    den = 10**digits
+    nums = [1 + int(Fraction(float(w)) * (den - m)) for w in rng.dirichlet(np.ones(m))]
+    nums[int(np.argmax(nums))] += den - sum(nums)
+    return [Fraction(v, den) for v in nums]
+
+
+# every source below overflows int64 on each chunk, and the second chunk,
+# t in [_CHUNK + 2, 2*_CHUNK + 1], is screened on numerators over this D
+D_SECOND = ((1 << 62) - 1) // (2 * _CHUNK + 1)
+
+
+def _close_pair():
+    """Records t1 = 5006 < t2 = 7513, both in the second chunk, whose
+    delta_star differ by less than that chunk's eps, with the truncation
+    moving them the wrong way.
+
+    1877/5006 < 2817/7513 are Farey neighbours; x sits just above their
+    midpoint `mid`: with g = mid - x~ (g*D = 0.246), x~ on the D grid and
+    eps = x - x~ = 1.2*g, delta_star(t1) - delta_star(t2) = 2*(x - mid) =
+    0.4*g < eps, while the truncated delta~(t2) - delta~(t1) = 2*g >= eps.
+    """
+    t1, k1, t2, k2 = 5006, 1877, 7513, 2817
+    assert k2 * t1 - k1 * t2 == 1
+    mid = (Fraction(k1, t1) + Fraction(k2, t2)) / 2
+    x_grid = Fraction(int(mid * D_SECOND), D_SECOND)
+    g = mid - x_grid
+    assert Fraction(1, 5) < g * D_SECOND < Fraction(1, 4)
+    x = x_grid + Fraction(6, 5) * g
+    return ProbabilityVector([x, 1 - x]), (t1, t2)
+
+
+def _hit_near_kappa():
+    """A generic-kappa binary hit at t = _CHUNK + 2, the first row of the
+    second chunk: t**2 * delta_star lies 1.7e-8 (relative) below 2**-1.5,
+    while the truncated source puts t**2 * delta~ above it."""
+    t = _CHUNK + 2
+    kappa_below = Fraction(353553390593, 10**12)    # < 2**-1.5 = 0.3535533905932...
+    for k in range(3 * t // 8, t // 2):
+        v = Fraction(k, t) + kappa_below / t**2
+        # x sits (c + 0.2)/D < 1/(2D) below x_grid, the D-grid point above
+        # v, so P~/D = x_grid and delta~ = delta_star + eps
+        x_grid = Fraction(math.ceil(v * D_SECOND), D_SECOND)
+        c = (x_grid - v) * D_SECOND
+        if math.gcd(k, t) == 1 and Fraction(1, 10) <= c <= Fraction(1, 4):
+            x = x_grid - (c + Fraction(1, 5)) / D_SECOND     # eps = (c + 0.2)/D
+            return ProbabilityVector([x, 1 - x]), t
+    raise AssertionError("no k found")
+
+
+def _screened_sources():
+    rng = np.random.default_rng(47)
+    out = [pytest.param(golden_pair(), id="golden"),
+           pytest.param(silver_pair(), id="silver"),
+           pytest.param(irrational_triple(), id="triple")]
+    out += [pytest.param(ProbabilityVector(_digit_probs(rng, m)), id=f"m{m}-20digit")
+            for m in (2, 3, 4, 6, 8, 24, 64)]
+    # delta_star(3k) = 1e-40, far below eps, at every multiple of 3: a
+    # record at t = 3, then exact ties, each a hit; on the first chunk
+    # P~/D is 1/3 itself, so the kernel reports A~ = 0 there
+    third = Fraction(1, 3) + Fraction(1, 10**40)
+    out.append(pytest.param(ProbabilityVector([third, 1 - third]), id="near-exact"))
+    pair, _ = _close_pair()
+    out.append(pytest.param(pair, id="close-pair"))
+    hit, _ = _hit_near_kappa()
+    out.append(pytest.param(hit, id="hit-near-kappa"))
+    return out
+
+
+@pytest.mark.parametrize("p", _screened_sources())
+def test_screened_fold_matches_row_by_row_oracle(p):
+    assert not _kernels.fits_int64(p.numerators, p.common_denominator, _CHUNK + 1)
+    rows = exact_fold(p, FOLD_T_MAX)
+    want_recs = [t for t, rec, _ in rows if rec]
+    want_hits = [t for t, _, beat in rows if beat]
+
+    res = record_scan(p, FOLD_T_MAX)
+    assert res.record_ts == want_recs
+    assert res.fact_hits == want_hits
+    for r in res.records:
+        f, a = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator, r.t)
+        assert r.freqs == tuple(f)
+        assert r.delta_star == Fraction(a, p.common_denominator * r.t)
+    flags = [(t, rec, beat) for t, _, rec, beat in scan_rows(p, FOLD_T_MAX)]
+    assert flags == rows
+    for width in (12, 13):
+        best = [r for r in res.records if r.t <= 1 << width][-1]
+        table = best_table_under_width(p, width)
+        assert (table.t, table.freqs) == (best.t, best.freqs)
+
+
+def test_screened_cases_exercise_their_rows():
+    """The constructed sources put their rows where the screen is tested."""
+    pair, (t1, t2) = _close_pair()
+    recs = [t for t, rec, _ in exact_fold(pair, FOLD_T_MAX) if rec]
+    assert t1 in recs and t2 in recs
+    hit, t = _hit_near_kappa()
+    assert t in [u for u, _, beat in exact_fold(hit, FOLD_T_MAX) if beat]

@@ -246,3 +246,45 @@ class TestDeterminism:
                              "-n", "20000", "--seed", "3", "-o", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestLowPrecisionReports:
+    """Reports evaluate the divergence at enough digits for the 12 they
+    print, so --precision 6 prints the 50-digit value (at 6 digits the
+    divergence sum of golden at t = 1000 read 2.18e-8, not 2.45e-9)."""
+
+    @staticmethod
+    def lines(capsys, tmp_path, argv, pick):
+        out = []
+        for dps in ("6", "50"):
+            path = tmp_path / f"out{dps}"
+            code, stdout, stderr = run(capsys, *argv, "--precision", dps,
+                                       "-o", str(path))
+            assert code == 0
+            out.append(pick(stdout, stderr, path))
+        return out
+
+    def test_approximate(self, capsys, tmp_path):
+        low, high = self.lines(
+            capsys, tmp_path, ["approximate", "-p", "golden", "-t", "1000"],
+            lambda so, se, path: [s for s in so.splitlines() if "divergence" in s])
+        assert low == high == ["divergence: 2.44677181225e-9 nats/sym = "
+                               "3.52994555972e-9 bits/sym"]
+
+    def test_simulate(self, capsys, tmp_path):
+        low, high = self.lines(
+            capsys, tmp_path, ["simulate", "-p", "golden", "-t", "1000",
+                               "-n", "2000", "--seed", "3"],
+            lambda so, se, path: (se, path.read_text().splitlines()[2]))
+        assert low == high
+        assert float(high[1].split(",")[4]) == pytest.approx(3.52994555972e-9,
+                                                             rel=1e-11)
+
+    @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
+    def test_plan(self, capsys, tmp_path, mode):
+        low, high = self.lines(
+            capsys, tmp_path, ["plan", "-p", "golden", "-R", "1e-5", "--mode", mode],
+            lambda so, se, path: ([s for s in so.splitlines()
+                                   if s.startswith(("chosen", "verified"))],
+                                  path.read_text().splitlines()[2].split(",")[5]))
+        assert low == high
