@@ -12,7 +12,11 @@ All paths implement the same min-max apportionment: floor t*p_i, round up
 the largest remainders, force f_i = 1 where t*p_i < 1, and when the forced
 ones exceed the available round-ups, shed units from floored symbols by
 waterfilling the resulting errors.  The output minimizes
-max_i |t*p_i - f_i| subject to sum f_i = t, f_i >= 1.
+max_i |t*p_i - f_i| subject to sum f_i = t, f_i >= 1.  The int64 kernel
+handles forced rows in numpy too; only shedding rows call the exact
+reference.  It can also certify its tables for every source within a given
+distance of its input, which lets a truncated stand-in for a source that
+overflows int64 give that source's exact tables (see :func:`minmax_scan`).
 
 The exhaustive test oracle and the range coder have only the big-integer
 form.
@@ -93,9 +97,15 @@ def minmax_freqs_exact(nums, d: int, t: int):
     return f, a
 
 
-def _minmax_scan_np(nums, d, t_lo, t_hi, want_f):
-    """Vectorized largest-remainder over a t range; rows needing the forced
-    or shedding branches are recomputed by the exact reference (rare)."""
+def _minmax_scan_np(nums, d, t_lo, t_hi, want_f, slack=None):
+    """Vectorized largest-remainder over a t range.
+
+    Rows where some t*p_i < 1 forces f_i = 1 are fixed in numpy: the k =
+    r - #smalls round-ups left go to the largest remainders of the other
+    symbols, ties to the lower index.  Only shedding rows (k < 0) call the
+    exact reference, and only without `slack`; with it, see
+    :func:`minmax_scan`.
+    """
     P = np.asarray(nums, dtype=np.int64)
     m = P.shape[0]
     T = np.arange(t_lo, t_hi + 1, dtype=np.int64)
@@ -107,25 +117,57 @@ def _minmax_scan_np(nums, d, t_lo, t_hi, want_f):
     rank = np.empty_like(ordr)
     np.put_along_axis(rank, ordr, np.arange(m, dtype=np.int64)[None, :], axis=1)
     f = n + (rank < r[:, None])
-    bad = (f < 1).any(axis=1)
-    if bad.any():
-        for row in np.flatnonzero(bad):
-            frow, _ = minmax_freqs_exact([int(v) for v in P], d, int(T[row]))
-            f[row] = frow
-    a = np.abs(x - f * d).max(axis=1)
-    return (a, f) if want_f else (a, None)
+    bad = np.flatnonzero((f < 1).any(axis=1))
+    shed = bad[:0]
+    if bad.size:
+        small = n[bad] == 0
+        k = r[bad] - small.sum(axis=1)
+        key = np.where(small, -1, rem[bad])    # the smalls rank after every other
+        rank_b = np.argsort(np.argsort(-key, axis=1, kind="stable"), axis=1)
+        f[bad] = n[bad] + small + (rank_b < k[:, None])
+        shed = bad[k < 0]
+        if slack is None:
+            for row in shed.tolist():
+                f[row], _ = minmax_freqs_exact(nums, d, int(T[row]))
+    if slack is None:
+        a = np.abs(x - f * d).max(axis=1)
+        return (a, f) if want_f else (a, None)
+    g = slack
+    # (3) the least rounded-up remainder among the bigs minus the largest
+    # floored one; the sentinels pass a row where either side is empty
+    cut = (np.where((f > n) & (n > 0), rem, d + 2 * g).min(axis=1)
+           - np.where(f == n, rem, -2 * g - 1).max(axis=1))
+    # (1) g <= rem_i <= d - 1 - g, i.e. |2*rem_i - (d - 1)| <= d - 1 - 2g
+    sure = (np.abs(2 * rem - (d - 1)).max(axis=1) <= d - 1 - 2 * g) & (cut > 2 * g)
+    sure[shed] = False      # (2): the other rows have k >= 0
+    return None, f, sure
 
 
-def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False):
+def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
+                slack: int | None = None):
     """delta_star numerators A_t (and optionally freqs) for every t in [t_lo, t_hi].
 
     Returns (A, F): int64 arrays on the fast path.  Falls back to exact
     big-integer lists when int64 could overflow; A entries are then Python ints
     and F a list of tuples.
+
+    `slack` = g with 0 <= g <= d (fast path only) returns (None, F, sure)
+    instead: the tables without A, and a bool array.  sure[j] certifies
+    that row t = t_lo + j's table is, tie-breaks included, the min-max
+    table at t of every source q whose scaled values t*q_i*d lie within g
+    of t*nums_i.  With rem_i = t*nums_i mod d, the smalls the i with
+    t*nums_i < d and the bigs the others, a row is sure when
+    (1) g <= rem_i < d - g for every i (q has the same floors and smalls),
+    (2) it does not shed, and
+    (3) every rounded-up big's remainder exceeds every floored big's by
+        more than 2g (q rounds up the same bigs, whatever the tie-breaks);
+    the `approx` module docstring gives the argument.  A row that is not
+    sure is meant to be rebuilt from the true source, so a shedding row is
+    left unrepaired there and its F is void.
     """
     nums = [int(v) for v in nums]
     if fits_int64(nums, d, t_hi):
-        return _minmax_scan_np(nums, d, t_lo, t_hi, want_freqs)
+        return _minmax_scan_np(nums, d, t_lo, t_hi, want_freqs, slack)
     a_list, f_list = [], []
     for t in range(t_lo, t_hi + 1):
         f, a = minmax_freqs_exact(nums, d, t)

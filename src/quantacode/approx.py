@@ -59,18 +59,42 @@ ends the scan.
 The screen pays while eps is far below the records' delta_star, i.e. while
 t**3 is far below 2**62 (t up to about 10**6 for binary sources).  Beyond
 that more rows become candidates, up to every row, which costs the
-big-integer path plus the int64 kernel, a few percent more.  `scan_rows`
-prints every row's exact A and the planner's divergence search needs every
-screened row's exact table, so both scan p itself: their chunks that
-overflow int64, and all chunks when m > 64, take the big-integer path,
-where every row is a candidate.
+big-integer path plus the int64 kernel, a few percent more.
+
+`scan_rows` prints every row's exact A, and the planner's divergence
+search needs every row's exact table of p.  So their truncated chunks also
+carry p's tables, certified on the kernel's table F~ of P~.  Let a be the
+A of the truncation, so |D*p_i - P~_i| <= a/d.  For t <= hi, each scaled
+value t*D*p_i then lies within g = ceil(hi*a/d) of t*P~_i; once
+D*p_min >= 1, a/d = D*delta_star(p, D) < 1, so g <= hi.  Write n_i and
+rem_i for the quotient and remainder of t*P~_i by D.  The smalls are the i
+with n_i = 0, the bigs the others, and k = t - sum_i n_i - #smalls is the
+number of round-ups left after forcing the smalls to 1.  F~'s row at t is
+p's min-max table, tie-breaks included, when
+
+1. g <= rem_i < D - g for every i.  Then t*D*p_i lies in
+   [n_i*D, (n_i + 1)*D), so the floors of t*p_i are the n_i.  So p has the
+   same smalls and the same k, and its remainders t*D*p_i - n_i*D lie
+   within g of the rem_i.
+2. k >= 0, so the row does not shed (on p either, by 1).
+3. If 0 < k < #bigs, the k-th and (k+1)-th largest remainders among the
+   bigs differ by more than 2g.  Then p's k largest remainders among the
+   bigs belong to the same symbols, whatever the tie-breaks.
+
+The construction (floors, smalls forced to 1, round-ups to the k largest
+remainders among the bigs) then makes the same choices on p as on P~, so
+F~'s row is p's table.  The kernel checks the three conditions on the n,
+rem and table it already has.  A row that fails one is rebuilt by
+minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62, so such rows are
+rare while hi**2 is far below 2**62.  `scan_rows` then takes each row's
+exact A = max_i |t*P_i - F_i*d| from its table in Python integers, and
+decides every row exactly.  Only sources with m > 64 that overflow int64
+take the big-integer path, where every row is a candidate.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -206,62 +230,49 @@ def _float_up(n: int, q: int) -> float:
     return math.nextafter(x, math.inf) if num * q < n * den else x
 
 
-def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False,
-                 jobs: int = 1, exact: bool = True):
+def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False):
     """Yield (lo, A, F, D, eps) for consecutive chunks of t in [m, t_max].
 
     A[j] belongs to t = lo + j, and delta_star(p, t) lies within eps of
-    A[j]/(D*t).  F holds the matching frequency rows when `want_freqs`,
-    else None.  Three kinds of chunk:
+    A[j]/(D*t).  F holds p's frequency rows when `want_freqs`, else None.
+    Three kinds of chunk:
 
     * fits int64: A is an int64 ndarray on p itself, D = d, eps = 0.0;
-    * overflows int64, with `exact` or m > 64: A is a list of Python ints
-      from the big-integer path, D = d, eps = 0.0;
-    * overflows int64, otherwise: the int64 kernel scans the truncated
+    * overflows int64 with m > 64: A is a list of Python ints from the
+      big-integer path, D = d, eps = 0.0;
+    * overflows int64 with m <= 64: the int64 kernel scans the truncated
       source P~/D with D = (2**62 - 1) // hi (hi the chunk's last t) and P~
       the min-max table of p at t = D, i.e. largest-remainder rounding with
       sum P~ = D.  eps = max_i |p_i - P~_i/D| is that table's delta_star,
       computed exactly, rounded up to a float and widened by a relative
       2**-49 (see the module docstring).  delta_star is 1-Lipschitz in p
       under the sup norm, so A[j]/(D*t) = delta_star(P~/D, t) is within eps
-      of delta_star(p, t); F, if asked for, holds P~'s tables.
-
-    On the big-integer path `jobs > 1` splits the range over a process
-    pool; jobs must lie in [1, os.cpu_count()], checked before any worker
-    starts (the default jobs = 1 skips os.cpu_count(), slow on some
-    systems).
+      of delta_star(p, t).  With `want_freqs`, A is None and F holds p's
+      own tables: the kernel certifies each row of P~'s tables for p with
+      g = ceil(hi*a/d), where a = d*D*delta_star(p, D) is the truncation's
+      A, by the three conditions of the module docstring, and
+      minmax_freqs_exact rebuilds every row that fails them.  g is capped
+      at D, where no row passes, so that 2g stays in int64.
     """
-    if jobs != 1 and not 1 <= jobs <= (os.cpu_count() or 1):
-        raise InvalidArgument(f"jobs must lie in [1, {os.cpu_count() or 1}] "
-                              f"(the CPU count), got {jobs}")
     nums, d, m = p.numerators, p.common_denominator, p.m
-    truncate = not exact and m <= 64
-    if jobs > 1 and not truncate and not _kernels.fits_int64(nums, d, t_max):
-        step = max(1, (t_max - m + 1) // jobs + 1)
-        spans = [(lo, min(lo + step - 1, t_max)) for lo in range(m, t_max + 1, step)]
-        with concurrent.futures.ProcessPoolExecutor(jobs) as ex:
-            futs = [ex.submit(_kernels.minmax_scan, nums, d, lo, hi, want_freqs)
-                    for lo, hi in spans]
-            for (lo, _), fut in zip(spans, futs):
-                yield (lo, *fut.result(), d, 0.0)
-        return
     for lo in range(m, t_max + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, t_max)
-        if truncate and not _kernels.fits_int64(nums, d, hi):
-            den = _INT64_TOP // hi
-            p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
-            eps = _float_up(a, d * den) * (1 + 2.0**-49)
-            yield (lo, *_kernels.minmax_scan(p_trunc, den, lo, hi, want_freqs),
-                   den, eps)
-        else:
+        if m > 64 or _kernels.fits_int64(nums, d, hi):
             yield (lo, *_kernels.minmax_scan(nums, d, lo, hi, want_freqs), d, 0.0)
-
-
-def _iter_deltastar(p: ProbabilityVector, t_max: int):
-    """Yield (t, A) for t in [m, t_max] with delta_star = A/(d*t), in order."""
-    for lo, a_chunk, *_ in _iter_chunks(p, t_max):
-        for off, a in enumerate(a_chunk):
-            yield lo + off, int(a)
+            continue
+        den = _INT64_TOP // hi
+        p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
+        eps = _float_up(a, d * den) * (1 + 2.0**-49)
+        if not want_freqs:
+            yield (lo, *_kernels.minmax_scan(p_trunc, den, lo, hi), den, eps)
+            continue
+        g = min(-(-hi * a // d), den)
+        _, f_chunk, sure = _kernels.minmax_scan(p_trunc, den, lo, hi, True, g)
+        redo = np.flatnonzero(~sure)
+        if redo.size:
+            f_chunk[redo] = [_kernels.minmax_freqs_exact(nums, d, lo + j)[0]
+                             for j in redo.tolist()]
+        yield lo, None, f_chunk, den, eps
 
 
 def _threshold_tests(m: int, d: int, kappa):
@@ -287,8 +298,8 @@ def _threshold_tests(m: int, d: int, kappa):
 
 
 def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
-          jobs: int = 1, exact: bool = True):
-    """The record/threshold fold over _iter_chunks(..., exact=exact).
+          every_row: bool = False):
+    """The record/threshold fold over _iter_chunks.
 
     Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A) of its
     record denominators and hit_ts its fact-constant hits (empty unless
@@ -298,14 +309,19 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
     eps, excludes the rows that cannot be records or hits, and only the
     remaining candidates are decided exactly (on truncated chunks after
     minmax_freqs_exact rebuilds their true A); on big-integer chunks every
-    row is a candidate.
+    row is a candidate.  With `every_row`, a truncated chunk's A is p's
+    own, taken row by row from its certified tables, and every one of its
+    rows is a candidate too.
     """
     m, nums, d = p.m, p.numerators, p.common_denominator
     if hits:
         exact_hit, screen_hit = _threshold_tests(m, d, kappa)
     best_a = best_t = None
     best_q = math.inf   # float64 >= the least delta_star so far
-    for lo, a_chunk, _, den, eps in _iter_chunks(p, t_max, jobs=jobs, exact=exact):
+    for lo, a_chunk, f_chunk, den, eps in _iter_chunks(p, t_max, every_row):
+        if a_chunk is None:     # a truncated chunk with p's tables
+            a_chunk = [max(abs(t * v - f * d) for v, f in zip(nums, row))
+                       for t, row in enumerate(f_chunk.tolist(), lo)]
         if isinstance(a_chunk, np.ndarray):
             t_f = np.arange(lo, lo + len(a_chunk), dtype=np.float64)
             x = a_chunk.astype(np.float64) / float(den)   # t * delta~
@@ -348,7 +364,7 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
             return
 
 
-def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
+def record_scan(p: ProbabilityVector, t_max: int, kappa=None,
                 dps: int | None = None) -> ScanResult:
     """Scan t in [m, t_max]; collect record denominators and fact-constant hits.
 
@@ -366,7 +382,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
              else kappa.label if kappa is not None else "generic")
     records: list[RecordEntry] = []
     hits: list[int] = []
-    for _, _, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs, exact=False):
+    for _, _, recs, hit_ts in _fold(p, t_max, kappa):
         hits.extend(hit_ts)
         for t, a in recs:
             f, a2 = _kernels.minmax_freqs_exact(p.numerators, d, t)
@@ -378,7 +394,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1,
     return ScanResult(records, hits, t_max, m, label)
 
 
-def scan_rows(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1):
+def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
     """Per-denominator scan rows for CSV export.
 
     Yields (t, A, is_record, beats_fact) with delta_star = A/(d*t) exact
@@ -388,7 +404,7 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None, jobs: int = 1):
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
-    for lo, a_chunk, recs, hit_ts in _fold(p, t_max, kappa, jobs=jobs):
+    for lo, a_chunk, recs, hit_ts in _fold(p, t_max, kappa, every_row=True):
         rec_set, hit_set = {t for t, _ in recs}, set(hit_ts)
         for t, a in enumerate(a_chunk.tolist() if isinstance(a_chunk, np.ndarray)
                               else a_chunk, lo):
@@ -407,7 +423,7 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTa
     t_hi = 1 << width_bits
     if t_hi < p.m:
         raise WidthTooSmall(f"2**{width_bits} < m = {p.m}")
-    for _, _, recs, _ in _fold(p, t_hi, hits=False, exact=False):
+    for _, _, recs, _ in _fold(p, t_hi, hits=False):
         if recs:
             best_t = recs[-1][0]
     return round_min_max(p, best_t)

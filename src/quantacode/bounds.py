@@ -192,10 +192,13 @@ def theorem2_bound_mary(m: int, t: int, p_min: Fraction,
         raise PreconditionViolated(
             f"need t**(1+1/m)*p_min > 1, got t = {t}, p_min = {p_min}"
         )
+    # = m * p_min / (y - 1) with y = t**(1+1/m) * p_min, written without
+    # cancellation: y - 1 = (y**m - 1) / sum_{j<m} y**j, y**m exact
+    gap = t ** (m + 1) * p_min**m - 1
     with mp.workdps(working_dps(dps)):
-        u = mp.mpf(t) ** (1 + mp.mpf(1) / m)
         pm = mp.mpf(p_min.numerator) / p_min.denominator
-        return (m / u) / (1 - 1 / (u * pm))
+        y = mp.mpf(t) ** (1 + mp.mpf(1) / m) * pm
+        return m * pm * mp.fsum(y**j for j in range(m)) / to_mpf(gap, dps)
 
 
 def theorem2_bound_binary(t: int, p_min: Fraction, kappa: Kappa,
@@ -210,11 +213,13 @@ def theorem2_bound_binary(t: int, p_min: Fraction, kappa: Kappa,
         raise PreconditionViolated(
             f"need t**2 * p_min > kappa, got t = {t}, p_min = {p_min}"
         )
+    # = 2 kappa p_min / (t**2 p_min - kappa), written without cancellation:
+    # t**2 p_min - kappa = ((t**2 p_min)**2 - kappa**2) / (t**2 p_min + kappa)
+    gap = (t * t * p_min) ** 2 - kappa.square
     with mp.workdps(working_dps(dps)):
         k = kappa.value(dps)
         pm = mp.mpf(p_min.numerator) / p_min.denominator
-        tt = mp.mpf(t) ** 2
-        return (2 * k / tt) / (1 - k / (tt * pm))
+        return 2 * k * pm * (t * t * pm + k) / to_mpf(gap, dps)
 
 
 class WidthBound(NamedTuple):
@@ -340,7 +345,7 @@ def build_bound_report(p: ProbabilityVector, table: FrequencyTable,
 
     def bound_or_none(bound, *args):
         try:
-            return bound(*args, dps)
+            return bound(*args, _bound_dps(m, dps))
         except (RatioNotLessThanOne, PreconditionViolated):
             return None
 
@@ -395,8 +400,9 @@ class PrecisionPlan:
             raise InvalidArgument("memory cost must be m * W")
 
     def eta(self, dps: int | None = None) -> mp.mpf:
-        """Achieved width per log2(m/R): the implementation-quality ratio."""
-        with mp.workdps(working_dps(dps)):
+        """Achieved width per log2(m/R): the implementation-quality ratio,
+        evaluated at _bound_dps digits."""
+        with mp.workdps(_bound_dps(self.table.m, dps)):
             return self.width_bits / (mp.log(self.table.m / self.target_r)
                                       / mp.log(2))
 
@@ -501,6 +507,21 @@ def _report_dps(p: ProbabilityVector, table: FrequencyTable,
     return max(working_dps(dps), 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
 
 
+def _bound_dps(m: int, dps: int | None) -> int:
+    """Digits at which a report evaluates a closed form that it prints to
+    12 digits (the lemma 1, theorem 1 and theorem 2 bounds, the corollary-1
+    raw width and eta): the working precision, raised where needed to
+    14 + log10(m + 10).
+
+    Each of them takes at most m + 10 roundings of relative size
+    10**(1 - dps) on positive terms, with no cancellation (the theorem 2
+    bounds are written so), so it is then within 1e-13 of its value,
+    relative.  The logarithms have arguments of at least 2 (m/R + 1/p_min)
+    and e (m/R, for any target R below m/e), so they keep that error.
+    """
+    return max(working_dps(dps), 14 + math.ceil(math.log10(m + 10)))
+
+
 def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
                    dps: int | None = None) -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
@@ -516,17 +537,18 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
 
     Both modes decide the target with kl_divergence, the same sum the plan
     verifies, at the digits _decision_dps asks for, and the plan's
-    divergence is evaluated at _report_dps digits.  Opportunistic mode
-    gives up once t would exceed 2**(corollary1_width + 2) or the coder
-    limit 2**24; the two extra bits absorb the worst-case gap between
-    delta_star < 1/t and the 1/(2t) the width bound assumes.
+    divergence is evaluated at _report_dps digits, its corollary-1 width at
+    _bound_dps digits.  Opportunistic mode gives up once t would exceed
+    2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
+    absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
+    width bound assumes.
     """
     if mode not in ("guaranteed", "opportunistic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     r = to_mpf(target_r, dps)
     if not r > 0:
         raise NonPositiveTarget(f"target redundancy must be > 0, got {target_r}")
-    w1, raw = corollary1_width(p.m, r, p.p_min, dps)
+    w1, raw = corollary1_width(p.m, target_r, p.p_min, _bound_dps(p.m, dps))
     w_eff = max(w1, register_width(p.m))
     cap_bits = w_eff if mode == "guaranteed" else min(w1 + 2, 24)
     dps = _decision_dps(p.m, 1 << cap_bits, r, dps)

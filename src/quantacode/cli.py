@@ -92,8 +92,7 @@ def cmd_scan(args) -> int:
     lines = [_csv_comment(args),
              "t,delta_star_decimal,quality_decimal,is_record,beats_fact_constant"]
     records, hits = [], 0
-    for t, a, is_rec, beats in scan_rows(p, args.t_max, kappa=kappa,
-                                         jobs=args.jobs):
+    for t, a, is_rec, beats in scan_rows(p, args.t_max, kappa=kappa):
         if is_rec:
             records.append(t)
         hits += beats
@@ -199,9 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("scan", help="per-denominator error/quality CSV")
     common(sp)
     sp.add_argument("--t-max", type=int, required=True)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for exact-path scans "
-                         "(1 to the CPU count)")
     sp.add_argument("--kappa", choices=("golden", "generic"), default="generic")
     sp.set_defaults(func=cmd_scan)
 

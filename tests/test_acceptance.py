@@ -176,7 +176,7 @@ def test_criterion_3_golden_binary_records():
         eps = Fraction(1, 1000)
         u, w = eps.numerator, eps.denominator
         violators = {}
-        for t, a in _deltastar_pairs(p, 10**4):
+        for t, a, *_ in qc.scan_rows(p, 10**4):
             v = t * a
             if 5 * (v * w) ** 2 < (d * (w - u)) ** 2:
                 violators[t] = float(Fraction(v, d))
@@ -188,11 +188,6 @@ def test_criterion_3_golden_binary_records():
             f"unexpected {unexpected}, missing {missing} "
             f"(closed form predicts {sorted(expected)})"
         )
-
-
-def _deltastar_pairs(p, t_max):
-    from quantacode.approx import _iter_deltastar
-    return _iter_deltastar(p, t_max)
 
 
 def _golden_undershoots(eps, t_max):

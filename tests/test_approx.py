@@ -25,7 +25,7 @@ from quantacode import (
     silver_surrogate,
 )
 from quantacode import _kernels
-from quantacode.approx import _CHUNK
+from quantacode.approx import _CHUNK, _iter_chunks
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 
 from conftest import random_decimal_probs
@@ -206,17 +206,6 @@ class TestRecordScan:
         for r in res.records:
             assert sum(r.freqs) == r.t
 
-    def test_jobs_do_not_change_results(self):
-        p = golden_pair()
-        seq = record_scan(p, 400, kappa=KAPPA_GOLDEN, jobs=1)
-        par = record_scan(p, 400, kappa=KAPPA_GOLDEN, jobs=2)
-        assert seq.record_ts == par.record_ts
-        assert seq.fact_hits == par.fact_hits
-        # record_scan screens golden on the int64 kernel; scan rows take the
-        # big-integer path, where jobs > 1 runs the process pool
-        assert (list(scan_rows(p, 400, kappa=KAPPA_GOLDEN, jobs=2))
-                == list(scan_rows(p, 400, kappa=KAPPA_GOLDEN)))
-
     def test_scan_rows_agree_with_record_scan(self):
         p = silver_pair()
         res = record_scan(p, 300, kappa=KAPPA_GENERIC)
@@ -253,13 +242,20 @@ class TestBestTableUnderWidth:
 
 # ---- the int64 fold against a row-by-row exact oracle -----------------------
 
-def exact_fold(p, t_max):
+def exact_tables(p, t_max):
+    """[(t, f, A)] for every t in [m, t_max], from the big-integer reference."""
+    nums, d = p.numerators, p.common_denominator
+    return [(t, *_kernels.minmax_freqs_exact(nums, d, t))
+            for t in range(p.m, t_max + 1)]
+
+
+def exact_fold(p, t_max, tables=None):
     """Row-by-row reference fold in Fractions: [(t, is_record, beats_fact)],
-    ending at the first exact table; binary sources use kappa**2 = 1/8."""
-    nums, d, m = p.numerators, p.common_denominator, p.m
+    ending at the first exact table; binary sources use kappa**2 = 1/8.
+    `tables` are exact_tables(p, t_max), computed here when not given."""
+    d, m = p.common_denominator, p.m
     rows, best = [], None
-    for t in range(m, t_max + 1):
-        _, a = _kernels.minmax_freqs_exact(nums, d, t)
+    for t, _, a in tables or exact_tables(p, t_max):
         ds = Fraction(a, d * t)
         is_rec = best is None or ds < best
         if is_rec:
@@ -382,6 +378,47 @@ def _hit_near_kappa():
     raise AssertionError("no k found")
 
 
+def _trunc_row(p, t):
+    """The second chunk's truncation as _iter_chunks makes it, at row t:
+    (P~, g, P~'s table at t, the kernel's certificate for it)."""
+    nums, d = p.numerators, p.common_denominator
+    p_trunc, a = _kernels.minmax_freqs_exact(nums, d, D_SECOND)
+    g = min(-(-(2 * _CHUNK + 1) * a // d), D_SECOND)
+    _, f, sure = _kernels.minmax_scan(p_trunc, D_SECOND, t, t, True, g)
+    return p_trunc, g, f[0].tolist(), bool(sure[0])
+
+
+T_NEAR = 6000   # a row of the second chunk
+
+
+def _near_integer():
+    """T_NEAR * x lies 1e-40 below the integer k, while T_NEAR * P~_0/D is
+    at or above it: the truncation moves floor(t*p_0) across an integer."""
+    for k in range(T_NEAR // 3, T_NEAR // 2):
+        x = Fraction(k, T_NEAR) - Fraction(1, 10**40 * T_NEAR)
+        p = ProbabilityVector([x, 1 - x])
+        p_trunc, _ = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator,
+                                                 D_SECOND)
+        if T_NEAR * p_trunc[0] >= k * D_SECOND:
+            return p
+    raise AssertionError("no k found")
+
+
+def _cut_pair():
+    """T_NEAR * x lies 1e-40 below k + 1/2, so p's two remainders at T_NEAR
+    differ by 2e-40 and symbol 1 takes the round-up; the truncation puts
+    T_NEAR * P~_0 clearly above (k + 1/2)*D, so P~'s table gives it to
+    symbol 0, a remainder gap of at least a tenth of T_NEAR."""
+    for k in range(T_NEAR // 3, T_NEAR // 2):
+        x = Fraction(2 * k + 1, 2 * T_NEAR) - Fraction(1, 10**40 * T_NEAR)
+        p = ProbabilityVector([x, 1 - x])
+        p_trunc, _ = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator,
+                                                 D_SECOND)
+        if 2 * T_NEAR * p_trunc[0] - (2 * k + 1) * D_SECOND > T_NEAR // 5:
+            return p
+    raise AssertionError("no k found")
+
+
 def _screened_sources():
     rng = np.random.default_rng(47)
     out = [pytest.param(golden_pair(), id="golden"),
@@ -398,13 +435,16 @@ def _screened_sources():
     out.append(pytest.param(pair, id="close-pair"))
     hit, _ = _hit_near_kappa()
     out.append(pytest.param(hit, id="hit-near-kappa"))
+    out.append(pytest.param(_near_integer(), id="near-integer"))
+    out.append(pytest.param(_cut_pair(), id="cut-pair"))
     return out
 
 
 @pytest.mark.parametrize("p", _screened_sources())
 def test_screened_fold_matches_row_by_row_oracle(p):
     assert not _kernels.fits_int64(p.numerators, p.common_denominator, _CHUNK + 1)
-    rows = exact_fold(p, FOLD_T_MAX)
+    tables = exact_tables(p, FOLD_T_MAX)
+    rows = exact_fold(p, FOLD_T_MAX, tables)
     want_recs = [t for t, rec, _ in rows if rec]
     want_hits = [t for t, _, beat in rows if beat]
 
@@ -415,8 +455,14 @@ def test_screened_fold_matches_row_by_row_oracle(p):
         f, a = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator, r.t)
         assert r.freqs == tuple(f)
         assert r.delta_star == Fraction(a, p.common_denominator * r.t)
-    flags = [(t, rec, beat) for t, _, rec, beat in scan_rows(p, FOLD_T_MAX)]
-    assert flags == rows
+    scanned = list(scan_rows(p, FOLD_T_MAX))
+    assert [(t, rec, beat) for t, _, rec, beat in scanned] == rows
+    # every row's A, and every certified table of the truncated chunks
+    assert [(t, a) for t, a, *_ in scanned] == [(t, a) for t, _, a in tables[:len(rows)]]
+    certified = [(t, f) for lo, _, f_chunk, *_ in
+                 _iter_chunks(p, FOLD_T_MAX, want_freqs=True)
+                 for t, f in enumerate(f_chunk.tolist(), lo)]
+    assert certified == [(t, f) for t, f, _ in tables]
     for width in (12, 13):
         best = [r for r in res.records if r.t <= 1 << width][-1]
         table = best_table_under_width(p, width)
@@ -430,3 +476,21 @@ def test_screened_cases_exercise_their_rows():
     assert t1 in recs and t2 in recs
     hit, t = _hit_near_kappa()
     assert t in [u for u, _, beat in exact_fold(hit, FOLD_T_MAX) if beat]
+
+    # near-integer: the truncated floor of t*p_0 is wrong at T_NEAR, and
+    # condition (1) sends the row to the exact rebuild
+    p = _near_integer()
+    p_trunc, g, _, sure = _trunc_row(p, T_NEAR)
+    assert (T_NEAR * p.numerators[0] // p.common_denominator
+            < T_NEAR * p_trunc[0] // D_SECOND)
+    rem = [T_NEAR * v % D_SECOND for v in p_trunc]
+    assert not all(g <= v < D_SECOND - g for v in rem) and not sure
+    # cut pair: P~'s table at T_NEAR is not p's, condition (1) holds, and
+    # only the cut gap (3) keeps the row from being certified
+    p = _cut_pair()
+    p_trunc, g, f_trunc, sure = _trunc_row(p, T_NEAR)
+    f_true, _ = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator,
+                                            T_NEAR)
+    assert f_trunc != f_true
+    rem = [T_NEAR * v % D_SECOND for v in p_trunc]
+    assert all(g <= v < D_SECOND - g for v in rem) and not sure

@@ -394,6 +394,21 @@ class TestPlanner:
         with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*3 "):
             plan_precision(golden_pair(), "1e-5", mode="guaranteed")
 
+    def test_pmin_proportional_to_r_plan_runs_on_int64(self, monkeypatch):
+        # p_min = 0.70710678118 * R overflows int64 from t = 46 on; the
+        # search reads p's tables off the int64 kernel and calls the exact
+        # reference only once per chunk and on the rows it cannot certify,
+        # not on each of the 379,059 rows it scans
+        from quantacode import _kernels
+        calls = []
+        exact = _kernels.minmax_freqs_exact
+        monkeypatch.setattr(_kernels, "minmax_freqs_exact",
+                            lambda *args: calls.append(args) or exact(*args))
+        p = parse_probability_vector(["0.00000070710678118",
+                                      "0.99999929289321882"])
+        assert plan_precision(p, "1e-6", mode="opportunistic").t == 379060
+        assert len(calls) < 1000
+
     def test_eta_below_one_for_golden_records(self):
         plan = plan_precision(golden_pair(), "1e-5", mode="opportunistic")
         assert float(plan.eta()) < 1

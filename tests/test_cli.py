@@ -90,27 +90,6 @@ class TestScan:
             bodies.append(out.read_text().split("\n", 1)[1])
         assert bodies[0] == bodies[1]
 
-    def test_jobs_above_cpu_count_rejected_before_any_pool(self, tmp_path, capsys,
-                                                          monkeypatch):
-        import concurrent.futures
-        import os
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was created")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        for jobs in (os.cpu_count() + 1, 0):
-            code, _, err = run(capsys, "scan", "-p", "golden", "--t-max", "300",
-                               "--jobs", str(jobs), "-o", str(tmp_path / "s.csv"))
-            assert code == 2
-            assert "jobs must lie in" in err
-
-    def test_jobs_belongs_to_scan_only(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["approximate", "-p", "0.7,0.3", "-t", "4", "--jobs", "1",
-                  "-o", str(tmp_path / "t.txt")])
-        assert exc.value.code == 2
-
 
 class TestPlan:
     def test_opportunistic_plan(self, capsys):
@@ -288,3 +267,34 @@ class TestLowPrecisionReports:
                                    if s.startswith(("chosen", "verified"))],
                                   path.read_text().splitlines()[2].split(",")[5]))
         assert low == high
+
+    @pytest.mark.parametrize("probs, want", [
+        ("golden", ["error bound (nats):        6.79835492176e-5",
+                    "rounding bound (nats):     0.00100131073277",
+                    "record bound (nats):       7.07107435696e-7  [kappa = generic]"]),
+        ("triple", ["error bound (nats):        0.000641198170659",
+                    "rounding bound (nats):     0.00150280427095",
+                    "record bound (nats):       0.000300112003324"]),
+    ])
+    def test_approximate_bounds(self, capsys, tmp_path, probs, want):
+        # at 6 digits the golden error bound read 6.79835357005e-5 and the
+        # triple record bound 0.000300112180412
+        low, high = self.lines(
+            capsys, tmp_path, ["approximate", "-p", probs, "-t", "1000"],
+            lambda so, se, path: [s for s in so.splitlines() if "bound" in s])
+        assert low == high == want
+
+    @pytest.mark.parametrize("mode, eta", [("guaranteed", "0.965380299767"),
+                                           ("opportunistic", "0.283935382284")])
+    def test_plan_raw_bound_and_eta(self, capsys, tmp_path, mode, eta):
+        # at 6 digits the raw bound read 17.6096572876 and the opportunistic
+        # eta 0.283935427666
+        low, high = self.lines(
+            capsys, tmp_path, ["plan", "-p", "golden", "-R", "1e-5", "--mode", mode],
+            lambda so, se, path: ([s for s in so.splitlines()
+                                   if s.startswith(("guaranteed-", "eta"))],
+                                  path.read_text().splitlines()[2].split(",")[6:]))
+        assert low == high == (
+            ["guaranteed-sufficient width: 17 (raw bound 17.6096593594)",
+             f"eta = W / log2(m/R) = {eta}"],
+            ["17", "17.6096593594", eta])

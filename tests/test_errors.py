@@ -10,10 +10,8 @@ from quantacode import (
     FrequencyTable,
     QuantacodeError,
     cf_convergents,
-    golden_pair,
     parse_probability_vector,
     plan_precision,
-    record_scan,
     register_width,
 )
 
@@ -41,7 +39,6 @@ CASES = {
         _plan(), verified_divergence=_plan().target_r * 2),
     "plan-width": lambda: dataclasses.replace(_plan(), width_bits=40),
     "plan-memory": lambda: dataclasses.replace(_plan(), memory_bits=1),
-    "scan-jobs": lambda: record_scan(golden_pair(), 300, jobs=0),
 }
 
 

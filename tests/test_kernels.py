@@ -52,6 +52,58 @@ class TestMinmaxScan:
             assert [int(v) for v in f_np[off]] == f
 
 
+def _forced_source(rng, m, d=10**12):
+    """Numerators over d whose first 1 to m - 1 entries are tiny (1 to
+    10**6 over 10**12), so the rows below force f_i = 1 on them, some shed,
+    and one entry repeats another, so remainders tie."""
+    tiny = [int(rng.integers(1, 10 ** int(rng.integers(1, 7))))
+            for _ in range(int(rng.integers(1, m)))]
+    rest = [int(v) + 1 for v in rng.dirichlet(np.ones(m - len(tiny)))
+            * (d - sum(tiny) - 2 * m)]
+    nums = tiny + rest
+    if m > 2:
+        i, j = sorted(rng.choice(m - 1, size=2, replace=False),
+                      key=lambda i: nums[i])
+        nums[j] = nums[i]       # the smaller one; the last entry takes the rest
+    nums[-1] += d - sum(nums)
+    assert min(nums) >= 1
+    return nums
+
+
+def _row_kind(nums, d, t, f):
+    """'shed', 'forced' or None (no small), and whether a rounded-up and a
+    floored big tie in remainder."""
+    n = [t * v // d for v in nums]
+    rem = [t * v - k * d for v, k in zip(nums, n)]
+    smalls = sum(k == 0 for k in n)
+    k = t - sum(n) - smalls
+    up = {rem[i] for i in range(len(n)) if n[i] > 0 and f[i] > n[i]}
+    low = {rem[i] for i in range(len(n)) if n[i] > 0 and f[i] == n[i]}
+    kind = "shed" if k < 0 else "forced" if smalls else None
+    return kind, bool(up & low)
+
+
+def test_forced_and_shedding_rows_match_exact():
+    """The numpy fix of forced rows, ties to the lower index, and the exact
+    repair of shedding rows, against the reference row by row."""
+    rng = np.random.default_rng(8)
+    seen = {"shed": 0, "forced": 0, None: 0, "tie": 0}
+    for m in (2, 3, 4, 5, 8, 64):
+        for _ in range(4):
+            nums = _forced_source(rng, m)
+            d = 10**12
+            for lo in (m, 5000):
+                a_np, f_np = K._minmax_scan_np(nums, d, lo, lo + 300, True)
+                for off in range(301):
+                    f, a = K.minmax_freqs_exact(nums, d, lo + off)
+                    assert int(a_np[off]) == a
+                    assert f_np[off].tolist() == f
+                    kind, tie = _row_kind(nums, d, lo + off, f)
+                    seen[kind] += 1
+                    seen["tie"] += tie
+    assert min(seen["shed"], seen["forced"], seen["tie"]) > 100, seen
+
+
 def _enumerate_min(nums, d, t):
     """Every composition of t into positive parts, in lexicographic order;
     the first one with the smallest A wins."""
