@@ -63,10 +63,8 @@ from .bounds import (  # noqa: F401
     corollary1_width,
     corollary2_width,
     divergence_upper_exact,
-    kappa_select,
     kl_divergence,
     lemma1_bound,
-    looks_golden_equivalent,
     plan_precision,
     theorem1_bound,
     theorem2_bound_binary,

@@ -108,7 +108,7 @@ from .errors import (
     InvalidArgument,
     WidthTooSmall,
 )
-from .precision import working_dps
+from .precision import DEFAULT_DPS
 from .prob_model import FrequencyTable, ProbabilityVector
 
 _CHUNK = 4096
@@ -216,10 +216,10 @@ class ScanResult:
         return [r.t for r in self.records]
 
 
-def _quality_value(m: int, t: int, a: int, d: int, dps: int | None):
+def _quality_value(m: int, t: int, a: int, d: int):
     if m == 2:
         return Fraction(t * a, d)
-    with mp.workdps(working_dps(dps)):
+    with mp.workdps(DEFAULT_DPS):
         return mp.mpf(t) ** (mp.mpf(1) / m) * mp.mpf(a) / d
 
 
@@ -364,8 +364,7 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
             return
 
 
-def record_scan(p: ProbabilityVector, t_max: int, kappa=None,
-                dps: int | None = None) -> ScanResult:
+def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
     """Scan t in [m, t_max]; collect record denominators and fact-constant hits.
 
     A record is a t whose delta_star is strictly below every smaller t's.
@@ -389,7 +388,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None,
             assert a2 == a
             records.append(RecordEntry(
                 t, tuple(f), Fraction(a, d * t),
-                _quality_value(m, t, a, d, dps) if a else Fraction(0),
+                _quality_value(m, t, a, d) if a else Fraction(0),
             ))
     return ScanResult(records, hits, t_max, m, label)
 

@@ -2,8 +2,8 @@
 
 Coding a source p with a quantized model f/t costs D(p || f/t) =
 sum_i p_i ln(p_i t / f_i) nats per symbol on top of the entropy.  This
-module evaluates that divergence at the working precision and the chain of
-closed-form bounds on it:
+module evaluates that divergence, at digits derived from the inputs, and the
+chain of closed-form bounds on it:
 
 * the error bound m * delta_star / (1 - delta_star / p_min), valid whenever
   delta_star < p_min (``lemma1_bound``);
@@ -34,12 +34,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .approx import (
-    _iter_chunks,
-    best_table_under_width,
-    continued_fraction_terms,
-    round_min_max,
-)
+from .approx import _iter_chunks, best_table_under_width, round_min_max
 from .errors import (
     AlphabetNotMary,
     DimensionMismatch,
@@ -51,7 +46,7 @@ from .errors import (
     TargetUnachievableWithinScan,
     ZeroFrequency,
 )
-from .precision import format_decimal, to_mpf, working_dps
+from .precision import DEFAULT_DPS, format_decimal, to_mpf
 from .prob_model import (
     FrequencyTable,
     ProbabilityVector,
@@ -69,39 +64,13 @@ class Kappa:
     label: str
     square: Fraction
 
-    def value(self, dps: int | None = None) -> mp.mpf:
-        with mp.workdps(working_dps(dps)):
+    def value(self) -> mp.mpf:
+        with mp.workdps(DEFAULT_DPS):
             return mp.sqrt(mp.mpf(self.square.numerator) / self.square.denominator)
-
-    def __float__(self) -> float:
-        return float(self.square.numerator / self.square.denominator) ** 0.5
 
 
 KAPPA_GOLDEN = Kappa("golden", Fraction(1, 5))
 KAPPA_GENERIC = Kappa("generic", Fraction(1, 8))
-
-
-def kappa_select(golden_equivalent: bool) -> Kappa:
-    """5**-0.5 when the leading probability is golden-ratio equivalent, else 2**-1.5."""
-    return KAPPA_GOLDEN if golden_equivalent else KAPPA_GENERIC
-
-
-def looks_golden_equivalent(x: Fraction, run_length: int = 20) -> bool:
-    """Heuristic: does x look equivalent to (sqrt(5)-1)/2?
-
-    Golden-equivalent reals have continued fractions ending in all 1s, so any
-    rational stand-in of one carries a long run of unit coefficients before
-    the expansion degenerates at the precision horizon.  We flag inputs whose
-    expansion contains >= run_length consecutive 1s (a random rational does,
-    with probability ~0.415**run_length).  Purely advisory; kappa selection
-    stays an explicit caller decision.
-    """
-    run = 0
-    for a in continued_fraction_terms(x)[1:]:  # drop the integer part (0)
-        run = run + 1 if a == 1 else 0
-        if run >= run_length:
-            return True
-    return False
 
 
 # ---- divergence -------------------------------------------------------------
@@ -112,17 +81,16 @@ class DivergencePair(NamedTuple):
 
 
 def kl_divergence(p: ProbabilityVector, table: FrequencyTable,
-                  dps: int | None = None) -> DivergencePair:
+                  dps: int = DEFAULT_DPS) -> DivergencePair:
     """D(p || f/t) = sum_i p_i log(p_i t / f_i), in nats and bits.
 
-    Exact rational inputs, one rounding per term at the working precision
-    (default 50 digits).
+    Exact rational inputs, one rounding per term at dps digits.
     """
     if table.m != p.m:
         raise DimensionMismatch(f"table has {table.m} symbols, source has {p.m}")
     if any(f < 1 for f in table.freqs):
         raise ZeroFrequency("model assigns zero frequency to a symbol")
-    with mp.workdps(working_dps(dps)):
+    with mp.workdps(dps):
         t = table.t
         nats = mp.fsum(
             (mp.mpf(x.numerator) / x.denominator)
@@ -151,6 +119,16 @@ def divergence_upper_exact(p: ProbabilityVector, table: FrequencyTable) -> Fract
 
 
 # ---- closed-form bounds -----------------------------------------------------
+#
+# The closed forms below, the corollary widths and PrecisionPlan.eta are
+# evaluated at DEFAULT_DPS digits, which keeps all 12 digits a report prints
+# right.  Each takes at most m + 10 roundings of relative size 10**(1 - dps)
+# on positive terms, with no cancellation (the theorem 2 bounds are written
+# so), so it is within 1e-13 of its value, relative, once
+# dps >= 14 + log10(m + 10): at most 50 for every m + 10 <= 10**36, which
+# covers any vector that fits in memory.  The logarithms have arguments of
+# at least 2 (m/R + 1/p_min) and e (m/R, for any target R below m/e), so
+# they keep that error.
 
 def lemma1_exact(m: int, delta_star: Fraction, p_min: Fraction) -> Fraction:
     """m * delta_star / (1 - delta_star/p_min), exact."""
@@ -161,11 +139,9 @@ def lemma1_exact(m: int, delta_star: Fraction, p_min: Fraction) -> Fraction:
     return m * delta_star * p_min / (p_min - delta_star)
 
 
-def lemma1_bound(m: int, delta_star: Fraction, p_min: Fraction,
-                 dps: int | None = None) -> mp.mpf:
+def lemma1_bound(m: int, delta_star: Fraction, p_min: Fraction) -> mp.mpf:
     """Divergence upper bound in nats from the maximum quantization error."""
-    exact = lemma1_exact(m, Fraction(delta_star), Fraction(p_min))
-    return to_mpf(exact, dps)
+    return to_mpf(lemma1_exact(m, Fraction(delta_star), Fraction(p_min)))
 
 
 def theorem1_exact(m: int, t: int, p_min: Fraction) -> Fraction:
@@ -175,13 +151,12 @@ def theorem1_exact(m: int, t: int, p_min: Fraction) -> Fraction:
     return Fraction(m) * p_min / (2 * t * p_min - 1)
 
 
-def theorem1_bound(m: int, t: int, p_min: Fraction, dps: int | None = None) -> mp.mpf:
+def theorem1_bound(m: int, t: int, p_min: Fraction) -> mp.mpf:
     """Redundancy bound (nats) achievable at any denominator t by min-max rounding."""
-    return to_mpf(theorem1_exact(m, t, Fraction(p_min)), dps)
+    return to_mpf(theorem1_exact(m, t, Fraction(p_min)))
 
 
-def theorem2_bound_mary(m: int, t: int, p_min: Fraction,
-                        dps: int | None = None) -> mp.mpf:
+def theorem2_bound_mary(m: int, t: int, p_min: Fraction) -> mp.mpf:
     """(m / t**(1+1/m)) / (1 - 1/(t**(1+1/m) p_min)), nats; record denominators
     of an m-ary source (m > 2) achieve this."""
     if m <= 2:
@@ -195,14 +170,13 @@ def theorem2_bound_mary(m: int, t: int, p_min: Fraction,
     # = m * p_min / (y - 1) with y = t**(1+1/m) * p_min, written without
     # cancellation: y - 1 = (y**m - 1) / sum_{j<m} y**j, y**m exact
     gap = t ** (m + 1) * p_min**m - 1
-    with mp.workdps(working_dps(dps)):
+    with mp.workdps(DEFAULT_DPS):
         pm = mp.mpf(p_min.numerator) / p_min.denominator
         y = mp.mpf(t) ** (1 + mp.mpf(1) / m) * pm
-        return m * pm * mp.fsum(y**j for j in range(m)) / to_mpf(gap, dps)
+        return m * pm * mp.fsum(y**j for j in range(m)) / to_mpf(gap)
 
 
-def theorem2_bound_binary(t: int, p_min: Fraction, kappa: Kappa,
-                          dps: int | None = None) -> mp.mpf:
+def theorem2_bound_binary(t: int, p_min: Fraction, kappa: Kappa) -> mp.mpf:
     """(2 kappa / t**2) / (1 - kappa/(t**2 p_min)), nats; binary record
     denominators achieve this with the appropriate kappa."""
     p_min = Fraction(p_min)
@@ -216,10 +190,10 @@ def theorem2_bound_binary(t: int, p_min: Fraction, kappa: Kappa,
     # = 2 kappa p_min / (t**2 p_min - kappa), written without cancellation:
     # t**2 p_min - kappa = ((t**2 p_min)**2 - kappa**2) / (t**2 p_min + kappa)
     gap = (t * t * p_min) ** 2 - kappa.square
-    with mp.workdps(working_dps(dps)):
-        k = kappa.value(dps)
+    with mp.workdps(DEFAULT_DPS):
+        k = kappa.value()
         pm = mp.mpf(p_min.numerator) / p_min.denominator
-        return 2 * k * pm * (t * t * pm + k) / to_mpf(gap, dps)
+        return 2 * k * pm * (t * t * pm + k) / to_mpf(gap)
 
 
 class WidthBound(NamedTuple):
@@ -227,19 +201,33 @@ class WidthBound(NamedTuple):
     raw: mp.mpf     # the real-valued bound log2(m/R + 1/p_min)
 
 
-def corollary1_width(m: int, target_r, p_min: Fraction,
-                     dps: int | None = None) -> WidthBound:
+def _parse_target(target_r) -> mp.mpf:
+    """The target redundancy R as an mpf at DEFAULT_DPS digits.
+
+    Raises InvalidArgument when R is not a number, NonPositiveTarget unless
+    0 < R < inf.
+    """
+    try:
+        r = to_mpf(target_r)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidArgument(
+            f"target redundancy {target_r!r} is not a number") from None
+    if not (r > 0 and mp.isfinite(r)):
+        raise NonPositiveTarget(
+            f"target redundancy must be finite and > 0, got {target_r}")
+    return r
+
+
+def corollary1_width(m: int, target_r, p_min: Fraction) -> WidthBound:
     """Register width sufficient for target redundancy R (nats), any source.
 
     The raw bound is log2(m/R + 1/p_min); any width strictly below it is
     achievable, so the returned integer is the largest one below the raw
     value (clamped to >= 1 for degenerate targets).
     """
-    r = to_mpf(target_r, dps)
-    if not r > 0:
-        raise NonPositiveTarget(f"target redundancy must be > 0, got {target_r}")
+    r = _parse_target(target_r)
     p_min = Fraction(p_min)
-    with mp.workdps(working_dps(dps)):
+    with mp.workdps(DEFAULT_DPS):
         pm = mp.mpf(p_min.numerator) / p_min.denominator
         raw = mp.log(m / r + 1 / pm) / mp.log(2)
         fl = mp.floor(raw)
@@ -247,28 +235,26 @@ def corollary1_width(m: int, target_r, p_min: Fraction,
         return WidthBound(max(width, 1), raw)
 
 
-def corollary2_width(m: int, target_r, p_min: Fraction, kappa: Kappa | None = None,
-                     dps: int | None = None) -> mp.mpf:
+def corollary2_width(m: int, target_r, p_min: Fraction,
+                     kappa: Kappa | None = None) -> mp.mpf:
     """Existence width bound for record denominators (real-valued, not a
     guarantee for any specific t).
 
     m > 2: (m/(m+1)) * log2(m/R + 1/p_min) + 1, no kappa.
     m = 2: (1/2) * log2(2/R + 1/p_min) + (1/2) * log2(4 kappa).
     """
-    r = to_mpf(target_r, dps)
-    if not r > 0:
-        raise NonPositiveTarget(f"target redundancy must be > 0, got {target_r}")
+    r = _parse_target(target_r)
     if m == 2 and kappa is None:
         raise KappaMissing("binary width bound needs an explicit kappa")
     if m > 2 and kappa is not None:
         raise InvalidArgument("kappa only applies to binary sources")
     p_min = Fraction(p_min)
-    with mp.workdps(working_dps(dps)):
+    with mp.workdps(DEFAULT_DPS):
         pm = mp.mpf(p_min.numerator) / p_min.denominator
         log2 = mp.log(2)
         if m > 2:
             return (mp.mpf(m) / (m + 1)) * mp.log(m / r + 1 / pm) / log2 + 1
-        k = kappa.value(dps)
+        k = kappa.value()
         return (mp.log(2 / r + 1 / pm) / log2 + mp.log(4 * k) / log2) / 2
 
 
@@ -295,7 +281,7 @@ class BoundReport:
     kappa: Kappa | None
     applicable: dict = field(default_factory=dict)
 
-    def human_text(self, dps: int | None = None) -> str:
+    def human_text(self) -> str:
         def fmt(v):
             return "n/a" if v is None else format_decimal(v, 12)
 
@@ -314,7 +300,6 @@ class BoundReport:
             f"record bound (nats):       {fmt(self.theorem2)}"
             + (f"  [kappa = {self.kappa.label}]" if self.kappa else ""),
             f"applicable: {flags}",
-            f"working precision: {working_dps(dps)} digits",
         ]
         return "\n".join(lines)
 
@@ -336,16 +321,15 @@ class BoundReport:
 
 
 def build_bound_report(p: ProbabilityVector, table: FrequencyTable,
-                       kappa: Kappa | None = None,
-                       dps: int | None = None) -> BoundReport:
+                       kappa: Kappa | None = None) -> BoundReport:
     """Evaluate the divergence and every bound whose premise holds."""
     prof = error_profile(p, table)
     ds, pm, m, t = prof.delta_star, p.p_min, p.m, table.t
-    div = kl_divergence(p, table, _report_dps(p, table, dps))
+    div = kl_divergence(p, table, _report_dps(p, table))
 
     def bound_or_none(bound, *args):
         try:
-            return bound(*args, _bound_dps(m, dps))
+            return bound(*args)
         except (RatioNotLessThanOne, PreconditionViolated):
             return None
 
@@ -399,14 +383,17 @@ class PrecisionPlan:
         if self.memory_bits != memory_cost(self.table.m, self.width_bits):
             raise InvalidArgument("memory cost must be m * W")
 
-    def eta(self, dps: int | None = None) -> mp.mpf:
-        """Achieved width per log2(m/R): the implementation-quality ratio,
-        evaluated at _bound_dps digits."""
-        with mp.workdps(_bound_dps(self.table.m, dps)):
-            return self.width_bits / (mp.log(self.table.m / self.target_r)
-                                      / mp.log(2))
+    def eta(self) -> mp.mpf | None:
+        """Achieved width per log2(m/R): the implementation-quality ratio.
+        None for R >= m, where log2(m/R) <= 0 and the ratio means nothing."""
+        m = self.table.m
+        if not self.target_r < m:
+            return None
+        with mp.workdps(DEFAULT_DPS):
+            return self.width_bits / (mp.log(m / self.target_r) / mp.log(2))
 
-    def human_text(self, dps: int | None = None) -> str:
+    def human_text(self) -> str:
+        eta = self.eta()
         return "\n".join([
             f"mode: {self.mode}",
             f"target redundancy: {format_decimal(self.target_r, 12)} nats/sym",
@@ -416,25 +403,26 @@ class PrecisionPlan:
             f"{format_decimal(self.verified_divergence, 12)} nats/sym",
             f"guaranteed-sufficient width: {self.corollary1_width} "
             f"(raw bound {format_decimal(self.raw_width_bound, 12)})",
-            f"eta = W / log2(m/R) = {format_decimal(self.eta(dps), 12)}",
-            f"working precision: {working_dps(dps)} digits",
+            "eta = W / log2(m/R) = "
+            + ("n/a" if eta is None else format_decimal(eta, 12)),
         ])
 
     CSV_HEADER = ("mode,target_r_nats,t,width_bits,memory_bits,"
                   "verified_divergence_nats,corollary1_width,raw_width_bound,eta")
 
     def csv_row(self) -> str:
+        eta = self.eta()
         return ",".join([
             self.mode, format_decimal(self.target_r, 12), str(self.t),
             str(self.width_bits), str(self.memory_bits),
             format_decimal(self.verified_divergence, 12),
             str(self.corollary1_width), format_decimal(self.raw_width_bound, 12),
-            format_decimal(self.eta(), 12),
+            "" if eta is None else format_decimal(eta, 12),
         ])
 
 
 def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
-                        dps: int | None):
+                        dps: int):
     """Smallest t in [m, t_cap] whose kl_divergence is <= r, or None.
 
     A float64 estimate screens each row.  Since sum_i p_i = 1,
@@ -457,7 +445,7 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     """
     pf = np.array([float(x) for x in p.probs])
     c = float(np.dot(pf, np.log(pf)))
-    slack = (p.m + 20) * 2.0**-53 + 10.0 ** (1 - working_dps(dps))
+    slack = (p.m + 20) * 2.0**-53 + 10.0 ** (1 - dps)
     screen = float(r) + slack * (math.log(p.m) + math.log(t_cap) + 2 + float(r))
     for lo, _, f_arr, *_ in _iter_chunks(p, t_cap, want_freqs=True):
         t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
@@ -469,29 +457,29 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     return None
 
 
-def _decision_dps(m: int, t_cap: int, r: mp.mpf, dps: int | None) -> int:
-    """Digits at which a plan is decided: the working precision, raised
-    where needed so that kl_divergence's rounding bound
+def _decision_dps(m: int, t_cap: int, r: mp.mpf) -> int:
+    """Digits at which a plan is decided: DEFAULT_DPS, raised where needed
+    so that kl_divergence's rounding bound
     10**(1 - dps) * (ln m + ln t_cap + 2 + r) (see _first_qualifying_t) is
     at most r * 1e-13.  At 6 digits that rounding is as large as a
     divergence near 1e-7 itself, and a plan decided there can miss its
-    target.  The plan verifies its table at _report_dps digits, at least
-    as many, whose rounding is at most D * 1e-13; so the decision and the
-    verification can disagree only for a D within about 1e-13 of r.
+    target.  The plan verifies its table at these digits or _report_dps
+    digits, whichever is more, so that rounding is at most D * 1e-13; the
+    decision and the verification can disagree only for a D within about
+    1e-13 of r.
     """
     c = math.log(m) + math.log(t_cap) + 2
     y, n = mp.frexp(r)      # r = y * 2**n, 0.5 <= y < 1, at any magnitude
     log_r = math.log10(float(y)) + n * math.log10(2)
     # float(r) saturates only above 1e308, where `need` is tiny anyway
     need = 14 + math.ceil(math.log10(c + min(float(r), 1e300)) - log_r)
-    return max(working_dps(dps), need)
+    return max(DEFAULT_DPS, need)
 
 
-def _report_dps(p: ProbabilityVector, table: FrequencyTable,
-                dps: int | None) -> int:
+def _report_dps(p: ProbabilityVector, table: FrequencyTable) -> int:
     """Digits at which a report evaluates D = D(p || f/t) so that all 12
-    digits it prints are right: the working precision, raised where needed
-    so that kl_divergence's rounding bound 10**(1 - dps) * (c + D), with
+    digits it prints are right: DEFAULT_DPS, raised where needed so that
+    kl_divergence's rounding bound 10**(1 - dps) * (c + D), with
     c = ln m + ln t + 2 (see _first_qualifying_t), is at most D * 1e-13.
 
     Pinsker's inequality with sum_i |p_i - f_i/t| >= 2 * delta_star gives
@@ -501,29 +489,14 @@ def _report_dps(p: ProbabilityVector, table: FrequencyTable,
     nums, d, t = p.numerators, p.common_denominator, table.t
     a = max(abs(t * n - f * d) for n, f in zip(nums, table.freqs))
     if a == 0:
-        return working_dps(dps)
+        return DEFAULT_DPS
     log_c = math.log10((math.log(p.m) + math.log(t) + 2) / 2)
     log_ds = math.log10(a) - math.log10(d * t)   # delta_star = a / (d*t)
-    return max(working_dps(dps), 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
+    return max(DEFAULT_DPS, 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
 
 
-def _bound_dps(m: int, dps: int | None) -> int:
-    """Digits at which a report evaluates a closed form that it prints to
-    12 digits (the lemma 1, theorem 1 and theorem 2 bounds, the corollary-1
-    raw width and eta): the working precision, raised where needed to
-    14 + log10(m + 10).
-
-    Each of them takes at most m + 10 roundings of relative size
-    10**(1 - dps) on positive terms, with no cancellation (the theorem 2
-    bounds are written so), so it is then within 1e-13 of its value,
-    relative.  The logarithms have arguments of at least 2 (m/R + 1/p_min)
-    and e (m/R, for any target R below m/e), so they keep that error.
-    """
-    return max(working_dps(dps), 14 + math.ceil(math.log10(m + 10)))
-
-
-def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
-                   dps: int | None = None) -> PrecisionPlan:
+def plan_precision(p: ProbabilityVector, target_r,
+                   mode: str = "guaranteed") -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
 
     guaranteed: take the always-sufficient width W from corollary1_width and
@@ -537,27 +510,28 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
 
     Both modes decide the target with kl_divergence, the same sum the plan
     verifies, at the digits _decision_dps asks for, and the plan's
-    divergence is evaluated at _report_dps digits, its corollary-1 width at
-    _bound_dps digits.  Opportunistic mode gives up once t would exceed
+    divergence is evaluated at those or _report_dps digits, whichever is
+    more.  Opportunistic mode gives up once t would exceed
     2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
     absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
     width bound assumes.
     """
     if mode not in ("guaranteed", "opportunistic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
-    r = to_mpf(target_r, dps)
-    if not r > 0:
-        raise NonPositiveTarget(f"target redundancy must be > 0, got {target_r}")
-    w1, raw = corollary1_width(p.m, target_r, p.p_min, _bound_dps(p.m, dps))
+    r = _parse_target(target_r)
+    w1, raw = corollary1_width(p.m, r, p.p_min)
     w_eff = max(w1, register_width(p.m))
     cap_bits = w_eff if mode == "guaranteed" else min(w1 + 2, 24)
-    dps = _decision_dps(p.m, 1 << cap_bits, r, dps)
+    dps = _decision_dps(p.m, 1 << cap_bits, r)
     r = to_mpf(target_r, dps)
+
+    def verify(table):
+        return kl_divergence(p, table, max(dps, _report_dps(p, table))).nats
 
     verified = None
     if mode == "guaranteed":
         table = best_table_under_width(p, w_eff)
-        verified = kl_divergence(p, table, _report_dps(p, table, dps)).nats
+        verified = verify(table)
     if verified is None or not verified <= r:
         t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
         if t is None:
@@ -566,7 +540,7 @@ def plan_precision(p: ProbabilityVector, target_r, mode: str = "guaranteed",
                 f"{format_decimal(r, 8)} nats"
             )
         table = round_min_max(p, t)
-        verified = kl_divergence(p, table, _report_dps(p, table, dps)).nats
+        verified = verify(table)
 
     width = table.width_bits
     return PrecisionPlan(r, width, table.t, table, verified, w1, raw,

@@ -4,7 +4,8 @@ Subcommands: approximate, scan, plan, encode, decode, simulate.  Exit codes:
 0 success, 1 internal error, 2 invalid input, 3 target unachievable.
 Probabilities are comma-separated decimals/fractions or a preset name
 (golden, silver, triple).  CSV outputs start with a comment line recording
-tool version, working precision, and seed.
+the tool version, and on `simulate` the seed.  No option sets a digit count:
+the library derives every one from the inputs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .bounds import (
 )
 from .coder import decode, decode_framed, encode, encode_framed, measure_rate
 from .errors import QuantacodeError, TargetUnachievableWithinScan
-from .precision import decimal_ratio, decimal_root, working_dps
+from .precision import decimal_ratio, decimal_root
 from .prob_model import PRESETS, FrequencyTable, parse_probability_vector
 
 _EXIT_OK = 0
@@ -43,10 +44,8 @@ def _kappa(name: str):
     return KAPPA_GOLDEN if name == "golden" else KAPPA_GENERIC
 
 
-def _csv_comment(args) -> str:
-    seed = getattr(args, "seed", None)
-    return (f"# quantacode {__version__} precision={working_dps(args.precision)}"
-            f" seed={seed if seed is not None else '-'}")
+def _csv_comment(seed: int | None = None) -> str:
+    return f"# quantacode {__version__}" + ("" if seed is None else f" seed={seed}")
 
 
 def _write(path, text: str):
@@ -73,13 +72,12 @@ def cmd_approximate(args) -> int:
         table = round_min_max(p, args.t)
     else:
         table = best_table_under_width(p, args.width)
-    report = build_bound_report(p, table, kappa=_kappa(args.kappa),
-                                dps=args.precision)
+    report = build_bound_report(p, table, kappa=_kappa(args.kappa))
     _write(args.out, table.serialize_text(delta_star=report.delta_star))
-    print(report.human_text(args.precision))
+    print(report.human_text())
     if args.report_csv:
         _write(args.report_csv, "\n".join([
-            _csv_comment(args), report.CSV_HEADER, report.csv_row(), ""
+            _csv_comment(), report.CSV_HEADER, report.csv_row(), ""
         ]))
     return _EXIT_OK
 
@@ -89,7 +87,7 @@ def cmd_scan(args) -> int:
     kappa = _kappa(args.kappa)
     m, d = p.m, p.common_denominator
     d_m = d**m
-    lines = [_csv_comment(args),
+    lines = [_csv_comment(),
              "t,delta_star_decimal,quality_decimal,is_record,beats_fact_constant"]
     records, hits = [], 0
     for t, a, is_rec, beats in scan_rows(p, args.t_max, kappa=kappa):
@@ -109,11 +107,11 @@ def cmd_scan(args) -> int:
 
 def cmd_plan(args) -> int:
     p = _probs(args.probs)
-    plan = plan_precision(p, args.target, mode=args.mode, dps=args.precision)
-    print(plan.human_text(args.precision))
+    plan = plan_precision(p, args.target, mode=args.mode)
+    print(plan.human_text())
     if args.out:
         _write(args.out, "\n".join([
-            _csv_comment(args), plan.CSV_HEADER, plan.csv_row(), ""
+            _csv_comment(), plan.CSV_HEADER, plan.csv_row(), ""
         ]))
     return _EXIT_OK
 
@@ -153,9 +151,9 @@ def cmd_simulate(args) -> int:
     else:
         print("simulate: need --table or -t", file=sys.stderr)
         return _EXIT_INVALID
-    report = measure_rate(p, table, args.n, args.seed, dps=args.precision)
+    report = measure_rate(p, table, args.n, args.seed)
     _write(args.out, "\n".join([
-        _csv_comment(args), report.CSV_HEADER, report.csv_row(), ""
+        _csv_comment(args.seed), report.CSV_HEADER, report.csv_row(), ""
     ]))
     print(f"rate {report.rate:.6f} bits/sym, entropy {report.entropy_bits:.6f},"
           f" divergence {report.divergence_bits:.6f},"
@@ -179,10 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("-p", "--probs", required=True,
                             help="comma-separated probabilities or preset "
                                  "(golden, silver, triple)")
-        sp.add_argument("--precision", type=int, default=None,
-                        help="working decimal digits (default 50; "
-                             "env QUANTACODE_PRECISION)")
-        sp.add_argument("--seed", type=int, default=0, help="rng seed")
         sp.add_argument("-o", "--out", default=None,
                         help="output path (default stdout)")
 
@@ -232,6 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-t", type=int, default=None,
                     help="build the min-max table at this t instead")
     sp.add_argument("-n", type=int, default=10**6, help="symbols to draw")
+    sp.add_argument("--seed", type=int, default=0, help="rng seed")
     sp.set_defaults(func=cmd_simulate)
 
     return ap

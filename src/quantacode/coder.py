@@ -30,7 +30,7 @@ from .errors import (
     SymbolOutOfRange,
     TableTooWide,
 )
-from .precision import working_dps
+from .precision import DEFAULT_DPS
 from .prob_model import FrequencyTable, ProbabilityVector
 from .bounds import _report_dps, kl_divergence
 
@@ -140,9 +140,9 @@ class RateReport:
                 f"{self.excess:.12g}")
 
 
-def entropy_bits(p: ProbabilityVector, dps: int | None = None) -> mp.mpf:
-    """Source entropy H(p) in bits at the working precision."""
-    with mp.workdps(working_dps(dps)):
+def entropy_bits(p: ProbabilityVector, dps: int = DEFAULT_DPS) -> mp.mpf:
+    """Source entropy H(p) in bits at dps digits."""
+    with mp.workdps(dps):
         return -mp.fsum(
             (mp.mpf(x.numerator) / x.denominator)
             * mp.log(mp.mpf(x.numerator) / x.denominator)
@@ -159,7 +159,7 @@ def sample_symbols(p: ProbabilityVector, n: int, seed: int) -> np.ndarray:
 
 
 def measure_rate(p: ProbabilityVector, table: FrequencyTable, n: int,
-                 seed: int, dps: int | None = None) -> RateReport:
+                 seed: int) -> RateReport:
     """Encode n seeded iid symbols from p and compare the rate to H + D.
 
     The reported excess (rate minus entropy) approaches divergence_bits up to
@@ -172,7 +172,7 @@ def measure_rate(p: ProbabilityVector, table: FrequencyTable, n: int,
     syms = sample_symbols(p, n, seed)
     blob = encode(syms, table)
     total_bits = 8 * len(blob)
-    dps = _report_dps(p, table, dps)   # so that the printed H and D are right
+    dps = _report_dps(p, table)   # so that the printed H and D are right
     h = float(entropy_bits(p, dps))
     d = float(kl_divergence(p, table, dps).bits)
     rate = total_bits / n

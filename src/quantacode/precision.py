@@ -1,18 +1,17 @@
-"""Working-precision helpers.
+"""Decimal helpers.
 
-All "high-precision real" values in this package are mpmath floats evaluated
-at a configurable number of decimal digits.  The default is 50 digits; the
-QUANTACODE_PRECISION environment variable or an explicit ``dps=`` argument
-overrides it per call.  Exact quantities (probabilities, per-symbol errors)
-never pass through floats at all -- they stay `fractions.Fraction`, and
-their decimals (and the m-th roots that scan qualities need) are rounded
-exactly in Python integers by :func:`decimal_ratio` and :func:`decimal_root`.
+All "high-precision real" values in this package are mpmath floats.  Their
+digit counts are derived from the inputs by the callers, with DEFAULT_DPS
+(50) as the floor: see ``bounds._decision_dps`` and ``bounds._report_dps``.
+Exact quantities (probabilities, per-symbol errors) never pass through
+floats at all -- they stay `fractions.Fraction`, and their decimals (and
+the m-th roots that scan qualities need) are rounded exactly in Python
+integers by :func:`decimal_ratio` and :func:`decimal_root`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 import mpmath as mp
@@ -20,29 +19,13 @@ import mpmath as mp
 DEFAULT_DPS = 50
 SURROGATE_DIGITS = 60
 
-_ENV_VAR = "QUANTACODE_PRECISION"
-
-
-def working_dps(dps: int | None = None) -> int:
-    """Resolve the working precision in decimal digits.
-
-    Explicit argument wins, then QUANTACODE_PRECISION, then the default (50).
-    """
-    if dps is not None:
-        return int(dps)
-    env = os.environ.get(_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_DPS
-
-
-def to_mpf(x, dps: int | None = None) -> mp.mpf:
-    """Coerce int/str/Fraction/float/mpf to mpf at the working precision.
+def to_mpf(x, dps: int = DEFAULT_DPS) -> mp.mpf:
+    """Coerce int/str/Fraction/float/mpf to mpf at dps decimal digits.
 
     Strings and Fractions convert exactly before the single final rounding;
     floats are taken at face value.
     """
-    with mp.workdps(working_dps(dps)):
+    with mp.workdps(dps):
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / mp.mpf(x.denominator)
         return mp.mpf(x)
@@ -118,15 +101,15 @@ def decimal_ratio(n: int, q: int, sig: int = 30) -> str:
     return decimal_root(n, q, 1, sig)
 
 
-def format_decimal(x, sig: int = 30, dps: int | None = None) -> str:
+def format_decimal(x, sig: int = 30) -> str:
     """Fixed-significant-digit decimal string for CSV output.
 
     Exact rationals (int, Fraction) are rounded exactly by decimal_ratio;
-    reals go through mpmath.nstr at sig + 10 digits or more.
+    reals go through mpmath.nstr at max(DEFAULT_DPS, sig + 10) digits.
     """
     if isinstance(x, (int, Fraction)):
         x = Fraction(x)
         return decimal_ratio(x.numerator, x.denominator, sig)
-    with mp.workdps(max(working_dps(dps), sig + 10)):
-        return mp.nstr(to_mpf(x, dps=max(working_dps(dps), sig + 10)), sig,
-                       strip_zeros=False)
+    dps = max(DEFAULT_DPS, sig + 10)
+    with mp.workdps(dps):
+        return mp.nstr(to_mpf(x, dps), sig, strip_zeros=False)

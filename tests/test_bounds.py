@@ -24,7 +24,6 @@ from quantacode import (
     golden_pair,
     golden_surrogate,
     irrational_triple,
-    kappa_select,
     kl_divergence,
     lemma1_bound,
     parse_probability_vector,
@@ -38,11 +37,12 @@ from quantacode.bounds import (
     KAPPA_GENERIC,
     KAPPA_GOLDEN,
     WidthBound,
+    _decision_dps,
     _first_qualifying_t,
     lemma1_exact,
-    looks_golden_equivalent,
     theorem1_exact,
 )
+from quantacode.precision import DEFAULT_DPS, to_mpf
 
 from conftest import random_decimal_probs
 
@@ -158,8 +158,8 @@ class TestTheorem2:
             theorem2_bound_mary(3, 2, Fraction(1, 1000))
 
     def test_kappa_values(self):
-        assert abs(float(kappa_select(True)) - 0.4472135954999579) < 1e-15
-        assert abs(float(kappa_select(False)) - 0.35355339059327373) < 1e-15
+        assert abs(float(KAPPA_GOLDEN.value()) - 0.4472135954999579) < 1e-15
+        assert abs(float(KAPPA_GENERIC.value()) - 0.35355339059327373) < 1e-15
 
     def test_binary_worked_example(self):
         b = theorem2_bound_binary(100, Fraction(3, 10), KAPPA_GENERIC)
@@ -178,20 +178,21 @@ class TestTheorem2:
         assert all(a > b for a, b in zip(binary, binary[1:]))
 
     def test_chain_identity_with_lemma1(self):
-        # the record bounds are the error bound at the record error levels
+        # the record bounds are the error bound at the record error levels;
+        # the bounds are evaluated at 50 digits, the lemma-1 side at 60
         with mp.workdps(60):
             pm = Fraction(1, 5)
             pmf = mp.mpf(1) / 5
             for t in (100, 999):
                 delta = mp.mpf(t) ** (-(1 + mp.mpf(1) / 3))
                 via_lemma = 3 * delta / (1 - delta / pmf)
-                direct = theorem2_bound_mary(3, t, pm, dps=60)
-                assert abs(via_lemma / direct - 1) < mp.mpf(10) ** -55
-                k = KAPPA_GOLDEN.value(60)
+                direct = theorem2_bound_mary(3, t, pm)
+                assert abs(via_lemma / direct - 1) < mp.mpf(10) ** -47
+                k = mp.sqrt(mp.mpf(1) / 5)
                 delta = k / mp.mpf(t) ** 2
                 via_lemma = 2 * delta / (1 - delta / pmf)
-                direct = theorem2_bound_binary(t, pm, KAPPA_GOLDEN, dps=60)
-                assert abs(via_lemma / direct - 1) < mp.mpf(10) ** -55
+                direct = theorem2_bound_binary(t, pm, KAPPA_GOLDEN)
+                assert abs(via_lemma / direct - 1) < mp.mpf(10) ** -47
 
 
 class TestWidthCorollaries:
@@ -235,21 +236,6 @@ class TestWidthCorollaries:
     def test_corollary2_rejects_kappa_for_mary(self):
         with pytest.raises(InvalidArgument):
             corollary2_width(3, "1e-3", Fraction(1, 5), kappa=KAPPA_GENERIC)
-
-
-class TestGoldenHeuristic:
-    def test_golden_surrogate_flagged(self):
-        assert looks_golden_equivalent(golden_surrogate())
-
-    def test_equivalent_transform_flagged(self):
-        g = golden_surrogate()
-        assert looks_golden_equivalent(g / (g + 1))  # (1,0,1,1): det 1
-
-    def test_plain_rational_not_flagged(self):
-        assert not looks_golden_equivalent(Fraction(7, 10))
-
-    def test_truncated_decimal_of_golden_flagged(self):
-        assert looks_golden_equivalent(Fraction("0.61803398874989484820458683"))
 
 
 class TestBoundReport:
@@ -323,8 +309,8 @@ class TestPlanner:
             plan_precision(golden_pair(), "1e-5", mode="opportunistic")
 
     def test_first_qualifying_respects_cap(self):
-        from quantacode.precision import to_mpf
-        assert _first_qualifying_t(golden_pair(), to_mpf("1e-12"), 50, None) is None
+        assert _first_qualifying_t(golden_pair(), to_mpf("1e-12"), 50,
+                                   DEFAULT_DPS) is None
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -352,7 +338,7 @@ class TestPlanner:
             r = kl_divergence(p, round_min_max(p, t0)).nats
             t = first_t(p, r)
             assert expected in (None, t)
-            assert _first_qualifying_t(p, r, t0, None) == t
+            assert _first_qualifying_t(p, r, t0, DEFAULT_DPS) == t
             assert plan_precision(p, r, mode="opportunistic").t == t
 
     def test_low_precision_screen_keeps_what_kl_divergence_accepts(self):
@@ -362,17 +348,24 @@ class TestPlanner:
         p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
         r = kl_divergence(p, round_min_max(p, 639), dps=6).nats
         assert _first_qualifying_t(p, r, 639, 6) == 9
-        # the plan itself is decided at enough digits to meet r: the same t
-        # as at 50 digits, where t = 9 misses r (3.28e-7 > 2.75e-7)
-        assert (plan_precision(p, r, mode="opportunistic", dps=6).t
-                == plan_precision(p, r, mode="opportunistic").t == 151)
+        # the plan is decided at _decision_dps digits: t = 9 misses r there
+        # (3.28e-7 > 2.75e-7)
+        assert plan_precision(p, r, mode="opportunistic").t == 151
 
     def test_low_precision_plan_meets_target_at_50_digits(self):
+        # at 6 digits the search takes t = 142, whose 50-digit D is 2.93e-7;
+        # at _decision_dps digits it takes a t that meets R, as the plans do
         p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
-        for mode in ("opportunistic", "guaranteed"):
-            plan = plan_precision(p, "2.75e-7", mode=mode, dps=6)
-            d50 = kl_divergence(p, round_min_max(p, plan.t), dps=50).nats
-            assert d50 <= mp.mpf("2.75e-7")
+        r = to_mpf("2.75e-7")
+        cap = 1 << 24
+        low = _first_qualifying_t(p, r, cap, 6)
+        assert kl_divergence(p, round_min_max(p, low)).nats > r
+        dps = _decision_dps(p.m, cap, r)
+        ts = [_first_qualifying_t(p, to_mpf("2.75e-7", dps), cap, dps)]
+        ts += [plan_precision(p, "2.75e-7", mode=mode).t
+               for mode in ("opportunistic", "guaranteed")]
+        for t in ts:
+            assert kl_divergence(p, round_min_max(p, t), dps=50).nats <= r
 
     def test_guaranteed_fallback_takes_first_qualifying_t(self, monkeypatch):
         import quantacode.bounds as B
@@ -390,7 +383,7 @@ class TestPlanner:
         monkeypatch.setattr(B, "best_table_under_width",
                             lambda p, w: round_min_max(p, p.m))
         monkeypatch.setattr(B, "corollary1_width",
-                            lambda m, r, pm, dps: WidthBound(3, mp.mpf(4)))
+                            lambda m, r, pm: WidthBound(3, mp.mpf(4)))
         with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*3 "):
             plan_precision(golden_pair(), "1e-5", mode="guaranteed")
 

@@ -1,11 +1,18 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
 from quantacode import (
+    KAPPA_GENERIC,
+    QuantacodeError,
+    corollary1_width,
+    corollary2_width,
     encode_framed,
     parse_probability_vector,
+    plan_precision,
     round_min_max,
     sample_symbols,
+    __version__,
 )
 from quantacode.cli import main
 
@@ -52,8 +59,7 @@ class TestApproximate:
                          "--report-csv", str(rep))
         assert code == 0
         lines = rep.read_text().splitlines()
-        assert lines[0].startswith("# quantacode")
-        assert "precision=50" in lines[0]
+        assert lines[0] == f"# quantacode {__version__}"
         assert lines[1].startswith("m,t,delta_star")
 
 
@@ -81,13 +87,16 @@ class TestScan:
         assert rows[-1].split(",")[0] == "10"
 
     def test_decimals_do_not_depend_on_precision(self, tmp_path, capsys):
+        # the decimals are exact: at mpmath's default 15 digits the scan
+        # writes the same bytes
         bodies = []
-        for dps in ("6", "50"):
+        for dps in (15, 50):
             out = tmp_path / f"scan{dps}.csv"
-            code, _, _ = run(capsys, "scan", "-p", "triple", "--t-max", "300",
-                             "--precision", dps, "-o", str(out))
+            with mp.workdps(dps):
+                code, _, _ = run(capsys, "scan", "-p", "triple", "--t-max",
+                                 "300", "-o", str(out))
             assert code == 0
-            bodies.append(out.read_text().split("\n", 1)[1])
+            bodies.append(out.read_text())
         assert bodies[0] == bodies[1]
 
 
@@ -97,6 +106,7 @@ class TestPlan:
                               "--mode", "opportunistic")
         assert code == 0
         assert "chosen t = 21" in stdout
+        assert "precision" not in stdout
 
     def test_bad_target_exit_code(self, capsys):
         code, _, _ = run(capsys, "plan", "-p", "golden", "-R", "-1")
@@ -110,6 +120,32 @@ class TestPlan:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("mode,target_r_nats")
         assert lines[2].startswith("opportunistic")
+
+    @pytest.mark.parametrize("target", ["2", "5"])
+    def test_target_at_least_m_prints_no_eta(self, tmp_path, capsys, target):
+        # R >= m = 2 leaves eta undefined: R = 2 used to exit 1 with a
+        # ZeroDivisionError, R = 5 to print eta = -0.756
+        out = tmp_path / "plan.csv"
+        code, stdout, _ = run(capsys, "plan", "-p", "0.7,0.3", "-R", target,
+                              "-o", str(out))
+        assert code == 0
+        assert "eta = W / log2(m/R) = n/a" in stdout
+        assert out.read_text().splitlines()[2].split(",")[8] == ""
+
+    @pytest.mark.parametrize("target", ["1/0", "inf", "abc"])
+    def test_bad_target_exits_2_with_message(self, capsys, target):
+        # 1/0 used to exit 1 with a traceback, inf to exit 2 with "error: ",
+        # and the library raised ZeroDivisionError or a bare ValueError
+        code, _, err = run(capsys, "plan", "-p", "0.7,0.3", "-R", target)
+        assert code == 2
+        assert err.startswith("error: ") and err[len("error: "):].strip()
+        p = parse_probability_vector("0.7,0.3")
+        for call in (lambda: plan_precision(p, target),
+                     lambda: corollary1_width(2, target, p.p_min),
+                     lambda: corollary2_width(2, target, p.p_min,
+                                              kappa=KAPPA_GENERIC)):
+            with pytest.raises(QuantacodeError, match="target redundancy"):
+                call()
 
 
 class TestCodecCommands:
@@ -196,17 +232,18 @@ class TestSimulate:
         assert int(row[0]) == 100000
         assert abs(float(row[5]) - 0.1187) < 0.02
 
-    def test_precision_flag_flows_through(self, capsys):
-        code, stdout, _ = run(capsys, "plan", "-p", "0.7,0.3", "-R", "1e-6",
-                              "--precision", "60")
-        assert code == 0
-        assert "working precision: 60 digits" in stdout
-
-    def test_precision_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("QUANTACODE_PRECISION", "55")
-        code, stdout, _ = run(capsys, "plan", "-p", "0.7,0.3", "-R", "1e-6")
-        assert code == 0
-        assert "working precision: 55 digits" in stdout
+    @pytest.mark.parametrize("argv", [
+        ["plan", "-p", "0.7,0.3", "-R", "1e-6", "--precision", "60"],
+        ["plan", "-p", "0.7,0.3", "-R", "1e-6", "--seed", "3"],
+        ["scan", "-p", "0.7,0.3", "--t-max", "20", "--seed", "3"],
+    ])
+    def test_removed_flags_are_rejected(self, capsys, argv):
+        # only simulate draws random numbers, so only it takes --seed; no
+        # option sets a digit count
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -214,7 +251,7 @@ class TestDeterminism:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
             code, _, _ = run(capsys, "scan", "-p", "silver", "--t-max", "200",
-                             "--seed", "9", "-o", str(out))
+                             "-o", str(out))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -229,44 +266,43 @@ class TestDeterminism:
 
 class TestLowPrecisionReports:
     """Reports evaluate the divergence at enough digits for the 12 they
-    print, so --precision 6 prints the 50-digit value (at 6 digits the
-    divergence sum of golden at t = 1000 read 2.18e-8, not 2.45e-9)."""
+    print (at 6 digits the divergence sum of golden at t = 1000 read
+    2.18e-8, not 2.45e-9), and the bounds, raw width and eta at 50."""
 
     @staticmethod
     def lines(capsys, tmp_path, argv, pick):
-        out = []
-        for dps in ("6", "50"):
-            path = tmp_path / f"out{dps}"
-            code, stdout, stderr = run(capsys, *argv, "--precision", dps,
-                                       "-o", str(path))
-            assert code == 0
-            out.append(pick(stdout, stderr, path))
-        return out
+        path = tmp_path / "out"
+        code, stdout, stderr = run(capsys, *argv, "-o", str(path))
+        assert code == 0
+        return pick(stdout, stderr, path)
 
     def test_approximate(self, capsys, tmp_path):
-        low, high = self.lines(
+        got = self.lines(
             capsys, tmp_path, ["approximate", "-p", "golden", "-t", "1000"],
             lambda so, se, path: [s for s in so.splitlines() if "divergence" in s])
-        assert low == high == ["divergence: 2.44677181225e-9 nats/sym = "
-                               "3.52994555972e-9 bits/sym"]
+        assert got == ["divergence: 2.44677181225e-9 nats/sym = "
+                       "3.52994555972e-9 bits/sym"]
 
     def test_simulate(self, capsys, tmp_path):
-        low, high = self.lines(
+        row = self.lines(
             capsys, tmp_path, ["simulate", "-p", "golden", "-t", "1000",
                                "-n", "2000", "--seed", "3"],
-            lambda so, se, path: (se, path.read_text().splitlines()[2]))
-        assert low == high
-        assert float(high[1].split(",")[4]) == pytest.approx(3.52994555972e-9,
-                                                             rel=1e-11)
+            lambda so, se, path: path.read_text().splitlines()[2])
+        assert float(row.split(",")[4]) == pytest.approx(3.52994555972e-9,
+                                                         rel=1e-11)
 
     @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
     def test_plan(self, capsys, tmp_path, mode):
-        low, high = self.lines(
+        # the divergences agree with a 200-digit evaluation
+        t, w, div = {"guaranteed": (121393, 17, "1.95069038553e-21"),
+                     "opportunistic": (21, 5, "2.17764276980e-6")}[mode]
+        got = self.lines(
             capsys, tmp_path, ["plan", "-p", "golden", "-R", "1e-5", "--mode", mode],
             lambda so, se, path: ([s for s in so.splitlines()
                                    if s.startswith(("chosen", "verified"))],
                                   path.read_text().splitlines()[2].split(",")[5]))
-        assert low == high
+        assert got == ([f"chosen t = {t}, W = {w} bits, memory = {2 * w} bits",
+                        f"verified divergence: {div} nats/sym"], div)
 
     @pytest.mark.parametrize("probs, want", [
         ("golden", ["error bound (nats):        6.79835492176e-5",
@@ -279,22 +315,22 @@ class TestLowPrecisionReports:
     def test_approximate_bounds(self, capsys, tmp_path, probs, want):
         # at 6 digits the golden error bound read 6.79835357005e-5 and the
         # triple record bound 0.000300112180412
-        low, high = self.lines(
+        got = self.lines(
             capsys, tmp_path, ["approximate", "-p", probs, "-t", "1000"],
             lambda so, se, path: [s for s in so.splitlines() if "bound" in s])
-        assert low == high == want
+        assert got == want
 
     @pytest.mark.parametrize("mode, eta", [("guaranteed", "0.965380299767"),
                                            ("opportunistic", "0.283935382284")])
     def test_plan_raw_bound_and_eta(self, capsys, tmp_path, mode, eta):
         # at 6 digits the raw bound read 17.6096572876 and the opportunistic
         # eta 0.283935427666
-        low, high = self.lines(
+        got = self.lines(
             capsys, tmp_path, ["plan", "-p", "golden", "-R", "1e-5", "--mode", mode],
             lambda so, se, path: ([s for s in so.splitlines()
                                    if s.startswith(("guaranteed-", "eta"))],
                                   path.read_text().splitlines()[2].split(",")[6:]))
-        assert low == high == (
+        assert got == (
             ["guaranteed-sufficient width: 17 (raw bound 17.6096593594)",
              f"eta = W / log2(m/R) = {eta}"],
             ["17", "17.6096593594", eta])
