@@ -18,6 +18,15 @@ reference.  It can also certify its tables for every source within a given
 distance of its input, which lets a truncated stand-in for a source that
 overflows int64 give that source's exact tables (see :func:`minmax_scan`).
 
+The int64 kernel works symbol-major: its arrays are (m, rows), so each
+reduction over the symbols runs along axis 0, across whole rows of the
+array, instead of along a short last axis.  The largest remainders are
+picked without an argsort: key_i = rem_i*m + (m - 1 - i) is unique within
+a row and orders the remainders with ties to the lower index, and
+key < d*m < 2**62 under the int64 guard.  Up to _PAIRWISE_MAX_M = 8
+symbols a key's rank comes from comparing every pair of keys; above that
+from a sort of each row's keys, which is faster there.
+
 The exhaustive test oracle and the range coder have only the big-integer
 form.
 """
@@ -32,6 +41,8 @@ _MASK32 = 0xFFFFFFFF
 _TOP24 = 1 << 24
 
 _INT64_GUARD = 1 << 62
+_PAIRWISE_MAX_M = 8   # _round_ups counts pairs up to here, sorts above
+_BLOCK = 3 << 12       # entries per (m, rows) block of _minmax_scan_np
 
 
 def backend() -> str:
@@ -97,48 +108,94 @@ def minmax_freqs_exact(nums, d: int, t: int):
     return f, a
 
 
-def _minmax_scan_np(nums, d, t_lo, t_hi, want_f, slack=None):
-    """Vectorized largest-remainder over a t range.
+def _round_ups(key, k):
+    """Bool (m, rows) mask of the k[j] largest keys of each column j.
 
-    Rows where some t*p_i < 1 forces f_i = 1 are fixed in numpy: the k =
+    The keys of a column must be distinct.  Up to _PAIRWISE_MAX_M symbols
+    each key's rank is counted from one broadcast comparison of every pair;
+    above that each column is sorted and its keys compared with the
+    (m - k)-th smallest, which selects nothing for k <= 0.
+    """
+    m, rows = key.shape
+    if m <= _PAIRWISE_MAX_M:
+        return (key[:, None] > key[None]).sum(axis=0, dtype=np.int8) < k
+    ranked = np.empty((rows, m + 1), dtype=np.int64)   # row-major: a fast sort
+    ranked[:, :m] = key.T
+    ranked[:, :m].sort(axis=1)
+    ranked[:, m] = np.iinfo(np.int64).max   # above every key
+    return key >= ranked[np.arange(rows), np.minimum(m - k, m)]
+
+
+def _minmax_scan_np(nums, d, t_lo, t_hi, want_f, slack=None):
+    """Vectorized largest-remainder over a t range, symbol-major.
+
+    x = t*P_i, its floors n and remainders rem are (m, rows) arrays, so
+    every reduction over the symbols runs along axis 0.  Round-ups go to
+    the r = t - sum_i n_i largest remainders, ties to the lower index, by
+    one unique int64 key per entry, key_i = rem_i*m + (m - 1 - i) (see
+    :func:`_round_ups`).  Rows where some t*p_i < 1 forces f_i = 1 are fixed
+    the same way: the smalls take rem = -1, so key >= -m, and the k =
     r - #smalls round-ups left go to the largest remainders of the other
-    symbols, ties to the lower index.  Only shedding rows (k < 0) call the
-    exact reference, and only without `slack`; with it, see
-    :func:`minmax_scan`.
+    symbols.  Only shedding rows (k < 0) call the exact reference, and only
+    without `slack`; with it, see :func:`minmax_scan`.  F is returned as
+    (rows, m).
+
+    Premise: m <= t_lo, as in every scan, which starts at t = m.  Then
+    key < d*m <= d*t_hi, and the int64 guard (:func:`fits_int64`) keeps
+    that below 2**62; on a truncated chunk D*hi <= 2**62 - 1 by the choice
+    of D, so the key fits there too.
+
+    The rows are taken in blocks of _BLOCK // m, so that every (m, rows)
+    array stays under glibc's 128 KiB mmap threshold: a larger one is
+    mapped afresh and page-faulted on each call, which cost more than the
+    arithmetic from m = 4 on.
     """
     P = np.asarray(nums, dtype=np.int64)
     m = P.shape[0]
-    T = np.arange(t_lo, t_hi + 1, dtype=np.int64)
-    x = T[:, None] * P[None, :]
+    assert m <= t_lo, (m, t_lo)
+    step = max(_BLOCK // m, 1)
+    parts = [_minmax_block(nums, P, d, np.arange(lo, min(lo + step, t_hi + 1),
+                                                 dtype=np.int64), slack)
+             for lo in range(t_lo, t_hi + 1, step)]
+    a, f, sure = zip(*parts)
+    f = np.concatenate([b.T for b in f]) if want_f else None
+    if slack is None:
+        return np.concatenate(a), f
+    return None, f, np.concatenate(sure)
+
+
+def _minmax_block(nums, P, d, T, slack):
+    """One block of :func:`_minmax_scan_np`: (A or None, F as (m, rows),
+    sure or None)."""
+    m = P.shape[0]
+    tie = np.arange(m - 1, -1, -1, dtype=np.int64)[:, None]
+    x = P[:, None] * T[None, :]
     n = x // d
     rem = x - n * d
-    r = T - n.sum(axis=1)
-    ordr = np.argsort(-rem, axis=1, kind="stable")
-    rank = np.empty_like(ordr)
-    np.put_along_axis(rank, ordr, np.arange(m, dtype=np.int64)[None, :], axis=1)
-    f = n + (rank < r[:, None])
-    bad = np.flatnonzero((f < 1).any(axis=1))
+    r = T - n.sum(axis=0)
+    f = n + _round_ups(rem * m + tie, r)
+    bad = np.flatnonzero((f == 0).any(axis=0))
     shed = bad[:0]
     if bad.size:
-        small = n[bad] == 0
-        k = r[bad] - small.sum(axis=1)
-        key = np.where(small, -1, rem[bad])    # the smalls rank after every other
-        rank_b = np.argsort(np.argsort(-key, axis=1, kind="stable"), axis=1)
-        f[bad] = n[bad] + small + (rank_b < k[:, None])
+        n_b = n[:, bad]
+        small = n_b == 0
+        k = r[bad] - small.sum(axis=0)
+        key = np.where(small, -1, rem[:, bad]) * m + tie
+        f[:, bad] = n_b + small + _round_ups(key, k)
         shed = bad[k < 0]
         if slack is None:
             for row in shed.tolist():
-                f[row], _ = minmax_freqs_exact(nums, d, int(T[row]))
+                f[:, row], _ = minmax_freqs_exact(nums, d, int(T[row]))
     if slack is None:
-        a = np.abs(x - f * d).max(axis=1)
-        return (a, f) if want_f else (a, None)
+        return np.abs(x - f * d).max(axis=0), f, None
     g = slack
+    up = f > n
     # (3) the least rounded-up remainder among the bigs minus the largest
     # floored one; the sentinels pass a row where either side is empty
-    cut = (np.where((f > n) & (n > 0), rem, d + 2 * g).min(axis=1)
-           - np.where(f == n, rem, -2 * g - 1).max(axis=1))
-    # (1) g <= rem_i <= d - 1 - g, i.e. |2*rem_i - (d - 1)| <= d - 1 - 2g
-    sure = (np.abs(2 * rem - (d - 1)).max(axis=1) <= d - 1 - 2 * g) & (cut > 2 * g)
+    cut = (np.where(up & (n > 0), rem, d + 2 * g).min(axis=0)
+           - np.where(up, -2 * g - 1, rem).max(axis=0))
+    # (1) g <= rem_i <= d - 1 - g for every i
+    sure = (rem.min(axis=0) >= g) & (rem.max(axis=0) <= d - 1 - g) & (cut > 2 * g)
     sure[shed] = False      # (2): the other rows have k >= 0
     return None, f, sure
 

@@ -440,17 +440,38 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
         E = ((m + 20)*u + 10**(1 - dps)) * (ln m + ln t_cap + 2 + r),
     whose spare factor also covers the rounding of r and of r + E.  A p_i
     that underflows to 0 makes the estimate NaN, and NaN rows pass too.
+
+    E is about 5e-14 at t_cap = 2**24, so for a far smaller r nearly every
+    row would pass.  A second screen therefore drops a passing row whose
+    Pinsker bound D >= 2 * delta_star**2 (see _report_dps) exceeds
+    r + E_kl, E_kl = 10**(1 - dps) * (ln m + ln t_cap + 2 + r), the part of
+    E that covers kl_divergence's rounding; a row it accepts has D below
+    that.  The float of each |p_i - f_i/t| is within 3.01u of it (three
+    roundings of terms at most 1), so max_i of those floats minus 2**-49
+    bounds delta_star from below after its own rounding, and
+    2 * (1 - 2**-50) times its square, two more roundings, stays at most
+    2 * delta_star**2.  The float of r + E_kl, widened by a relative
+    2**-50, and at least 2**-1000 so that a product that rounds in the
+    subnormal range never exceeds it, is at least r + E_kl.
     Each passing row is decided by kl_divergence, the sum plan_precision
     verifies, in ascending t, so the first accepted t is the answer.
     """
     pf = np.array([float(x) for x in p.probs])
     c = float(np.dot(pf, np.log(pf)))
-    slack = (p.m + 20) * 2.0**-53 + 10.0 ** (1 - dps)
-    screen = float(r) + slack * (math.log(p.m) + math.log(t_cap) + 2 + float(r))
+    log_sum = math.log(p.m) + math.log(t_cap) + 2 + float(r)
+    screen = float(r) + ((p.m + 20) * 2.0**-53 + 10.0 ** (1 - dps)) * log_sum
+    pinsker = max((float(r) + 10.0 ** (1 - dps) * log_sum) * (1 + 2.0**-50),
+                  2.0**-1000)
     for lo, _, f_arr, *_ in _iter_chunks(p, t_cap, want_freqs=True):
         t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
-        d_float = c + np.log(t_f) - np.log(np.asarray(f_arr, dtype=np.float64)) @ pf
-        for j in np.flatnonzero(~(d_float > screen)):
+        f_f = np.asarray(f_arr, dtype=np.float64)
+        d_float = c + np.log(t_f) - np.log(f_f) @ pf
+        cand = np.flatnonzero(~(d_float > screen))
+        if cand.size:
+            dev = np.abs(f_f[cand] / t_f[cand, None] - pf).max(axis=1) - 2.0**-49
+            dev = np.maximum(dev, 0.0)
+            cand = cand[~(2 * (1 - 2.0**-50) * dev * dev > pinsker)]
+        for j in cand:
             table = FrequencyTable.from_freqs(p, f_arr[j])
             if kl_divergence(p, table, dps).nats <= r:
                 return table.t

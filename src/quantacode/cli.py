@@ -14,6 +14,8 @@ import argparse
 import sys
 import traceback
 
+import numpy as np
+
 from . import __version__
 from .approx import best_table_under_width, round_min_max, scan_rows
 from .bounds import (
@@ -23,7 +25,11 @@ from .bounds import (
     plan_precision,
 )
 from .coder import decode, decode_framed, encode, encode_framed, measure_rate
-from .errors import QuantacodeError, TargetUnachievableWithinScan
+from .errors import (
+    InvalidArgument,
+    QuantacodeError,
+    TargetUnachievableWithinScan,
+)
 from .precision import decimal_ratio, decimal_root
 from .prob_model import PRESETS, FrequencyTable, parse_probability_vector
 
@@ -48,12 +54,14 @@ def _csv_comment(seed: int | None = None) -> str:
     return f"# quantacode {__version__}" + ("" if seed is None else f" seed={seed}")
 
 
-def _write(path, text: str):
+def _write(path, data: str | bytes):
+    """Write text or bytes to `path`, or to stdout when it is None or "-"."""
+    binary = isinstance(data, bytes)
     if path in (None, "-"):
-        sys.stdout.write(text)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb" if binary else "w") as fh:
+            fh.write(data)
 
 
 def _load_table(path: str) -> FrequencyTable:
@@ -121,8 +129,7 @@ def cmd_encode(args) -> int:
     with open(args.input, "rb") as fh:
         payload = fh.read()
     blob = encode(payload, table) if args.raw else encode_framed(payload, table)
-    with open(args.out, "wb") as fh:
-        fh.write(blob)
+    _write(args.out, blob)
     print(f"{len(payload)} symbols -> {len(blob)} bytes", file=sys.stderr)
     return _EXIT_OK
 
@@ -137,8 +144,9 @@ def cmd_decode(args) -> int:
         syms = decode(blob, args.n, _load_table(args.table))
     else:
         syms, _ = decode_framed(blob)
-    with open(args.out, "wb") as fh:
-        fh.write(bytes(int(s) for s in syms))
+    if len(syms) and syms.max() > 255:
+        raise InvalidArgument(f"decoded symbol {syms.max()} is not a byte")
+    _write(args.out, syms.astype(np.uint8).tobytes())
     return _EXIT_OK
 
 

@@ -312,6 +312,19 @@ class TestPlanner:
         assert _first_qualifying_t(golden_pair(), to_mpf("1e-12"), 50,
                                    DEFAULT_DPS) is None
 
+    def test_unreachable_target_needs_no_kl_divergence(self, monkeypatch):
+        # the float screen passes every row whose estimate lies within its
+        # error bound (about 3e-14) of R = 1e-40, on golden 540 rows to
+        # 2**16; Pinsker's D >= 2 * delta_star**2 drops them all
+        import quantacode.bounds as B
+        calls = []
+        monkeypatch.setattr(B, "kl_divergence",
+                            lambda *a: calls.append(a) or kl_divergence(*a))
+        dps = _decision_dps(2, 1 << 16, to_mpf("1e-40"))
+        r = to_mpf("1e-40", dps)
+        assert _first_qualifying_t(golden_pair(), r, 1 << 16, dps) is None
+        assert not calls
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidArgument):
             plan_precision(golden_pair(), "1e-5", mode="fastest")

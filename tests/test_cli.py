@@ -1,12 +1,16 @@
+from fractions import Fraction
+
 import mpmath as mp
 import numpy as np
 import pytest
 
 from quantacode import (
     KAPPA_GENERIC,
+    ProbabilityVector,
     QuantacodeError,
     corollary1_width,
     corollary2_width,
+    encode,
     encode_framed,
     parse_probability_vector,
     plan_precision,
@@ -167,6 +171,32 @@ class TestCodecCommands:
                          "-o", str(unpacked))
         assert code == 0
         assert unpacked.read_bytes() == payload.tobytes()
+
+    def test_stdout_roundtrip(self, tmp_path, capsysbinary):
+        # without -o both commands write their bytes to stdout
+        table = tmp_path / "table.txt"
+        assert main(["approximate", "-p", "0.7,0.2,0.1", "-t", "10",
+                     "-o", str(table)]) == 0
+        rng = np.random.default_rng(3)
+        payload = rng.integers(0, 3, 5000).astype(np.uint8).tobytes()
+        inp = tmp_path / "in.bin"
+        inp.write_bytes(payload)
+        capsysbinary.readouterr()
+        assert main(["encode", "-i", str(inp), "--table", str(table)]) == 0
+        packed = tmp_path / "s.qc"
+        packed.write_bytes(capsysbinary.readouterr().out)
+        assert main(["decode", "-i", str(packed)]) == 0
+        assert capsysbinary.readouterr().out == payload
+
+    def test_decoded_symbol_above_a_byte_exit_code(self, tmp_path, capsys):
+        p = ProbabilityVector([Fraction(1, 300)] * 300)
+        table = round_min_max(p, 300)
+        (tmp_path / "t.txt").write_text(table.serialize_text())
+        (tmp_path / "s.qc").write_bytes(encode([299, 0], table))
+        code, _, err = run(capsys, "decode", "-i", str(tmp_path / "s.qc"),
+                           "--raw", "--table", str(tmp_path / "t.txt"),
+                           "-n", "2", "-o", str(tmp_path / "o.bin"))
+        assert code == 2 and "not a byte" in err
 
     def test_raw_roundtrip_needs_table_and_n(self, tmp_path, capsys):
         table = tmp_path / "table.txt"

@@ -4,8 +4,10 @@ must match plain enumeration, and the range coder must round-trip."""
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantacode import ProbabilityVector, round_min_max
@@ -19,17 +21,60 @@ def _probs(seed, m, digits=10**6):
     return ProbabilityVector(random_decimal_probs(rng, m))
 
 
+def _tied_source(rng, m, d=10**6):
+    """Numerators over d drawn as in random_decimal_probs; with m > 2 the
+    next max(1, (m - 1) // 3) entries repeat the first one, so their
+    remainders tie on every row, and m = 2 gives (d/2, d/2)."""
+    if m == 2:
+        return [d // 2, d // 2]
+    nums = [int(v * d) for v in random_decimal_probs(rng, m)]
+    for j in range(1, 1 + max(1, (m - 1) // 3)):
+        nums[-1] += nums[j] - nums[0]
+        nums[j] = nums[0]
+    if nums[-1] < 1:        # the last entry gave more than it had
+        nums = [d // m] * (m - 1) + [d - (m - 1) * (d // m)]
+    return nums
+
+
 class TestMinmaxScan:
-    @given(st.integers(2, 10), st.integers(0, 2**32))
-    @settings(max_examples=30)
-    def test_numpy_matches_exact(self, m, seed):
-        p = _probs(seed, m)
-        nums, d = p.numerators, p.common_denominator
+    @given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 16, 24, 64]),
+           st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=60)
+    def test_numpy_matches_exact(self, m, seed, tied):
+        # m on both sides of _PAIRWISE_MAX_M; the second pass splits the
+        # rows into blocks of 7, the last one partial
+        rng = np.random.default_rng(seed)
+        if tied:
+            nums, d = _tied_source(rng, m), 10**6
+        else:
+            p = _probs(seed, m)
+            nums, d = p.numerators, p.common_denominator
         a_np, f_np = K._minmax_scan_np(nums, d, m, m + 200, True)
         for off in range(201):
             f, a = K.minmax_freqs_exact(nums, d, m + off)
             assert int(a_np[off]) == a
             assert [int(v) for v in f_np[off]] == f
+        with mock.patch.object(K, "_BLOCK", 7 * m):
+            a_bl, f_bl = K._minmax_scan_np(nums, d, m, m + 200, True)
+        assert np.array_equal(a_bl, a_np) and np.array_equal(f_bl, f_np)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_round_ups_branches_agree(self, m):
+        # few distinct remainders, so most columns tie; k = 0, k = m - 1
+        # and random k, negative (a shedding row) included
+        rng = np.random.default_rng(m)
+        rem = rng.integers(-1, 4, (m, 300))
+        rem[:, :20] = 2
+        key = rem * m + np.arange(m - 1, -1, -1)[:, None]
+        for k in (np.zeros(300, np.int64), np.full(300, m - 1),
+                  rng.integers(-1, m, 300)):
+            pairwise = K._round_ups(key, k)
+            with mock.patch.object(K, "_PAIRWISE_MAX_M", 0):
+                by_sort = K._round_ups(key, k)
+            assert np.array_equal(pairwise, by_sort)
+            for j in range(300):   # the k largest remainders, ties to the lower i
+                top = sorted(range(m), key=lambda i: (-rem[i, j], i))[:max(k[j], 0)]
+                assert np.flatnonzero(pairwise[:, j]).tolist() == sorted(top)
 
     def test_big_denominator_routes_to_exact(self):
         from quantacode import golden_pair
