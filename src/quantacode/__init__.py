@@ -60,12 +60,13 @@ from .bounds import (  # noqa: F401
     Kappa,
     PrecisionPlan,
     build_bound_report,
+    chi_square_divergence,
     corollary1_width,
     corollary2_width,
-    divergence_upper_exact,
     kl_divergence,
     lemma1_bound,
     plan_precision,
+    second_order_width,
     theorem1_bound,
     theorem2_bound_binary,
     theorem2_bound_mary,

@@ -16,7 +16,10 @@ chain of closed-form bounds on it:
 * the induced width bounds: W < log2(m/R + 1/p_min) always suffices for a
   target redundancy R, and record denominators shrink that to roughly a
   m/(m+1) fraction (half, for binary sources) (``corollary1_width`` /
-  ``corollary2_width``).
+  ``corollary2_width``);
+* the second-order width: D <= chi2 <= delta_star**2 * sum_i
+  1/(p_i - delta_star) guarantees R at about half of corollary 1's width
+  for any source (``second_order_width``).
 
 ``plan_precision`` turns the bounds into a concrete (W, t, table) choice and
 verifies the achieved divergence exactly.  All bound values are returned in
@@ -48,12 +51,15 @@ from .errors import (
 )
 from .precision import DEFAULT_DPS, format_decimal, to_mpf
 from .prob_model import (
+    MAX_TOTAL,
     FrequencyTable,
     ProbabilityVector,
     error_profile,
     memory_cost,
     register_width,
 )
+
+_MAX_BITS = register_width(MAX_TOTAL)   # 24, the widest table the coder takes
 
 # ---- kappa ------------------------------------------------------------------
 
@@ -100,11 +106,12 @@ def kl_divergence(p: ProbabilityVector, table: FrequencyTable,
         return DivergencePair(nats, nats / mp.log(2))
 
 
-def divergence_upper_exact(p: ProbabilityVector, table: FrequencyTable) -> Fraction:
-    """Exact rational upper bound sum_i p_i * d_i / phat_i >= D(p || f/t).
+def chi_square_divergence(p: ProbabilityVector, table: FrequencyTable) -> Fraction:
+    """chi2(p || f/t) = sum_i (p_i - q_i)**2 / q_i with q_i = f_i/t, exactly.
 
-    Follows from -log(1-x) <= x/(1-x); used for fast exact soundness checks
-    where evaluating logarithms would be wasteful.
+    Computed as sum_i p_i * (p_i - q_i) / q_i, the same sum since
+    sum_i q_i = 1.  By Jensen, D(p || q) <= ln(1 + chi2) <= chi2, so it
+    bounds the divergence from above without evaluating a logarithm.
     """
     nums, d = p.numerators, p.common_denominator
     t, f = table.t, table.freqs
@@ -202,13 +209,13 @@ class WidthBound(NamedTuple):
 
 
 def _parse_target(target_r) -> mp.mpf:
-    """The target redundancy R as an mpf at DEFAULT_DPS digits.
+    """The target redundancy R as an mpf, parsed at DEFAULT_DPS digits.
 
-    Raises InvalidArgument when R is not a number, NonPositiveTarget unless
-    0 < R < inf.
+    An mpf is taken as it is, at its own precision.  Raises InvalidArgument
+    when R is not a number, NonPositiveTarget unless 0 < R < inf.
     """
     try:
-        r = to_mpf(target_r)
+        r = target_r if isinstance(target_r, mp.mpf) else to_mpf(target_r)
     except (TypeError, ValueError, ZeroDivisionError):
         raise InvalidArgument(
             f"target redundancy {target_r!r} is not a number") from None
@@ -256,6 +263,70 @@ def corollary2_width(m: int, target_r, p_min: Fraction,
             return (mp.mpf(m) / (m + 1)) * mp.log(m / r + 1 / pm) / log2 + 1
         k = kappa.value()
         return (mp.log(2 / r + 1 / pm) / log2 + mp.log(4 * k) / log2) / 2
+
+
+def second_order_width(p: ProbabilityVector, target_r) -> int:
+    """The smallest width W >= register_width(m) with 2**W * p_min > 1 and
+    2**(-2W) * sum_i 1/(p_i - 2**-W) <= R, the target in nats.
+
+    best_table_under_width(p, W) then has divergence at most R.  At
+    t = 2**W, round_min_max has delta_star < 2**-W once t * p_min >= 1 (see
+    its docstring), and the best table under that width can only have a
+    smaller delta_star.  Its q_i = f_i/t are at least p_i - delta_star > 0,
+    so D(p || q) <= ln(1 + chi2) <= chi2 <= delta_star**2 * sum_i
+    1/(p_i - delta_star) (see chi_square_divergence), which increases with
+    delta_star, so it is below the sum above.  Unlike corollary 1's first
+    order m * delta_star / (1 - delta_star/p_min), the bound is second
+    order in delta_star, which about halves the width.
+
+    Both conditions only get easier as W grows.  A float estimate seeds W,
+    and _second_order_holds moves it to the smallest W it holds at, so it
+    confirms the answer exactly at W and at W - 1.  An mpf target is taken
+    exactly, anything else is parsed as corollary1_width parses it.
+    """
+    r = _parse_target(target_r)
+    man, exp = r.man_exp                    # R = man * 2**exp, exactly
+    nums, d = p.numerators, p.common_denominator
+    # sum_i 1/(p_i - 2**-W) > sum_i 1/p_i = S, so 4**W > S/R: seed W there,
+    # with log2(S) summed as floats scaled by the largest 1/p_i
+    logs = [math.log2(d) - math.log2(v) for v in nums]
+    top = max(logs)
+    log_s = top + math.log2(math.fsum(2.0 ** (x - top) for x in logs))
+    lo = max(register_width(p.m), (d // min(nums)).bit_length())
+    w = max(lo, math.ceil((log_s - math.log2(man) - exp) / 2))
+    while w > lo and _second_order_holds(nums, d, w - 1, man, exp):
+        w -= 1
+    while not _second_order_holds(nums, d, w, man, exp):
+        w += 1
+    return w
+
+
+def _second_order_holds(nums, d: int, w: int, man: int, exp: int) -> bool:
+    """2**(-2w) * sum_i 1/(p_i - 2**-w) <= man * 2**exp, exactly, for
+    p_i = nums[i]/d with 2**w * p_min > 1.
+
+    With s = 2**w the test reads sum_i y_i <= R * s**2, where
+    y_i = 1/(p_i - 1/s) = d*s/(nums[i]*s - d) >= 1.  Fixed point with
+    k = 64 fraction bits brackets 2**k * sum_i y_i in [lo, lo + m) by m
+    integer divisions, whose quotients have about k + log2(1/p_i) bits
+    whatever w is.  The target 2**k * R * s**2 = man * 2**(exp + 2w + k)
+    decides the test unless it falls inside that bracket; then the sum is
+    taken in Fractions.
+    """
+    k = 64
+    s = 1 << w
+    lo = sum((d * s << k) // (v * s - d) for v in nums)
+    shift = exp + 2 * w + k
+    if shift >= 0:
+        target, lo_s, hi_s = man << shift, lo, lo + len(nums)
+    else:
+        target, lo_s, hi_s = man, lo << -shift, (lo + len(nums)) << -shift
+    if hi_s <= target:
+        return True
+    if lo_s > target:
+        return False
+    total = sum(Fraction(d * s, v * s - d) for v in nums)
+    return total <= Fraction(man) * Fraction(2) ** (exp + 2 * w)
 
 
 # ---- combined report ----------------------------------------------------------
@@ -369,6 +440,7 @@ class PrecisionPlan:
     verified_divergence: mp.mpf     # nats, recomputed on the final table
     corollary1_width: int
     raw_width_bound: mp.mpf
+    second_order_width: int
     memory_bits: int
     mode: str
 
@@ -403,6 +475,7 @@ class PrecisionPlan:
             f"{format_decimal(self.verified_divergence, 12)} nats/sym",
             f"guaranteed-sufficient width: {self.corollary1_width} "
             f"(raw bound {format_decimal(self.raw_width_bound, 12)})",
+            f"second-order width: {self.second_order_width}",
             "eta = W / log2(m/R) = "
             + ("n/a" if eta is None else format_decimal(eta, 12)),
         ])
@@ -520,11 +593,13 @@ def plan_precision(p: ProbabilityVector, target_r,
                    mode: str = "guaranteed") -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
 
-    guaranteed: take the always-sufficient width W from corollary1_width and
-    the delta_star-minimizing table within it.  Should that table miss the
-    target, fall back to the smallest t <= 2**W whose divergence meets it;
-    such a t exists exactly when the minimum divergence over t <= 2**W meets
-    the target.
+    guaranteed: take the always-sufficient width W, the smaller of
+    corollary1_width and second_order_width, and the delta_star-minimizing
+    table within it.  A W above the coder's 24 bits raises
+    TargetUnachievableWithinScan at once, before any scan.  Should that
+    table miss the target, fall back to the smallest t <= 2**W whose
+    divergence meets it; such a t exists exactly when the minimum divergence
+    over t <= 2**W meets the target.
     opportunistic: scan t upward and return the first denominator whose exact
     divergence meets the target; its width is typically near the record
     (corollary-2) bound for favorable sources.
@@ -542,16 +617,24 @@ def plan_precision(p: ProbabilityVector, target_r,
     r = _parse_target(target_r)
     w1, raw = corollary1_width(p.m, r, p.p_min)
     w_eff = max(w1, register_width(p.m))
-    cap_bits = w_eff if mode == "guaranteed" else min(w1 + 2, 24)
+    # the digits cover the widest scan either mode may make
+    cap_bits = min(w_eff if mode == "guaranteed" else w1 + 2, _MAX_BITS)
     dps = _decision_dps(p.m, 1 << cap_bits, r)
     r = to_mpf(target_r, dps)
+    w2 = second_order_width(p, r)
 
     def verify(table):
         return kl_divergence(p, table, max(dps, _report_dps(p, table))).nats
 
     verified = None
     if mode == "guaranteed":
-        table = best_table_under_width(p, w_eff)
+        cap_bits = min(w_eff, w2)
+        if cap_bits > _MAX_BITS:
+            raise TargetUnachievableWithinScan(
+                f"a guaranteed plan needs W = {cap_bits} bits, more than the "
+                f"coder's {_MAX_BITS}; try --mode opportunistic"
+            )
+        table = best_table_under_width(p, cap_bits)
         verified = verify(table)
     if verified is None or not verified <= r:
         t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
@@ -564,5 +647,5 @@ def plan_precision(p: ProbabilityVector, target_r,
         verified = verify(table)
 
     width = table.width_bits
-    return PrecisionPlan(r, width, table.t, table, verified, w1, raw,
+    return PrecisionPlan(r, width, table.t, table, verified, w1, raw, w2,
                          memory_cost(p.m, width), mode)

@@ -31,10 +31,9 @@ from .errors import (
     TableTooWide,
 )
 from .precision import DEFAULT_DPS
-from .prob_model import FrequencyTable, ProbabilityVector
+from .prob_model import MAX_TOTAL, FrequencyTable, ProbabilityVector
 from .bounds import _report_dps, kl_divergence
 
-MAX_TOTAL = 1 << 24
 FLUSH_OVERHEAD_BITS = 64  # leading byte + 5 flush bytes, rounded up
 
 FRAME_MAGIC = b"QC01"

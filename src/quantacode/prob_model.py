@@ -34,6 +34,7 @@ from .errors import (
 from .precision import SURROGATE_DIGITS, format_decimal
 
 PARSE_TOLERANCE = Fraction(1, 10**9)
+MAX_TOTAL = 1 << 24  # the largest table total t the range coder takes
 
 _ONE = Fraction(1)
 

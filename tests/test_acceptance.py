@@ -70,7 +70,7 @@ def test_criterion_1_error_bound_soundness():
             if prof.ratio >= 1:
                 continue
             checked += 1
-            exact_upper = qc.divergence_upper_exact(p, table)
+            exact_upper = qc.chi_square_divergence(p, table)
             exact_bound = lemma1_exact(m, prof.delta_star, p.p_min)
             assert exact_upper <= exact_bound, (p.probs, table.freqs)
             d = qc.kl_divergence(p, table).nats
@@ -135,7 +135,7 @@ def test_criterion_2_fixed_denominator_rounding():
                 # exact-rational spot checks on a stride
                 for t in map(int, tq[:: max(1, len(tq) // 25)]):
                     table = qc.round_min_max(p, t)
-                    assert (qc.divergence_upper_exact(p, table)
+                    assert (qc.chi_square_divergence(p, table)
                             <= theorem1_exact(m, t, p.p_min)), (m, t)
             soft_report[m] = (min(fracs), sum(fracs) / len(fracs))
         for m, (lo, mean) in sorted(soft_report.items()):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -16,10 +17,11 @@ from quantacode import (
     RatioNotLessThanOne,
     TargetUnachievableWithinScan,
     ZeroFrequency,
+    best_table_under_width,
     build_bound_report,
+    chi_square_divergence,
     corollary1_width,
     corollary2_width,
-    divergence_upper_exact,
     error_profile,
     golden_pair,
     golden_surrogate,
@@ -28,7 +30,9 @@ from quantacode import (
     lemma1_bound,
     parse_probability_vector,
     plan_precision,
+    register_width,
     round_min_max,
+    second_order_width,
     theorem1_bound,
     theorem2_bound_binary,
     theorem2_bound_mary,
@@ -43,6 +47,7 @@ from quantacode.bounds import (
     theorem1_exact,
 )
 from quantacode.precision import DEFAULT_DPS, to_mpf
+from quantacode.prob_model import MAX_TOTAL
 
 from conftest import random_decimal_probs
 
@@ -106,7 +111,7 @@ class TestLemma1:
         if prof.ratio >= 1:
             return
         d = kl_divergence(p, table).nats
-        upper = divergence_upper_exact(p, table)
+        upper = chi_square_divergence(p, table)
         exact = lemma1_exact(m, prof.delta_star, p.p_min)
         assert d <= upper + mp.mpf(10) ** -45
         assert upper <= exact
@@ -236,6 +241,90 @@ class TestWidthCorollaries:
     def test_corollary2_rejects_kappa_for_mary(self):
         with pytest.raises(InvalidArgument):
             corollary2_width(3, "1e-3", Fraction(1, 5), kappa=KAPPA_GENERIC)
+
+
+def exact_target(r):
+    """The exact rational of an mpf."""
+    man, exp = r.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def second_order_bound(p, x):
+    """x**2 * sum_i 1/(p_i - x), exactly, for 0 <= x < p_min."""
+    return x * x * sum(1 / (pi - x) for pi in p.probs)
+
+
+class TestSecondOrderWidth:
+    def test_chi_square_sound_and_second_order(self):
+        # kl_divergence <= chi2 <= delta_star**2 * sum_i 1/(p_i - delta_star)
+        # over 1,000 seeded (p, t) pairs, the tables perturbed off the
+        # optimum as in criterion 1
+        rng = np.random.default_rng(111)
+        checked = 0
+        while checked < 1000:
+            m = int(rng.integers(2, 9))
+            p = ProbabilityVector(random_decimal_probs(rng, m))
+            t = int(rng.integers(m, 500))
+            freqs = list(round_min_max(p, t).freqs)
+            for _ in range(int(rng.integers(0, 4))):
+                i, j = (int(v) for v in rng.integers(0, m, 2))
+                if freqs[i] > 1:
+                    freqs[i] -= 1
+                    freqs[j] += 1
+            table = table_for(p, freqs)
+            delta_star = error_profile(p, table).delta_star
+            if delta_star >= p.p_min:
+                continue
+            checked += 1
+            chi2 = chi_square_divergence(p, table)
+            qs = [Fraction(f, t) for f in freqs]
+            assert chi2 == sum((pi - q) ** 2 / q for pi, q in zip(p.probs, qs))
+            assert kl_divergence(p, table).nats <= to_mpf(chi2)
+            assert chi2 <= second_order_bound(p, delta_star)
+
+    def test_width_is_the_smallest_that_the_bound_guarantees(self):
+        # for 200 sources and R = 1e-3 ... 1e-9: the width matches the
+        # definition, found by a plain loop over W; it never exceeds
+        # corollary 1; and the min-max table at t = 2**W meets R in exact
+        # chi2 (D <= chi2), as the best table under W does where it is cheap
+        rng = np.random.default_rng(222)
+        for _ in range(200):
+            m = int(rng.integers(2, 9))
+            p = ProbabilityVector(random_decimal_probs(rng, m, min_p=0.01 / m))
+            for k in range(3, 10):
+                r = to_mpf(f"1e-{k}")
+                w = second_order_width(p, r)
+                want = register_width(p.m)
+                while not (Fraction(1, 2**want) < p.p_min and second_order_bound(
+                        p, Fraction(1, 2**want)) <= exact_target(r)):
+                    want += 1
+                assert w == want, (p.probs, k)
+                assert w <= corollary1_width(p.m, r, p.p_min).width
+                assert chi_square_divergence(p, round_min_max(p, 1 << w)) <= exact_target(r)
+                if w <= 12:
+                    best = best_table_under_width(p, w)
+                    assert chi_square_divergence(p, best) <= exact_target(r)
+
+    def test_exact_at_the_boundary(self):
+        # targets within 2**-1200 of the bound at W = 10, on either side,
+        # and a target equal to the bound at W = 2 (dyadic for p = (1/2, 1/2))
+        def mpf_of(num, den, up):
+            q = -((-num << 1200) // den) if up else (num << 1200) // den
+            with mp.workdps(400):
+                return mp.ldexp(q, -1200)
+
+        g = golden_pair()
+        edge = second_order_bound(g, Fraction(1, 1024))
+        assert second_order_width(g, mpf_of(edge.numerator, edge.denominator, True)) == 10
+        assert second_order_width(g, mpf_of(edge.numerator, edge.denominator, False)) == 11
+        half = parse_probability_vector(["1/2", "1/2"])
+        assert second_order_bound(half, Fraction(1, 4)) == Fraction(1, 2)
+        assert second_order_width(half, mp.mpf(0.5)) == 2
+        assert second_order_width(half, mpf_of(2**200 - 1, 2**201, False)) == 3
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(NonPositiveTarget):
+            second_order_width(golden_pair(), 0)
 
 
 class TestBoundReport:
@@ -414,6 +503,43 @@ class TestPlanner:
                                       "0.99999929289321882"])
         assert plan_precision(p, "1e-6", mode="opportunistic").t == 379060
         assert len(calls) < 1000
+
+    @pytest.mark.parametrize("k, width", [(5, 10), (7, 13), (9, 16)])
+    def test_guaranteed_golden_at_second_order_width(self, k, width):
+        # corollary 1 asks for 17, 24 and 30 bits
+        start = time.perf_counter()
+        plan = plan_precision(golden_pair(), f"1e-{k}", mode="guaranteed")
+        assert time.perf_counter() - start < 1
+        assert plan.width_bits == plan.second_order_width == width
+        assert f"second-order width: {width}" in plan.human_text()
+
+    def test_guaranteed_beyond_coder_raises_before_any_scan(self, monkeypatch):
+        import quantacode.bounds as B
+
+        def no_scan(*args):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(B, "best_table_under_width", no_scan)
+        monkeypatch.setattr(B, "_first_qualifying_t", no_scan)
+        start = time.perf_counter()
+        with pytest.raises(TargetUnachievableWithinScan,
+                           match="W = 26 bits.*--mode opportunistic"):
+            plan_precision(golden_pair(), "1e-15", mode="guaranteed")
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
+    @pytest.mark.parametrize("probs, target", [
+        ("golden", "1e-9"), ("golden", "1e-12"), ("golden", "1e-15"),
+        ("0.00000001,0.99999999", "1e-3"),
+    ])
+    def test_no_plan_wider_than_the_coder(self, mode, probs, target):
+        # guaranteed golden at 1e-9 used to return t = 701,408,733
+        p = golden_pair() if probs == "golden" else parse_probability_vector(probs)
+        try:
+            plan = plan_precision(p, target, mode=mode)
+        except TargetUnachievableWithinScan:
+            return
+        assert plan.t <= MAX_TOTAL
 
     def test_eta_below_one_for_golden_records(self):
         plan = plan_precision(golden_pair(), "1e-5", mode="opportunistic")

@@ -18,6 +18,7 @@ from quantacode import (
     sample_symbols,
     __version__,
 )
+from quantacode import cli
 from quantacode.cli import main
 
 
@@ -150,6 +151,12 @@ class TestPlan:
                                               kappa=KAPPA_GENERIC)):
             with pytest.raises(QuantacodeError, match="target redundancy"):
                 call()
+
+    def test_guaranteed_beyond_coder_exits_3(self, capsys):
+        # second order needs W = 26 > 24; the plan used to scan 2**50 rows
+        code, stdout, err = run(capsys, "plan", "-p", "golden", "-R", "1e-15")
+        assert code == 3 and not stdout
+        assert "W = 26 bits" in err and "--mode opportunistic" in err
 
 
 class TestCodecCommands:
@@ -294,6 +301,27 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestParserReuse:
+    def test_one_parser_leaks_nothing_between_calls(self, tmp_path, capsys):
+        out = str(tmp_path / "scan.csv")
+        sequence = [
+            ["plan", "-p", "golden", "-R", "1e-5", "--mode", "opportunistic"],
+            ["scan", "-p", "golden", "--t-max", "30", "--kappa", "golden", "-o", out],
+            ["plan", "-p", "golden", "-R", "1e-5"],
+            ["scan", "-p", "golden", "--t-max", "30", "-o", out],
+        ]
+        assert cli._parser() is cli._parser()
+        for argv in sequence:
+            assert (vars(cli._parser().parse_args(argv))
+                    == vars(cli.build_parser().parse_args(argv)))
+        got = [run(capsys, *argv) for argv in sequence]
+        assert [code for code, _, _ in got] == [0] * 4
+        assert "mode: opportunistic" in got[0][1] and "chosen t = 21," in got[0][1]
+        assert "hits (golden)" in got[1][2]
+        assert "mode: guaranteed" in got[2][1] and "chosen t = 987," in got[2][1]
+        assert "hits (generic)" in got[3][2]
+
+
 class TestLowPrecisionReports:
     """Reports evaluate the divergence at enough digits for the 12 they
     print (at 6 digits the divergence sum of golden at t = 1000 read
@@ -324,7 +352,7 @@ class TestLowPrecisionReports:
     @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
     def test_plan(self, capsys, tmp_path, mode):
         # the divergences agree with a 200-digit evaluation
-        t, w, div = {"guaranteed": (121393, 17, "1.95069038553e-21"),
+        t, w, div = {"guaranteed": (987, 10, "4.46369245767e-13"),
                      "opportunistic": (21, 5, "2.17764276980e-6")}[mode]
         got = self.lines(
             capsys, tmp_path, ["plan", "-p", "golden", "-R", "1e-5", "--mode", mode],
@@ -350,7 +378,7 @@ class TestLowPrecisionReports:
             lambda so, se, path: [s for s in so.splitlines() if "bound" in s])
         assert got == want
 
-    @pytest.mark.parametrize("mode, eta", [("guaranteed", "0.965380299767"),
+    @pytest.mark.parametrize("mode, eta", [("guaranteed", "0.567870764569"),
                                            ("opportunistic", "0.283935382284")])
     def test_plan_raw_bound_and_eta(self, capsys, tmp_path, mode, eta):
         # at 6 digits the raw bound read 17.6096572876 and the opportunistic
