@@ -11,7 +11,6 @@ the library derives every one from the inputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 import traceback
 
@@ -241,15 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call: parse_args leaves it unchanged,
-    and building it costs as much as a small plan."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TargetUnachievableWithinScan as exc:

@@ -18,7 +18,6 @@ from quantacode import (
     sample_symbols,
     __version__,
 )
-from quantacode import cli
 from quantacode.cli import main
 
 
@@ -301,8 +300,8 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
-class TestParserReuse:
-    def test_one_parser_leaks_nothing_between_calls(self, tmp_path, capsys):
+class TestSequentialCalls:
+    def test_calls_leak_nothing_between_them(self, tmp_path, capsys):
         out = str(tmp_path / "scan.csv")
         sequence = [
             ["plan", "-p", "golden", "-R", "1e-5", "--mode", "opportunistic"],
@@ -310,10 +309,6 @@ class TestParserReuse:
             ["plan", "-p", "golden", "-R", "1e-5"],
             ["scan", "-p", "golden", "--t-max", "30", "-o", out],
         ]
-        assert cli._parser() is cli._parser()
-        for argv in sequence:
-            assert (vars(cli._parser().parse_args(argv))
-                    == vars(cli.build_parser().parse_args(argv)))
         got = [run(capsys, *argv) for argv in sequence]
         assert [code for code, _, _ in got] == [0] * 4
         assert "mode: opportunistic" in got[0][1] and "chosen t = 21," in got[0][1]
