@@ -16,7 +16,15 @@ Three ways to approximate a source by f/t tables:
 All record and threshold decisions are exact: with p_i = P_i / d and
 A = max_i |t*P_i - f_i*d|, delta_star = A/(d*t), a record is decided by the
 cross-multiplication A*t' < A'*t, and e.g. t^(1+1/m)*delta_star < m/(m+1)
-by t * A**m * (m+1)**m < m**m * d**m, both in Python integers.
+by t * A**m * (m+1)**m < m**m * d**m, both in Python integers.  The hit
+test has an exact integer cap: it holds exactly when 0 <= A <= B(t), with
+B(t) = c // t, c = isqrt((kappa**2 numerator * d**2 - 1) // kappa**2
+denominator) for m = 2, and B(t) the floor m-th root of
+(m**m * d**m - 1) // (t * (m+1)**m) otherwise.  B is non-increasing in
+t, so a candidate with 0 < A <= B(t_last), t_last the last candidate of
+its chunk, is a hit with no test of its own: one B per chunk decides
+almost every row for large m, where almost every row is a hit.  Only the
+candidates above that cap take the A**m test.
 
 `record_scan` and `best_table_under_width` need only records and hits, so
 there a float64 prescreen *excludes* rows, and every remaining candidate is
@@ -108,7 +116,7 @@ from .errors import (
     InvalidArgument,
     WidthTooSmall,
 )
-from .precision import DEFAULT_DPS
+from .precision import DEFAULT_DPS, _iroot
 from .prob_model import FrequencyTable, ProbabilityVector
 
 _CHUNK = 4096
@@ -216,13 +224,6 @@ class ScanResult:
         return [r.t for r in self.records]
 
 
-def _quality_value(m: int, t: int, a: int, d: int):
-    if m == 2:
-        return Fraction(t * a, d)
-    with mp.workdps(DEFAULT_DPS):
-        return mp.mpf(t) ** (mp.mpf(1) / m) * mp.mpf(a) / d
-
-
 def _float_up(n: int, q: int) -> float:
     """The least float >= n/q, for n >= 0 and q > 0."""
     x = n / q
@@ -275,12 +276,28 @@ def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False):
         yield lo, None, f_chunk, den, eps
 
 
+def _iroot_floor(x: int, m: int) -> int:
+    """floor(x ** (1/m)) for x >= 0, by integer Newton from a float guess."""
+    if x == 0:
+        return 0
+    e = math.log2(x) / m
+    s = max(int(e) - 52, 0)     # keeps 2.0**(e - s) finite at any size of x
+    return _iroot(x, m, max(int(2.0 ** (e - s)), 1) << s)
+
+
 def _threshold_tests(m: int, d: int, kappa):
-    """Exact and float64 forms of "quality beats the fact constant".
+    """Exact, cap and float64 forms of "quality beats the fact constant".
 
     exact(t, a) decides t**2 * delta_star < kappa (m = 2; default generic
     2**-1.5) or t**(1+1/m) * delta_star < m/(m+1) by integer
     cross-multiplication, with the per-scan constants computed here, once.
+    cap(t) is the largest integer a that passes at t, so for a >= 0,
+    exact(t, a) holds exactly when a <= cap(t).  With kappa**2 = k_num/k_den
+    and integers on both sides, (t*a)**2 * k_den < k_num * d**2 holds
+    exactly when t*a <= c = isqrt((k_num * d**2 - 1) // k_den), i.e.
+    a <= c // t; and t * a**m * (m+1)**m < m**m * d**m exactly when
+    a**m <= (m**m * d**m - 1) // (t * (m+1)**m), i.e. a is at most the
+    floor m-th root of the right side.  Both caps are non-increasing in t.
     screen(t, x), on float64 arrays with x = t * delta (A/d on an exact
     chunk), is the same inequality widened by _SLACK: it is true wherever
     exact(t, a) is.
@@ -288,37 +305,64 @@ def _threshold_tests(m: int, d: int, kappa):
     if m == 2:
         kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
         k_den, rhs = kappa_square.denominator, kappa_square.numerator * d * d
+        c = math.isqrt((rhs - 1) // k_den)
         bound = float(kappa_square) * (1 + _SLACK)
         return (lambda t, a: (t * a) ** 2 * k_den < rhs,
+                lambda t: c // t,
                 lambda t, x: (t * x) ** 2 < bound)
     lhs_c, rhs = (m + 1) ** m, m**m * d**m
     bound = float(Fraction(m, m + 1) ** m) * (1 + _SLACK)
     return (lambda t, a: t * a**m * lhs_c < rhs,
+            lambda t: _iroot_floor((rhs - 1) // (t * lhs_c), m),
             lambda t, x: t * x**m < bound)
+
+
+def _hit_ts(lo: int, js, a, exact, cap) -> list:
+    """The t = lo + j of the candidate rows j (ascending int64 array) whose
+    true A, a[k] for js[k], passes `exact`; a is an int64 array, or a list
+    of Python ints, which a plain loop reads faster than numpy would.
+
+    cap is non-increasing in t, so a row with 0 < a <= cap(t_last), t_last
+    the last candidate's t, passes at its own t <= t_last without a test;
+    only the rows above that cap take the exact one.
+    """
+    if not len(js):
+        return []
+    c = cap(lo + int(js[-1]))
+    if isinstance(a, list):
+        return [lo + j for j, v in zip(js.tolist(), a)
+                if 0 < v and (v <= c or exact(lo + j, v))]
+    c = min(c, _INT64_TOP)     # the int64 comparison must not overflow
+    ok = (a > 0) & (a <= c)
+    for k in np.flatnonzero(a > c).tolist():
+        ok[k] = exact(lo + int(js[k]), int(a[k]))
+    return (js[ok] + lo).tolist()
 
 
 def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
           every_row: bool = False):
     """The record/threshold fold over _iter_chunks.
 
-    Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A) of its
+    Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A, f) of its
     record denominators and hit_ts its fact-constant hits (empty unless
-    `hits`), both in ascending t, with the true A of p.  The scan stops at
-    the first exact table (A = 0), the final record, and that chunk's A ends
-    there.  On ndarray chunks a float64 prescreen, widened by the chunk's
-    eps, excludes the rows that cannot be records or hits, and only the
-    remaining candidates are decided exactly (on truncated chunks after
+    `hits`), both in ascending t, with the true A of p; f is p's table at t
+    where the fold rebuilt it (truncated chunks), else None.  The scan stops
+    at the first exact table (A = 0), the final record, and that chunk's A
+    ends there.  On ndarray chunks a float64 prescreen, widened by the
+    chunk's eps, excludes the rows that cannot be records or hits, and only
+    the remaining candidates are decided exactly (on truncated chunks after
     minmax_freqs_exact rebuilds their true A); on big-integer chunks every
     row is a candidate.  With `every_row`, a truncated chunk's A is p's
     own, taken row by row from its certified tables, and every one of its
-    rows is a candidate too.
+    rows is a candidate too.  Hits are decided by _hit_ts.
     """
     m, nums, d = p.m, p.numerators, p.common_denominator
     if hits:
-        exact_hit, screen_hit = _threshold_tests(m, d, kappa)
+        exact_hit, hit_cap, screen_hit = _threshold_tests(m, d, kappa)
     best_a = best_t = None
     best_q = math.inf   # float64 >= the least delta_star so far
     for lo, a_chunk, f_chunk, den, eps in _iter_chunks(p, t_max, every_row):
+        tables = {}     # j: p's table at t = lo + j, where the fold rebuilt it
         if a_chunk is None:     # a truncated chunk with p's tables
             a_chunk = [max(abs(t * v - f * d) for v, f in zip(nums, row))
                        for t, row in enumerate(f_chunk.tolist(), lo)]
@@ -337,31 +381,53 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
                 with np.errstate(over="ignore", under="ignore"):
                     hit_j = np.flatnonzero(screen_hit(t_f, x))
             if eps:   # decide each candidate on the true p
-                true_a = {j: _kernels.minmax_freqs_exact(nums, d, lo + j)[1]
-                          for j in np.union1d(rec_j, hit_j).tolist()}
-                rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
-                hit_cand = [(j, true_a[j]) for j in hit_j.tolist()]
+                true = {j: _kernels.minmax_freqs_exact(nums, d, lo + j)
+                        for j in np.union1d(rec_j, hit_j).tolist()}
+                tables = {j: true[j][0] for j in rec_j.tolist()}
+                rec_cand = [(j, true[j][1]) for j in rec_j.tolist()]
+                hit_a = [true[j][1] for j in hit_j.tolist()]
             else:
                 rec_cand = zip(rec_j.tolist(), a_chunk[rec_j].tolist())
-                hit_cand = zip(hit_j.tolist(), a_chunk[hit_j].tolist())
+                hit_a = a_chunk[hit_j]
         else:
-            rec_cand, hit_cand = enumerate(a_chunk), enumerate(a_chunk)
+            rec_cand = enumerate(a_chunk)
+            hit_j, hit_a = np.arange(len(a_chunk)), a_chunk
         recs, end = [], len(a_chunk)
         for j, a in rec_cand:
             t = lo + j
             if best_a is None or a * best_t < best_a * t:
                 best_a, best_t = a, t
-                recs.append((t, a))
+                recs.append((t, a, tables.get(j)))
                 if a == 0:
                     end = j + 1
                     break
         if recs:
             best_q = _float_up(best_a, d * best_t)
-        hit_ts = ([lo + j for j, a in hit_cand if j < end and a and exact_hit(lo + j, a)]
-                  if hits else [])
+        hit_ts = []
+        if hits and hit_j.size:
+            k = int(np.searchsorted(hit_j, end))    # the rows before `end`
+            hit_ts = _hit_ts(lo, hit_j[:k], hit_a[:k], exact_hit, hit_cap)
         yield lo, a_chunk[:end], recs, hit_ts
         if best_a == 0:
             return
+
+
+def _record_tables(p: ProbabilityVector, ts: list) -> dict:
+    """{t: (f, A)} of p's min-max tables at the ascending t in ts.
+
+    The t at which the int64 kernel fits, a prefix of ts, are built by
+    _kernels._minmax_block in one call per _CHUNK of them (shedding rows
+    take the exact path there); the rest by minmax_freqs_exact.
+    """
+    nums, d = p.numerators, p.common_denominator
+    fit = [t for t in ts if _kernels.fits_int64(nums, d, t)]
+    out = {t: _kernels.minmax_freqs_exact(nums, d, t) for t in ts[len(fit):]}
+    P = np.asarray(nums, dtype=np.int64) if fit else None
+    for i in range(0, len(fit), _CHUNK):
+        T = np.asarray(fit[i:i + _CHUNK], dtype=np.int64)
+        a, f, _ = _kernels._minmax_block(nums, P, d, T, None)
+        out.update(zip(T.tolist(), zip(f.T.tolist(), a.tolist())))
+    return out
 
 
 def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
@@ -379,17 +445,21 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
     m, d = p.m, p.common_denominator
     label = (f"{m}/{m + 1}" if m > 2
              else kappa.label if kappa is not None else "generic")
-    records: list[RecordEntry] = []
-    hits: list[int] = []
+    found, hits = [], []
     for _, _, recs, hit_ts in _fold(p, t_max, kappa):
         hits.extend(hit_ts)
-        for t, a in recs:
-            f, a2 = _kernels.minmax_freqs_exact(p.numerators, d, t)
-            assert a2 == a
-            records.append(RecordEntry(
-                t, tuple(f), Fraction(a, d * t),
-                _quality_value(m, t, a, d) if a else Fraction(0),
-            ))
+        found.extend(recs)
+    tables = _record_tables(p, [t for t, _, f in found if f is None])
+    records: list[RecordEntry] = []
+    with mp.workdps(DEFAULT_DPS):
+        root = mp.mpf(1) / m
+        for t, a, f in found:
+            if f is None:
+                f, a2 = tables[t]
+                assert a2 == a
+            quality = (Fraction(0) if a == 0 else Fraction(t * a, d) if m == 2
+                       else mp.mpf(t) ** root * mp.mpf(a) / d)
+            records.append(RecordEntry(t, tuple(f), Fraction(a, d * t), quality))
     return ScanResult(records, hits, t_max, m, label)
 
 
@@ -404,7 +474,7 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
     for lo, a_chunk, recs, hit_ts in _fold(p, t_max, kappa, every_row=True):
-        rec_set, hit_set = {t for t, _ in recs}, set(hit_ts)
+        rec_set, hit_set = {t for t, *_ in recs}, set(hit_ts)
         for t, a in enumerate(a_chunk.tolist() if isinstance(a_chunk, np.ndarray)
                               else a_chunk, lo):
             yield t, a, t in rec_set, t in hit_set

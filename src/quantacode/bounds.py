@@ -551,6 +551,33 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     return None
 
 
+def _forced_rows_miss(p: ProbabilityVector, r: mp.mpf, cap_bits: int,
+                      dps: int) -> bool:
+    """True when p_min < 2**-cap_bits puts every t <= 2**cap_bits above r.
+
+    Such a row has q_i = f_i/t >= 1/t >= 2**-cap_bits.  Merging every symbol
+    but i into one can only lower the divergence (data processing), so
+    D(p || q) >= kl2(p_i || q_i), the binary divergence; kl2(p_i || x)
+    increases in x >= p_i, so every row has D >= K = kl2(p_min ||
+    2**-cap_bits).  K is the divergence of the pair (p_min, 1 - p_min)
+    from the table (1, 2**cap_bits - 1), and kl_divergence gives it as k
+    with |k - K| < eps*(c + K), eps = 10**(1 - dps) and
+    c = ln m + ln 2**cap_bits + 2 (see _first_qualifying_t), so
+    K > k*(1 - eps) - eps*c.  The same bound puts each row's kl_divergence
+    above D*(1 - eps) - eps*c >= k*(1 - 2*eps) - 2*eps*c.  The test asks
+    k*(1 - 3*eps) - 3*eps*c > r, whose spare eps covers its own rounding.
+    """
+    t = 1 << cap_bits
+    if p.p_min * t >= 1:
+        return False
+    pair = ProbabilityVector([p.p_min, 1 - p.p_min])
+    k = kl_divergence(pair, FrequencyTable.from_freqs(pair, (1, t - 1)), dps).nats
+    with mp.workdps(dps):
+        eps = mp.mpf(10) ** (1 - dps)
+        c = mp.log(p.m) + mp.log(t) + 2
+        return k * (1 - 3 * eps) - 3 * eps * c > r
+
+
 def _decision_dps(m: int, t_cap: int, r: mp.mpf) -> int:
     """Digits at which a plan is decided: DEFAULT_DPS, raised where needed
     so that kl_divergence's rounding bound
@@ -610,7 +637,9 @@ def plan_precision(p: ProbabilityVector, target_r,
     more.  Opportunistic mode gives up once t would exceed
     2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
     absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
-    width bound assumes.
+    width bound assumes, and it raises TargetUnachievableWithinScan before
+    any scan when _forced_rows_miss shows that no t up to that cap can
+    reach the target.
     """
     if mode not in ("guaranteed", "opportunistic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -637,7 +666,9 @@ def plan_precision(p: ProbabilityVector, target_r,
         table = best_table_under_width(p, cap_bits)
         verified = verify(table)
     if verified is None or not verified <= r:
-        t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
+        t = None
+        if mode == "guaranteed" or not _forced_rows_miss(p, r, cap_bits, dps):
+            t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
         if t is None:
             raise TargetUnachievableWithinScan(
                 f"no denominator up to 2**{cap_bits} reaches "

@@ -25,7 +25,7 @@ from quantacode import (
     silver_surrogate,
 )
 from quantacode import _kernels
-from quantacode.approx import _CHUNK, _iter_chunks
+from quantacode.approx import _CHUNK, _hit_ts, _iter_chunks, _threshold_tests
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 
 from conftest import random_decimal_probs
@@ -494,3 +494,107 @@ def test_screened_cases_exercise_their_rows():
     assert f_trunc != f_true
     rem = [T_NEAR * v % D_SECOND for v in p_trunc]
     assert all(g <= v < D_SECOND - g for v in rem) and not sure
+
+
+# ---- exact hit caps and batched record tables --------------------------------
+
+@pytest.mark.parametrize("kappa", [KAPPA_GENERIC, KAPPA_GOLDEN], ids=["generic", "golden"])
+@pytest.mark.parametrize("m", [2, 3, 6, 24, 64])
+def test_hit_cap_is_the_largest_passing_a(m, kappa):
+    rng = np.random.default_rng(m)
+    for d in (10**6, 10**20):
+        exact, cap, _ = _threshold_tests(m, d, kappa)
+        ts = sorted(rng.integers(m, 10**7, size=300).tolist() + [m, d**m])
+        caps = [cap(t) for t in ts]
+        assert caps == sorted(caps, reverse=True)    # non-increasing in t
+        for t, c in zip(ts, caps):
+            assert exact(t, c) and not exact(t, c + 1), (t, c)
+        assert 0 in caps and caps[0] > 0
+    if m > 2:
+        # at d = 2*(m+1)*k, t = 2**m and a = m*k the quality is m/(m+1)
+        # exactly, which is no hit
+        k = 1000
+        exact, cap, _ = _threshold_tests(m, 2 * (m + 1) * k, kappa)
+        assert not exact(2**m, m * k) and cap(2**m) == m * k - 1
+
+
+
+@pytest.mark.parametrize("m", [2, 3, 24])
+@pytest.mark.parametrize("d", [10**6, 10**20])
+def test_hit_rows_agree_with_the_exact_test(m, d):
+    # A around each row's own cap and around the last row's, so that rows
+    # fall below the chunk's cap, between it and their own, and above both
+    rng = np.random.default_rng(61 + m)
+    exact, cap, _ = _threshold_tests(m, d, None)
+    lo = 100
+    js = np.sort(rng.choice(_CHUNK, size=200, replace=False))
+    last = cap(lo + int(js[-1]))
+    a = [max(int(rng.choice([cap(lo + j), last])) + int(rng.integers(-2, 3)), 0)
+         for j in js.tolist()]
+    a[-1] = last + 1    # just above the chunk's cap: no hit
+    want = [lo + j for j, v in zip(js.tolist(), a) if v > 0 and exact(lo + j, v)]
+    assert 0 < len(want) < len(a) - 1
+    assert _hit_ts(lo, js, a, exact, cap) == want
+    if max(a) < 2**62:
+        assert _hit_ts(lo, js, np.array(a, dtype=np.int64), exact, cap) == want
+
+def _hit_sources():
+    rng = np.random.default_rng(53)
+    for digits in (6, 20):
+        for m in (*range(2, 10), 16, 24, 64):
+            probs = (random_decimal_probs(rng, m) if digits == 6
+                     else _digit_probs(rng, m, digits))
+            yield pytest.param(ProbabilityVector(probs), id=f"m{m}-{digits}digit")
+
+
+@pytest.mark.parametrize("p", _hit_sources())
+def test_hits_match_a_plain_per_row_loop(p):
+    # 6-digit sources fit int64 on every chunk, 20-digit ones are truncated
+    t_max = _CHUNK + 64
+    fits = _kernels.fits_int64(p.numerators, p.common_denominator, t_max)
+    assert fits == (p.common_denominator <= 10**6)
+    rows = exact_fold(p, t_max)
+    res = record_scan(p, t_max)
+    assert res.fact_hits == [t for t, _, beat in rows if beat]
+    assert res.record_ts == [t for t, rec, _ in rows if rec]
+    hits = [t for t, _, _, beat in scan_rows(p, t_max) if beat]
+    assert hits == res.fact_hits
+
+
+def _row_kind(p, t):
+    """'shed', 'forced' or 'plain': how min-max rounding treats row t."""
+    nums, d = p.numerators, p.common_denominator
+    n = [t * v // d for v in nums]
+    smalls = n.count(0)
+    return "shed" if smalls > t - sum(n) else "forced" if smalls else "plain"
+
+
+def _table_sources():
+    rng = np.random.default_rng(59)
+    # p_min = 1e-4 < 1/m**2: rows up to t = 10**4 force the smalls; the
+    # early records alternate between forced rows and rows that shed, and
+    # the 20-digit twin overflows int64, so its records come from
+    # truncated chunks
+    tiny = ([Fraction(1, 10**4)] * 3
+            + [Fraction(v, 10**4) for v in (1013, 2511, 2029, 2477, 1967)])
+    nudge = [0] * 6 + [Fraction(1, 10**20), -Fraction(1, 10**20)]
+    out = [pytest.param(ProbabilityVector(tiny), id="forced-6digit"),
+           pytest.param(ProbabilityVector([x + e for x, e in zip(tiny, nudge)]),
+                        id="forced-20digit")]
+    # m = 70 > 64 takes the big-integer path
+    out += [pytest.param(ProbabilityVector(random_decimal_probs(rng, m)), id=f"m{m}")
+            for m in (3, 24, 64, 70)]
+    return out
+
+
+@pytest.mark.parametrize("p", _table_sources())
+def test_record_tables_match_the_exact_reference(p):
+    nums, d = p.numerators, p.common_denominator
+    res = record_scan(p, 3000)
+    for r in res.records:
+        f, a = _kernels.minmax_freqs_exact(nums, d, r.t)
+        assert r.freqs == tuple(f), r.t
+        assert r.delta_star == Fraction(a, d * r.t)
+    if min(p.probs) < Fraction(1, p.m**2):
+        kinds = {_row_kind(p, r.t) for r in res.records}
+        assert {"shed", "forced"} <= kinds

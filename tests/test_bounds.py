@@ -43,6 +43,7 @@ from quantacode.bounds import (
     WidthBound,
     _decision_dps,
     _first_qualifying_t,
+    _forced_rows_miss,
     lemma1_exact,
     theorem1_exact,
 )
@@ -526,6 +527,37 @@ class TestPlanner:
                            match="W = 26 bits.*--mode opportunistic"):
             plan_precision(golden_pair(), "1e-15", mode="guaranteed")
         assert time.perf_counter() - start < 5
+
+    def test_forced_rows_refuse_only_unreachable_targets(self, monkeypatch):
+        # with the coder capped at 2**12, p_min = 1e-4 < 2**-12 forces the
+        # small symbol on every row; t = 4096's table (1, 4095) attains the
+        # bound K = kl2(p_min || 2**-12) exactly
+        import quantacode.bounds as B
+        monkeypatch.setattr(B, "_MAX_BITS", 12)
+        p = parse_probability_vector("0.0001,0.9999")
+        k = kl_divergence(p, FrequencyTable.from_freqs(p, (1, 4095))).nats
+        reach = k * (1 + mp.mpf("1e-9"))
+        dps = _decision_dps(2, 1 << 12, reach)
+        plan = plan_precision(p, reach, mode="opportunistic")
+        assert plan.t == _first_qualifying_t(p, reach, 1 << 12, dps) == 4096
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(B, "_iter_chunks", no_scan)
+        with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*12"):
+            plan_precision(p, k * (1 - mp.mpf("1e-9")), mode="opportunistic")
+
+    def test_forced_rows_bound_sits_at_the_last_row(self):
+        # 1e-8 < 2**-24: the bound is t = 2**24's divergence, 3.18e-8, so
+        # 3.2e-8 stays reachable and 3.1e-8 is refused
+        p = parse_probability_vector("0.00000001,0.99999999")
+        table = round_min_max(p, 1 << 24)
+        assert table.freqs == (1, (1 << 24) - 1)
+        assert kl_divergence(p, table).nats < mp.mpf("3.2e-8")
+        for target, miss in (("3.2e-8", False), ("3.1e-8", True), ("1e-9", True)):
+            dps = _decision_dps(2, 1 << 24, to_mpf(target))
+            assert _forced_rows_miss(p, to_mpf(target, dps), 24, dps) == miss
 
     @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
     @pytest.mark.parametrize("probs, target", [

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -157,6 +158,22 @@ class TestPlan:
         assert code == 3 and not stdout
         assert "W = 26 bits" in err and "--mode opportunistic" in err
 
+
+    def test_forced_rows_target_exits_3_before_any_scan(self, capsys, monkeypatch):
+        # every t <= 2**24 forces f = 1 on p_min = 1e-8, so D >= 3.18e-8 > R;
+        # the plan used to scan all 2**24 rows (5.9 s) before exiting 3
+        import quantacode.bounds as B
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(B, "_iter_chunks", no_scan)
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "plan", "-p", "0.00000001,0.99999999",
+                                "-R", "1e-9", "--mode", "opportunistic")
+        assert time.perf_counter() - start < 0.5
+        assert code == 3 and not stdout
+        assert "2**24" in err
 
 class TestCodecCommands:
     def test_file_roundtrip(self, tmp_path, capsys):
