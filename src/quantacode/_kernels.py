@@ -1,22 +1,24 @@
 """Hot numeric kernels: one int64 fast path and one exact reference.
 
-Each hot loop has two implementations:
+The min-max apportionment has two implementations:
 
-* a vectorized numpy kernel on int64, only eligible when every
-  intermediate provably fits (see :func:`fits_int64`);
-* a pure-Python big-integer reference, which is the semantic ground truth
-  and runs whenever int64 could overflow, so results are identical
-  everywhere.
+* :func:`minmax_scan`, a vectorized numpy kernel on int64 over a range of
+  t, for any alphabet size, where every intermediate provably fits (see
+  :func:`fits_int64`);
+* :func:`minmax_freqs_exact`, a pure-Python big-integer reference for one
+  t and the semantic ground truth: it builds single tables, repairs the
+  kernel's shedding rows, confirms scan candidates and is the test oracle,
+  but never scans a range.
 
-All paths implement the same min-max apportionment: floor t*p_i, round up
-the largest remainders, force f_i = 1 where t*p_i < 1, and when the forced
-ones exceed the available round-ups, shed units from floored symbols by
-waterfilling the resulting errors.  The output minimizes
-max_i |t*p_i - f_i| subject to sum f_i = t, f_i >= 1.  The int64 kernel
-handles forced rows in numpy too; only shedding rows call the exact
-reference.  It can also certify its tables for every source within a given
-distance of its input, which lets a truncated stand-in for a source that
-overflows int64 give that source's exact tables (see :func:`minmax_scan`).
+Both implement the same construction: floor t*p_i, round up the largest
+remainders, force f_i = 1 where t*p_i < 1, and when the forced ones exceed
+the available round-ups, shed units from floored symbols by waterfilling
+the resulting errors.  The output minimizes max_i |t*p_i - f_i| subject to
+sum f_i = t, f_i >= 1.  The int64 kernel handles forced rows in numpy too;
+only shedding rows call the exact reference.  It can also certify its
+tables for every source within a given distance of its input, which lets
+a truncated stand-in for a source that overflows int64 give that source's
+exact tables (see :func:`minmax_scan`).
 
 The int64 kernel works symbol-major: its arrays are (m, rows), so each
 reduction over the symbols runs along axis 0, across whole rows of the
@@ -37,12 +39,14 @@ import heapq
 
 import numpy as np
 
+from .errors import InvalidArgument
+
 _MASK32 = 0xFFFFFFFF
 _TOP24 = 1 << 24
 
 _INT64_GUARD = 1 << 62
 _PAIRWISE_MAX_M = 8   # _round_ups counts pairs up to here, sorts above
-_BLOCK = 3 << 12       # entries per (m, rows) block of _minmax_scan_np
+_BLOCK = 3 << 12       # entries per (m, rows) block of minmax_scan
 
 
 def backend() -> str:
@@ -52,8 +56,6 @@ def backend() -> str:
 
 def fits_int64(nums, d: int, t_hi: int) -> bool:
     """True when the int64 kernels are safe for numerators `nums`, denom d, t <= t_hi."""
-    if len(nums) > 64:
-        return False
     return t_hi * d < _INT64_GUARD and max(nums) * t_hi < _INT64_GUARD
 
 
@@ -126,8 +128,13 @@ def _round_ups(key, k):
     return key >= ranked[np.arange(rows), np.minimum(m - k, m)]
 
 
-def _minmax_scan_np(nums, d, t_lo, t_hi, want_f, slack=None):
-    """Vectorized largest-remainder over a t range, symbol-major.
+def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
+                slack: int | None = None):
+    """delta_star numerators A_t (and optionally freqs) for every t in [t_lo, t_hi].
+
+    Returns (A, F) as int64 arrays, F as (rows, m).  Raises InvalidArgument
+    where :func:`fits_int64` fails; `approx` scans such a source on a
+    truncated stand-in.
 
     x = t*P_i, its floors n and remainders rem are (m, rows) arrays, so
     every reduction over the symbols runs along axis 0.  Round-ups go to
@@ -137,19 +144,33 @@ def _minmax_scan_np(nums, d, t_lo, t_hi, want_f, slack=None):
     the same way: the smalls take rem = -1, so key >= -m, and the k =
     r - #smalls round-ups left go to the largest remainders of the other
     symbols.  Only shedding rows (k < 0) call the exact reference, and only
-    without `slack`; with it, see :func:`minmax_scan`.  F is returned as
-    (rows, m).
+    without `slack`.
+
+    `slack` = g with 0 <= g <= d returns (None, F, sure) instead: the
+    tables without A, and a bool array.  sure[j] certifies that row
+    t = t_lo + j's table is, tie-breaks included, the min-max table at t of
+    every source q whose scaled values t*q_i*d lie within g of t*nums_i.
+    With rem_i = t*nums_i mod d, the smalls the i with t*nums_i < d and the
+    bigs the others, a row is sure when
+    (1) g <= rem_i < d - g for every i (q has the same floors and smalls),
+    (2) it does not shed, and
+    (3) every rounded-up big's remainder exceeds every floored big's by
+        more than 2g (q rounds up the same bigs, whatever the tie-breaks);
+    the `approx` module docstring gives the argument.  A row that is not
+    sure is meant to be rebuilt from the true source, so a shedding row is
+    left unrepaired there and its F is void.
 
     Premise: m <= t_lo, as in every scan, which starts at t = m.  Then
-    key < d*m <= d*t_hi, and the int64 guard (:func:`fits_int64`) keeps
-    that below 2**62; on a truncated chunk D*hi <= 2**62 - 1 by the choice
-    of D, so the key fits there too.
+    key < d*m <= d*t_hi < 2**62 under the int64 guard, whatever m is.
 
     The rows are taken in blocks of _BLOCK // m, so that every (m, rows)
     array stays under glibc's 128 KiB mmap threshold: a larger one is
     mapped afresh and page-faulted on each call, which cost more than the
     arithmetic from m = 4 on.
     """
+    nums = [int(v) for v in nums]
+    if not fits_int64(nums, d, t_hi):
+        raise InvalidArgument(f"int64 scan overflows at d = {d}, t = {t_hi}")
     P = np.asarray(nums, dtype=np.int64)
     m = P.shape[0]
     assert m <= t_lo, (m, t_lo)
@@ -158,14 +179,14 @@ def _minmax_scan_np(nums, d, t_lo, t_hi, want_f, slack=None):
                                                  dtype=np.int64), slack)
              for lo in range(t_lo, t_hi + 1, step)]
     a, f, sure = zip(*parts)
-    f = np.concatenate([b.T for b in f]) if want_f else None
+    f = np.concatenate([b.T for b in f]) if want_freqs else None
     if slack is None:
         return np.concatenate(a), f
     return None, f, np.concatenate(sure)
 
 
 def _minmax_block(nums, P, d, T, slack):
-    """One block of :func:`_minmax_scan_np`: (A or None, F as (m, rows),
+    """One block of :func:`minmax_scan`: (A or None, F as (m, rows),
     sure or None)."""
     m = P.shape[0]
     tie = np.arange(m - 1, -1, -1, dtype=np.int64)[:, None]
@@ -198,40 +219,6 @@ def _minmax_block(nums, P, d, T, slack):
     sure = (rem.min(axis=0) >= g) & (rem.max(axis=0) <= d - 1 - g) & (cut > 2 * g)
     sure[shed] = False      # (2): the other rows have k >= 0
     return None, f, sure
-
-
-def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
-                slack: int | None = None):
-    """delta_star numerators A_t (and optionally freqs) for every t in [t_lo, t_hi].
-
-    Returns (A, F): int64 arrays on the fast path.  Falls back to exact
-    big-integer lists when int64 could overflow; A entries are then Python ints
-    and F a list of tuples.
-
-    `slack` = g with 0 <= g <= d (fast path only) returns (None, F, sure)
-    instead: the tables without A, and a bool array.  sure[j] certifies
-    that row t = t_lo + j's table is, tie-breaks included, the min-max
-    table at t of every source q whose scaled values t*q_i*d lie within g
-    of t*nums_i.  With rem_i = t*nums_i mod d, the smalls the i with
-    t*nums_i < d and the bigs the others, a row is sure when
-    (1) g <= rem_i < d - g for every i (q has the same floors and smalls),
-    (2) it does not shed, and
-    (3) every rounded-up big's remainder exceeds every floored big's by
-        more than 2g (q rounds up the same bigs, whatever the tie-breaks);
-    the `approx` module docstring gives the argument.  A row that is not
-    sure is meant to be rebuilt from the true source, so a shedding row is
-    left unrepaired there and its F is void.
-    """
-    nums = [int(v) for v in nums]
-    if fits_int64(nums, d, t_hi):
-        return _minmax_scan_np(nums, d, t_lo, t_hi, want_freqs, slack)
-    a_list, f_list = [], []
-    for t in range(t_lo, t_hi + 1):
-        f, a = minmax_freqs_exact(nums, d, t)
-        a_list.append(a)
-        if want_freqs:
-            f_list.append(tuple(f))
-    return a_list, (f_list if want_freqs else None)
 
 
 # =============================================================================

@@ -33,7 +33,7 @@ rests on a float or on a truncated source.  The screen reads
 delta~ = A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
 
 * a chunk that fits int64 is scanned on p itself: D = d, eps = 0;
-* a chunk [lo, hi] of a source that overflows int64 (m <= 64) is scanned on
+* a chunk [lo, hi] of a source that overflows int64 is scanned on
   p~ = P~/D, with D = (2**62 - 1) // hi and P~ the min-max table of p at
   t = D (largest-remainder rounding, so sum P~ = D and every intermediate
   fits int64).  eps = max_i |p_i - P~_i/D| < 1/D, about hi * 2**-62, is
@@ -46,28 +46,27 @@ A row t is a record candidate when delta~_t - eps lies below both the
 confirmed best delta_star (rounded up) and delta~_s + eps for every earlier
 row s of its chunk, and a fact-constant candidate when the quality at
 max(delta~_t - eps, 0) passes the bound: (t**2 * delta)**2 < kappa**2
-(m = 2) or t * (t*delta)**m < (m/(m+1))**m, each bound widened by a
-relative 1e-9.  A true record has delta~_t - eps <= delta_star_t <
-delta_star_s <= delta~_s + eps, and a true hit passes at delta_star_t >=
-delta~_t - eps since the quality grows with delta; so the absolute eps
-keeps both candidates in exact arithmetic, and the relative slack covers
-the float64 rounding.  Each float quantity carries a relative error of a
-few units of 2**-53 per operation: about 4 for delta~ (A~, D and two
-divisions) and for the running-minimum side, and about 4m + 8 for
-t * (t*delta)**m, since the m-th power multiplies the error of its base by
-m; m <= 64, so under 4e-14 in all, far below 1e-9.  The differences
-delta~ - eps and t*delta~ - t*eps can cancel: where eps exceeds a third of
-delta~, the 2**-49 widening of eps outweighs the float error of delta~,
-and elsewhere the difference keeps a relative error of a few units.  A~/D >=
-2**-62 never underflows; only the m-th power can, far below the bound, and
-then the row stays a candidate.  An exact table (delta_star = 0) has
-delta~ <= eps, so it is always a record candidate, and once confirmed it
-ends the scan.
+(m = 2) or t * (t*delta)**m < (m/(m+1))**m.  The record and binary bounds
+are widened by a relative 1e-9, the m-ary one by m * 1e-9.  A true record
+has delta~_t - eps <= delta_star_t < delta_star_s <= delta~_s + eps, and a
+true hit passes at delta_star_t >= delta~_t - eps since the quality grows
+with delta; so the absolute eps keeps both candidates in exact arithmetic,
+and the relative slack covers the float64 rounding.  Each float quantity
+carries a relative error of a few units of 2**-53 per operation: about 4
+for delta~ (A~, D and two divisions) and for the running-minimum side,
+under 5e-16, and about 4m + 8 for t * (t*delta)**m, since the m-th power
+multiplies the error of its base by m: under 2e-15 * m, far below m * 1e-9
+for every m.  The differences delta~ - eps and t*delta~ - t*eps can
+cancel: where eps exceeds a third of delta~, the 2**-49 widening of eps
+outweighs the float error of delta~, and elsewhere the difference keeps a
+relative error of a few units.  A~/D >= 2**-62 never underflows; only the
+m-th power can, far below the bound, and then the row stays a candidate.
+An exact table (delta_star = 0) has delta~ <= eps, so it is always a
+record candidate, and once confirmed it ends the scan.
 
 The screen pays while eps is far below the records' delta_star, i.e. while
-t**3 is far below 2**62 (t up to about 10**6 for binary sources).  Beyond
-that more rows become candidates, up to every row, which costs the
-big-integer path plus the int64 kernel, a few percent more.
+t**3 is far below 2**62 (t up to about 10**6 for binary sources); beyond
+that more rows, up to every row, are candidates for minmax_freqs_exact.
 
 `scan_rows` prints every row's exact A, and the planner's divergence
 search needs every row's exact table of p.  So their truncated chunks also
@@ -96,8 +95,8 @@ rem and table it already has.  A row that fails one is rebuilt by
 minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62, so such rows are
 rare while hi**2 is far below 2**62.  `scan_rows` then takes each row's
 exact A = max_i |t*P_i - F_i*d| from its table in Python integers, and
-decides every row exactly.  Only sources with m > 64 that overflow int64
-take the big-integer path, where every row is a candidate.
+decides every row exactly.  So the int64 kernel scans every chunk, for
+any m; minmax_freqs_exact only builds tables and confirms candidates.
 """
 
 from __future__ import annotations
@@ -116,7 +115,7 @@ from .errors import (
     InvalidArgument,
     WidthTooSmall,
 )
-from .precision import DEFAULT_DPS, _iroot
+from .precision import DEFAULT_DPS, _iroot_floor
 from .prob_model import FrequencyTable, ProbabilityVector
 
 _CHUNK = 4096
@@ -156,17 +155,6 @@ def exhaustive_best(p: ProbabilityVector, t: int) -> FrequencyTable:
 
 # ---- continued fractions ----------------------------------------------------
 
-def continued_fraction_terms(x: Fraction, max_terms: int = 10_000):
-    """Continued-fraction coefficients of a rational x (terminating)."""
-    num, den = x.numerator, x.denominator
-    terms = []
-    while den and len(terms) < max_terms:
-        a, rem = divmod(num, den)
-        terms.append(a)
-        num, den = den, rem
-    return terms
-
-
 def cf_convergents(x: Fraction, max_q: int):
     """Convergents (a, q) of x in (0, 1) with q <= max_q, denominators increasing.
 
@@ -180,8 +168,10 @@ def cf_convergents(x: Fraction, max_q: int):
         raise InvalidArgument(f"max_q must be >= 1, got {max_q}")
     h_prev, h = 0, 1  # numerators h_-2, h_-1
     k_prev, k = 1, 0  # denominators k_-2, k_-1
+    num, den = x.numerator, x.denominator
     out = []
-    for a in continued_fraction_terms(x):
+    while den:   # Euclid's algorithm gives the terms a of x = [a0; a1, ...]
+        a, (num, den) = num // den, (den, num % den)
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
         if k > max_q:
@@ -236,29 +226,22 @@ def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False):
 
     A[j] belongs to t = lo + j, and delta_star(p, t) lies within eps of
     A[j]/(D*t).  F holds p's frequency rows when `want_freqs`, else None.
-    Three kinds of chunk:
+    Two kinds of chunk, for any m, both scanned by the int64 kernel:
 
     * fits int64: A is an int64 ndarray on p itself, D = d, eps = 0.0;
-    * overflows int64 with m > 64: A is a list of Python ints from the
-      big-integer path, D = d, eps = 0.0;
-    * overflows int64 with m <= 64: the int64 kernel scans the truncated
-      source P~/D with D = (2**62 - 1) // hi (hi the chunk's last t) and P~
-      the min-max table of p at t = D, i.e. largest-remainder rounding with
-      sum P~ = D.  eps = max_i |p_i - P~_i/D| is that table's delta_star,
-      computed exactly, rounded up to a float and widened by a relative
-      2**-49 (see the module docstring).  delta_star is 1-Lipschitz in p
-      under the sup norm, so A[j]/(D*t) = delta_star(P~/D, t) is within eps
-      of delta_star(p, t).  With `want_freqs`, A is None and F holds p's
-      own tables: the kernel certifies each row of P~'s tables for p with
-      g = ceil(hi*a/d), where a = d*D*delta_star(p, D) is the truncation's
-      A, by the three conditions of the module docstring, and
-      minmax_freqs_exact rebuilds every row that fails them.  g is capped
-      at D, where no row passes, so that 2g stays in int64.
+    * overflows int64: A is the truncated source P~/D's, with
+      D = (2**62 - 1) // hi (hi the chunk's last t), P~ p's min-max table
+      at t = D, and eps that table's delta_star, rounded up and widened by
+      a relative 2**-49 (see the module docstring).  With `want_freqs`, A
+      is None and F holds p's own tables: the kernel certifies each row of
+      P~'s tables for p with g = ceil(hi*a/d), a the truncation's A, and
+      minmax_freqs_exact rebuilds every row that fails.  g is capped at D,
+      where no row passes, so that 2g stays in int64.
     """
     nums, d, m = p.numerators, p.common_denominator, p.m
     for lo in range(m, t_max + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, t_max)
-        if m > 64 or _kernels.fits_int64(nums, d, hi):
+        if _kernels.fits_int64(nums, d, hi):
             yield (lo, *_kernels.minmax_scan(nums, d, lo, hi, want_freqs), d, 0.0)
             continue
         den = _INT64_TOP // hi
@@ -276,15 +259,6 @@ def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False):
         yield lo, None, f_chunk, den, eps
 
 
-def _iroot_floor(x: int, m: int) -> int:
-    """floor(x ** (1/m)) for x >= 0, by integer Newton from a float guess."""
-    if x == 0:
-        return 0
-    e = math.log2(x) / m
-    s = max(int(e) - 52, 0)     # keeps 2.0**(e - s) finite at any size of x
-    return _iroot(x, m, max(int(2.0 ** (e - s)), 1) << s)
-
-
 def _threshold_tests(m: int, d: int, kappa):
     """Exact, cap and float64 forms of "quality beats the fact constant".
 
@@ -299,8 +273,9 @@ def _threshold_tests(m: int, d: int, kappa):
     a**m <= (m**m * d**m - 1) // (t * (m+1)**m), i.e. a is at most the
     floor m-th root of the right side.  Both caps are non-increasing in t.
     screen(t, x), on float64 arrays with x = t * delta (A/d on an exact
-    chunk), is the same inequality widened by _SLACK: it is true wherever
-    exact(t, a) is.
+    chunk), is the same inequality widened by a relative _SLACK (m = 2) or
+    m * _SLACK (see the module docstring): it is true wherever exact(t, a)
+    is.
     """
     if m == 2:
         kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
@@ -311,7 +286,7 @@ def _threshold_tests(m: int, d: int, kappa):
                 lambda t: c // t,
                 lambda t, x: (t * x) ** 2 < bound)
     lhs_c, rhs = (m + 1) ** m, m**m * d**m
-    bound = float(Fraction(m, m + 1) ** m) * (1 + _SLACK)
+    bound = float(Fraction(m, m + 1) ** m) * (1 + m * _SLACK)
     return (lambda t, a: t * a**m * lhs_c < rhs,
             lambda t: _iroot_floor((rhs - 1) // (t * lhs_c), m),
             lambda t, x: t * x**m < bound)
@@ -320,7 +295,8 @@ def _threshold_tests(m: int, d: int, kappa):
 def _hit_ts(lo: int, js, a, exact, cap) -> list:
     """The t = lo + j of the candidate rows j (ascending int64 array) whose
     true A, a[k] for js[k], passes `exact`; a is an int64 array, or a list
-    of Python ints, which a plain loop reads faster than numpy would.
+    of Python ints (a truncated chunk's), which a plain loop reads faster
+    than numpy would.
 
     cap is non-increasing in t, so a row with 0 < a <= cap(t_last), t_last
     the last candidate's t, passes at its own t <= t_last without a test;
@@ -351,10 +327,10 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
     ends there.  On ndarray chunks a float64 prescreen, widened by the
     chunk's eps, excludes the rows that cannot be records or hits, and only
     the remaining candidates are decided exactly (on truncated chunks after
-    minmax_freqs_exact rebuilds their true A); on big-integer chunks every
-    row is a candidate.  With `every_row`, a truncated chunk's A is p's
-    own, taken row by row from its certified tables, and every one of its
-    rows is a candidate too.  Hits are decided by _hit_ts.
+    minmax_freqs_exact rebuilds their true A).  With `every_row`, a
+    truncated chunk's A is p's own, taken row by row from its certified
+    tables, and every one of its rows is a candidate.  Hits are decided by
+    _hit_ts.
     """
     m, nums, d = p.m, p.numerators, p.common_denominator
     if hits:
@@ -413,18 +389,14 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
 
 
 def _record_tables(p: ProbabilityVector, ts: list) -> dict:
-    """{t: (f, A)} of p's min-max tables at the ascending t in ts.
-
-    The t at which the int64 kernel fits, a prefix of ts, are built by
-    _kernels._minmax_block in one call per _CHUNK of them (shedding rows
-    take the exact path there); the rest by minmax_freqs_exact.
-    """
+    """{t: (f, A)} of p's min-max tables at the ascending t in ts, all from
+    chunks that fit int64, by one _kernels._minmax_block call per _CHUNK of
+    them (shedding rows take the exact path there)."""
     nums, d = p.numerators, p.common_denominator
-    fit = [t for t in ts if _kernels.fits_int64(nums, d, t)]
-    out = {t: _kernels.minmax_freqs_exact(nums, d, t) for t in ts[len(fit):]}
-    P = np.asarray(nums, dtype=np.int64) if fit else None
-    for i in range(0, len(fit), _CHUNK):
-        T = np.asarray(fit[i:i + _CHUNK], dtype=np.int64)
+    out = {}
+    P = np.asarray(nums, dtype=np.int64) if ts else None
+    for i in range(0, len(ts), _CHUNK):
+        T = np.asarray(ts[i:i + _CHUNK], dtype=np.int64)
         a, f, _ = _kernels._minmax_block(nums, P, d, T, None)
         out.update(zip(T.tolist(), zip(f.T.tolist(), a.tolist())))
     return out

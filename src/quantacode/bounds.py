@@ -646,9 +646,12 @@ def plan_precision(p: ProbabilityVector, target_r,
     r = _parse_target(target_r)
     w1, raw = corollary1_width(p.m, r, p.p_min)
     w_eff = max(w1, register_width(p.m))
-    # the digits cover the widest scan either mode may make
+    # the digits cover the widest scan either mode may make.  Its tables
+    # have D = 0 or D >= 2 * delta_star**2 >= floor (Pinsker, delta_star >=
+    # 1/(d * 2**cap_bits)), so a target below floor is decided as floor is
     cap_bits = min(w_eff if mode == "guaranteed" else w1 + 2, _MAX_BITS)
-    dps = _decision_dps(p.m, 1 << cap_bits, r)
+    floor = mp.mpf(2) / (p.common_denominator << cap_bits) ** 2
+    dps = _decision_dps(p.m, 1 << cap_bits, max(r, floor))
     r = to_mpf(target_r, dps)
     w2 = second_order_width(p, r)
 

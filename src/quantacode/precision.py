@@ -62,6 +62,15 @@ def _iroot(x: int, m: int, guess: int) -> int:
         r = s
 
 
+def _iroot_floor(x: int, m: int) -> int:
+    """floor(x ** (1/m)) for x >= 0, by _iroot from a float64 guess."""
+    if x.bit_length() < 1000:   # float(x) is finite, and the guess cheaper
+        return _iroot(x, m, int(float(x) ** (1 / m))) if x else 0
+    e = math.log2(x) / m
+    s = max(int(e) - 52, 0)     # keeps 2.0**(e - s) finite at any size of x
+    return _iroot(x, m, int(2.0 ** (e - s)) << s)
+
+
 def decimal_root(n: int, q: int, m: int, sig: int = 30) -> str:
     """(n/q)**(1/m) for n >= 0, q > 0, m >= 1, rounded half up to sig
     significant digits and laid out like mpmath.nstr(x, sig,
@@ -69,8 +78,7 @@ def decimal_root(n: int, q: int, m: int, sig: int = 30) -> str:
 
     With e the decimal exponent of the result, its sig + 1 leading digits
     are y = floor(floor(n * 10**((sig - e)*m) / q) ** (1/m)), the root
-    taken by Newton seeded from the float64 value so that one or two steps
-    suffice; then (y + 5) // 10 rounds half up.
+    taken by :func:`_iroot_floor`; then (y + 5) // 10 rounds half up.
     """
     if n == 0:
         return "0.0"
@@ -80,7 +88,7 @@ def decimal_root(n: int, q: int, m: int, sig: int = 30) -> str:
         k = (sig - e) * m
         y = n * 10**k // q if k >= 0 else n // (q * 10**-k)
         if m > 1:
-            y = _iroot(y, m, max(1, int(10.0 ** (lv - e + sig))))
+            y = _iroot_floor(y, m)
         if y >= 10 ** (sig + 1):
             e += 1
         elif y < 10**sig:

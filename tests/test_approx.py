@@ -137,6 +137,18 @@ class TestConvergents:
         out = cf_convergents(silver_surrogate(), 29)
         assert [q for _, q in out] == [1, 2, 5, 12, 29]
 
+    def test_long_expansion_ends_at_x(self):
+        # F(10010)/F(10011) = [0; 1, 1, ..., 1, 2] has 10,010 terms; a cap
+        # of 10,000 terms used to stop at a convergent short of x
+        fib = [0, 1]
+        while len(fib) < 10012:
+            fib.append(fib[-1] + fib[-2])
+        x = Fraction(fib[10010], fib[10011])
+        out = cf_convergents(x, x.denominator)
+        assert Fraction(*out[-1]) == x
+        # the last term 2 = 1 + 1 skips the convergent at q = F(10010)
+        assert [q for _, q in out] == fib[2:10010] + [fib[10011]]
+
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             cf_convergents(Fraction(3, 2), 10)
@@ -273,7 +285,7 @@ def exact_fold(p, t_max, tables=None):
 def _fold_sources():
     rng = np.random.default_rng(31)
     out = [pytest.param(ProbabilityVector(random_decimal_probs(rng, m)), id=f"m{m}")
-           for m in (2, 3, 4, 6, 8, 24, 64)]
+           for m in (2, 3, 4, 6, 8, 24, 64, 65, 128)]
     n = _CHUNK + 2
     spikes = [Fraction(k, 100) + Fraction(s, 10**11)
               for k, s in zip([2] * 36 + [1] * 28, [1, -1] * 32)]
@@ -425,7 +437,7 @@ def _screened_sources():
            pytest.param(silver_pair(), id="silver"),
            pytest.param(irrational_triple(), id="triple")]
     out += [pytest.param(ProbabilityVector(_digit_probs(rng, m)), id=f"m{m}-20digit")
-            for m in (2, 3, 4, 6, 8, 24, 64)]
+            for m in (2, 3, 4, 6, 8, 24, 64, 65, 128)]
     # delta_star(3k) = 1e-40, far below eps, at every multiple of 3: a
     # record at t = 3, then exact ties, each a hit; on the first chunk
     # P~/D is 1/3 itself, so the kernel reports A~ = 0 there
@@ -541,7 +553,7 @@ def test_hit_rows_agree_with_the_exact_test(m, d):
 def _hit_sources():
     rng = np.random.default_rng(53)
     for digits in (6, 20):
-        for m in (*range(2, 10), 16, 24, 64):
+        for m in (*range(2, 10), 16, 24, 64, 65, 128):
             probs = (random_decimal_probs(rng, m) if digits == 6
                      else _digit_probs(rng, m, digits))
             yield pytest.param(ProbabilityVector(probs), id=f"m{m}-{digits}digit")
@@ -581,9 +593,12 @@ def _table_sources():
     out = [pytest.param(ProbabilityVector(tiny), id="forced-6digit"),
            pytest.param(ProbabilityVector([x + e for x, e in zip(tiny, nudge)]),
                         id="forced-20digit")]
-    # m = 70 > 64 takes the big-integer path
+    # above m = 64 too, every record of a 6-digit source comes from the
+    # int64 kernel and every one of a 20-digit source from a truncated chunk
     out += [pytest.param(ProbabilityVector(random_decimal_probs(rng, m)), id=f"m{m}")
-            for m in (3, 24, 64, 70)]
+            for m in (3, 24, 64, 65, 70, 128)]
+    out += [pytest.param(ProbabilityVector(_digit_probs(rng, m)), id=f"m{m}-20digit")
+            for m in (65, 128)]
     return out
 
 
@@ -598,3 +613,20 @@ def test_record_tables_match_the_exact_reference(p):
     if min(p.probs) < Fraction(1, p.m**2):
         kinds = {_row_kind(p, r.t) for r in res.records}
         assert {"shed", "forced"} <= kinds
+
+
+def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
+    # m = 100 > 64 at 6 digits fits int64, so the scan to 2**16 makes at
+    # most one exact call per _CHUNK rows (a shedding repair; this source
+    # has none) plus the final table, not one per row
+    rng = np.random.default_rng(67)
+    delta = rng.integers(-50, 51, 100)
+    delta[-1] -= delta.sum()
+    p = ProbabilityVector([Fraction(10**4 + int(v), 10**6) for v in delta])
+    exact = _kernels.minmax_freqs_exact
+    calls = []
+    monkeypatch.setattr(_kernels, "minmax_freqs_exact",
+                        lambda *a: calls.append(a[2]) or exact(*a))
+    table = best_table_under_width(p, 16)
+    chunks = -(-((1 << 16) - p.m + 1) // _CHUNK)
+    assert len(calls) <= chunks + 1 and calls[-1] == table.t

@@ -175,6 +175,29 @@ class TestPlan:
         assert code == 3 and not stdout
         assert "2**24" in err
 
+    @pytest.mark.parametrize("mode, probs, want", [
+        ("guaranteed", "golden", None),
+        ("opportunistic", "golden", None),
+        ("opportunistic", "0.123457,0.876543", "chosen t = 1000000"),
+    ])
+    def test_tiny_target_is_decided_at_few_digits(self, capsys, monkeypatch,
+                                                  mode, probs, want):
+        # R = 1e-2000000 lies below every D > 0 of a table with t <= 2**24,
+        # so the plan is decided at the digits of that floor, not at the
+        # two million digits of R (which used to take minutes)
+        import quantacode.bounds as B
+        digits = []
+        decision_dps = B._decision_dps
+        monkeypatch.setattr(B, "_decision_dps",
+                            lambda *a: digits.append(decision_dps(*a)) or digits[-1])
+        code, stdout, err = run(capsys, "plan", "-p", probs, "-R", "1e-2000000",
+                                "--mode", mode)
+        assert digits and max(digits) < 200
+        if want is None:
+            assert code == 3 and not stdout and err
+        else:
+            assert code == 0 and want in stdout
+
 class TestCodecCommands:
     def test_file_roundtrip(self, tmp_path, capsys):
         table = tmp_path / "table.txt"

@@ -37,25 +37,25 @@ def _tied_source(rng, m, d=10**6):
 
 
 class TestMinmaxScan:
-    @given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 16, 24, 64]),
+    @given(st.sampled_from([2, 3, 4, 5, 6, 7, 8, 9, 16, 24, 64, 65, 128]),
            st.integers(0, 2**32), st.booleans())
     @settings(max_examples=60)
     def test_numpy_matches_exact(self, m, seed, tied):
-        # m on both sides of _PAIRWISE_MAX_M; the second pass splits the
-        # rows into blocks of 7, the last one partial
+        # m on both sides of _PAIRWISE_MAX_M and above 64; the second pass
+        # splits the rows into blocks of 7, the last one partial
         rng = np.random.default_rng(seed)
         if tied:
             nums, d = _tied_source(rng, m), 10**6
         else:
             p = _probs(seed, m)
             nums, d = p.numerators, p.common_denominator
-        a_np, f_np = K._minmax_scan_np(nums, d, m, m + 200, True)
+        a_np, f_np = K.minmax_scan(nums, d, m, m + 200, True)
         for off in range(201):
             f, a = K.minmax_freqs_exact(nums, d, m + off)
             assert int(a_np[off]) == a
             assert [int(v) for v in f_np[off]] == f
         with mock.patch.object(K, "_BLOCK", 7 * m):
-            a_bl, f_bl = K._minmax_scan_np(nums, d, m, m + 200, True)
+            a_bl, f_bl = K.minmax_scan(nums, d, m, m + 200, True)
         assert np.array_equal(a_bl, a_np) and np.array_equal(f_bl, f_np)
 
     @pytest.mark.parametrize("m", range(2, 9))
@@ -77,12 +77,14 @@ class TestMinmaxScan:
                 assert np.flatnonzero(pairwise[:, j]).tolist() == sorted(top)
 
     def test_big_denominator_routes_to_exact(self):
-        from quantacode import golden_pair
+        # a source that overflows int64 is never scanned row by row: the
+        # kernel refuses it, and approx scans a truncated stand-in instead
+        from quantacode import InvalidArgument, golden_pair
         p = golden_pair()
         assert not K.fits_int64(p.numerators, p.common_denominator, 100)
-        a, f = K.minmax_scan(p.numerators, p.common_denominator, 2, 50,
-                             want_freqs=True)
-        assert isinstance(a, list) and isinstance(f, list)
+        with pytest.raises(InvalidArgument):
+            K.minmax_scan(p.numerators, p.common_denominator, 2, 50,
+                          want_freqs=True)
 
     def test_shedding_rows_consistent(self):
         # sub-unit symbols force the repair branches on every backend
@@ -90,7 +92,7 @@ class TestMinmaxScan:
         p = ProbabilityVector([Fraction(1, 16), Fraction(1, 16),
                                Fraction(1, 8), Fraction(3, 4)])
         nums, d = p.numerators, p.common_denominator
-        a_np, f_np = K._minmax_scan_np(nums, d, 4, 64, True)
+        a_np, f_np = K.minmax_scan(nums, d, 4, 64, True)
         for off in range(61):
             f, a = K.minmax_freqs_exact(nums, d, 4 + off)
             assert int(a_np[off]) == a
@@ -138,7 +140,7 @@ def test_forced_and_shedding_rows_match_exact():
             nums = _forced_source(rng, m)
             d = 10**12
             for lo in (m, 5000):
-                a_np, f_np = K._minmax_scan_np(nums, d, lo, lo + 300, True)
+                a_np, f_np = K.minmax_scan(nums, d, lo, lo + 300, True)
                 for off in range(301):
                     f, a = K.minmax_freqs_exact(nums, d, lo + off)
                     assert int(a_np[off]) == a
@@ -221,4 +223,5 @@ def test_backend_name():
 def test_fits_int64_guard():
     assert K.fits_int64([7, 3], 10, 10**4)
     assert not K.fits_int64([7, 3], 10, 2**62)
-    assert not K.fits_int64([1] * 65, 65, 10)
+    assert K.fits_int64([1] * 65, 65, 10)   # no cap on the alphabet size
+    assert not K.fits_int64([1] * 65, 2**60, 10)
