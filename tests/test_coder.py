@@ -1,3 +1,8 @@
+import bisect
+import hashlib
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,3 +217,115 @@ class TestRates:
         c = sample_symbols(p, 1000, seed=5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def _lcg(seed):
+    """64-bit LCG (Knuth's MMIX constants); its high 32 bits, forever.
+
+    The pinned streams below come from it rather than from numpy, so that
+    their digests do not depend on numpy's generator algorithms.
+    """
+    x = seed
+    while True:
+        x = (6364136223846793005 * x + 1442695040888963407) & (2**64 - 1)
+        yield x >> 32
+
+
+def _pinned_case(m, t, n=20_000):
+    """A seeded source of m symbols, its min-max table at t, and n symbols
+    drawn from that table's frequencies."""
+    gen = _lcg(1000 * m + t)
+    w = [1 + next(gen) % 1000 for _ in range(m)]
+    p = ProbabilityVector([Fraction(v, sum(w)) for v in w])
+    table = round_min_max(p, t)
+    ends = list(itertools.accumulate(table.freqs))
+    syms = np.array([bisect.bisect_right(ends, next(gen) % t) for _ in range(n)],
+                    dtype=np.int64)
+    return table, syms
+
+
+def _pin_ts(m):
+    return sorted(t for t in {m + 1, 97, 1 << 12, 1 << 18, 1 << 24} if t > m)
+
+
+# sha256 of encode(...) for every (m, t) of _pinned_case
+ENCODE_SHA256 = {
+    (2, 3): "4c95c3812aede54d331a4cc8094d2f15e83a9031626a8d117cd99652a5b9ee3d",
+    (2, 97): "7ff8f7f2b2179d699ddb9e748a4322031e0c668229d555ce5433c7d56472b8be",
+    (2, 4096): "0f64510df1339f4b76ca7a63766f56b7cf59b31d67ead04d8b33c757fc3b9fd9",
+    (2, 262144): "1000397e134599ffab39e6d4dcb45675bdaa38fd0a203fe20e606b710dee3226",
+    (2, 16777216): "78d65fb8827a27bfd2931934f885218fc527f171c19cb53296cd871aa91ecb44",
+    (3, 4): "01d3f9ff3b4dd8bb1db70053eb5871c51f12a60ad5e50018459f23e79599c0bb",
+    (3, 97): "a864f563127e81adbc6600314f037d7d9aef4c206a5db8f5cbc2db2e42c8cbc4",
+    (3, 4096): "4cea0b19700a2c673267bbbfcac4f3ca5a331c61223f0d9cbc308c97ca10c707",
+    (3, 262144): "7bf377b3bf19cabf915f816e7ae1c1c12d500cddfc8149eadeeccdb20851f68b",
+    (3, 16777216): "e9ff7dffa2e3dee632a57bd24b977932168eea6b9f6ff53e99c6a912c5b6ff9c",
+    (24, 25): "d86597da7189c2ace75536b6482c11117e08eb010c291024c34e832737976515",
+    (24, 97): "fd621c84574b635a8d853638494e7aaa6526ba14580cc65e91d7d1d07819359f",
+    (24, 4096): "60885560d4ee1aaaa7d13b35ab6ee0f371811653e548613710025d1d9dc899ba",
+    (24, 262144): "04b572c27afecee23f969814247582e4d7e376815fffe887f87ecf7b6c3544e1",
+    (24, 16777216): "de9dae6ea7206648ce766eed1ad2f6df7b43f545e63fbd1e84cc29a6a9336444",
+    (200, 201): "e24cbe6f62aaac7053c3f5077874247e85203135c796bece8238aa1d3e059b6f",
+    (200, 4096): "546cc3bf46711f9922da0545652f22c55d61d3c2716d1ecc37c7e75792fbc5a2",
+    (200, 262144): "321c92a43902cb35860c2b833d1e6f6259df5b6c9458ece61672c949dcc2ed66",
+    (200, 16777216): "d79f53f58677a8fde18b202bda0f338c040872ad8ba4ec686ebcfeda798574ef",
+    (300, 301): "5f5527c3d57c484f31f42a304c4bc0a821c39b54afcd28584cc31292cb7fd4c6",
+    (300, 4096): "f228738f64dd7489c19136e6f593262108f06b6ef4787039c07f73e5a4962053",
+    (300, 262144): "bf09dd40462814a9a51f6b53c6f880bd57a6ee4083a7a77e4e48fdc2ab3c2db1",
+    (300, 16777216): "e621f771d9195a520ab97dcb4114dd00f97fa2ce049cf08e6f1fbff50c8f71b4",
+}
+
+# rc_decode_py's `over` on the payload of an n-symbol _pinned_case cut to
+# each length: (m, t, n) -> {length: over}
+CUT_OVER = {
+    (2, 3, 2000): {
+        0: 9, 1: 9, 2: 9, 3: 9, 4: 9, 5: 9, 6: 9, 117: 9, 226: 9, 227: 8,
+        230: 5, 234: 1, 235: 0,
+    },
+    (3, 97, 2000): {
+        0: 9, 1: 9, 2: 9, 3: 9, 4: 9, 5: 9, 6: 9, 198: 9, 388: 9, 389: 8,
+        392: 5, 396: 1, 397: 0,
+    },
+    (24, 4096, 2000): {
+        0: 9, 1: 9, 2: 9, 3: 9, 4: 9, 5: 9, 6: 9, 545: 9, 1081: 8, 1082: 8,
+        1085: 5, 1089: 1, 1090: 0,
+    },
+    (200, 16777216, 2000): {
+        0: 9, 1: 9, 2: 9, 3: 9, 4: 9, 5: 9, 6: 9, 937: 9, 1865: 9, 1866: 8,
+        1869: 5, 1873: 1, 1874: 0,
+    },
+    (300, 262144, 2000): {
+        0: 9, 1: 9, 2: 9, 3: 9, 4: 9, 5: 9, 6: 9, 1000: 9, 1992: 9, 1993: 8,
+        1996: 5, 2000: 1, 2001: 0,
+    },
+    (3, 97, 3): {
+        0: 5, 1: 4, 2: 3, 3: 2, 4: 1, 5: 0,
+    },
+    (200, 16777216, 2): {
+        0: 8, 1: 7, 2: 4, 3: 3, 4: 2, 5: 1, 6: 0,
+    },
+    (300, 301, 1): {
+        0: 6, 1: 5, 2: 4, 3: 3, 4: 2, 5: 1, 6: 0,
+    },
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("m", [2, 3, 24, 200, 300])
+    def test_encode_digests(self, m):
+        for t in _pin_ts(m):
+            table, syms = _pinned_case(m, t)
+            blob = encode(syms, table)
+            assert hashlib.sha256(blob).hexdigest() == ENCODE_SHA256[m, t], (m, t)
+            assert np.array_equal(decode(blob, syms.size, table), syms)
+
+    @pytest.mark.parametrize("m, t, n", sorted(CUT_OVER))
+    def test_overread_on_cut_payloads(self, m, t, n):
+        table, syms = _pinned_case(m, t, n)
+        blob = encode(syms, table)
+        fpos = [table.freqs[s] for s in table.order]
+        got = {}
+        for cut in CUT_OVER[m, t, n]:
+            _, got[cut] = _kernels.rc_decode_py(blob[:cut], syms.size, table.order,
+                                                table.cum, fpos, table.t)
+        assert got == CUT_OVER[m, t, n]
