@@ -551,31 +551,33 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     return None
 
 
-def _forced_rows_miss(p: ProbabilityVector, r: mp.mpf, cap_bits: int,
-                      dps: int) -> bool:
-    """True when p_min < 2**-cap_bits puts every t <= 2**cap_bits above r.
+def _inexact_rows_miss(p: ProbabilityVector, r: mp.mpf, cap_bits: int,
+                       dps: int) -> bool:
+    """True when every table with t <= 2**cap_bits and D > 0 misses r.
 
-    Such a row has q_i = f_i/t >= 1/t >= 2**-cap_bits.  Merging every symbol
-    but i into one can only lower the divergence (data processing), so
-    D(p || q) >= kl2(p_i || q_i), the binary divergence; kl2(p_i || x)
-    increases in x >= p_i, so every row has D >= K = kl2(p_min ||
-    2**-cap_bits).  K is the divergence of the pair (p_min, 1 - p_min)
-    from the table (1, 2**cap_bits - 1), and kl_divergence gives it as k
-    with |k - K| < eps*(c + K), eps = 10**(1 - dps) and
-    c = ln m + ln 2**cap_bits + 2 (see _first_qualifying_t), so
-    K > k*(1 - eps) - eps*c.  The same bound puts each row's kl_divergence
-    above D*(1 - eps) - eps*c >= k*(1 - 2*eps) - 2*eps*c.  The test asks
-    k*(1 - 3*eps) - 3*eps*c > r, whose spare eps covers its own rounding.
+    Then only D = 0 meets r, first at t = d: t*p_i is an integer for every
+    i only when d divides t.  Such a D is at least L, the larger of
+    Pinsker's 2 * delta_star**2 >= 2/(d * 2**cap_bits)**2 (see _report_dps)
+    and, when p_min < 2**-cap_bits, K = kl2(p_min || 2**-cap_bits): every
+    q_i = f_i/t is then >= 2**-cap_bits, merging every symbol but i into
+    one can only lower D (data processing), and kl2(p_i || x) increases in
+    x >= p_i.  K is the divergence of the pair (p_min, 1 - p_min) from the
+    table (1, 2**cap_bits - 1), which kl_divergence gives within
+    eps*(c + K), eps = 10**(1 - dps), c = ln m + ln 2**cap_bits + 2 (see
+    _first_qualifying_t).  Each row's kl_divergence is then above
+    L*(1 - 2*eps) - 2*eps*c; the test asks L*(1 - 3*eps) - 3*eps*c > r,
+    whose spare eps covers its own rounding.
     """
     t = 1 << cap_bits
-    if p.p_min * t >= 1:
-        return False
-    pair = ProbabilityVector([p.p_min, 1 - p.p_min])
-    k = kl_divergence(pair, FrequencyTable.from_freqs(pair, (1, t - 1)), dps).nats
     with mp.workdps(dps):
+        bound = mp.mpf(2) / (p.common_denominator * t) ** 2
+        if p.p_min * t < 1:
+            pair = ProbabilityVector([p.p_min, 1 - p.p_min])
+            bound = max(bound, kl_divergence(
+                pair, FrequencyTable.from_freqs(pair, (1, t - 1)), dps).nats)
         eps = mp.mpf(10) ** (1 - dps)
-        c = mp.log(p.m) + mp.log(t) + 2
-        return k * (1 - 3 * eps) - 3 * eps * c > r
+        return bound > r and (bound * (1 - 3 * eps)
+                              - 3 * eps * (mp.log(p.m) + mp.log(t) + 2) > r)
 
 
 def _decision_dps(m: int, t_cap: int, r: mp.mpf) -> int:
@@ -637,18 +639,17 @@ def plan_precision(p: ProbabilityVector, target_r,
     more.  Opportunistic mode gives up once t would exceed
     2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
     absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
-    width bound assumes, and it raises TargetUnachievableWithinScan before
-    any scan when _forced_rows_miss shows that no t up to that cap can
-    reach the target.
+    width bound assumes.  In either mode, a target that every D > 0 up to
+    the cap misses (_inexact_rows_miss) is decided without a scan: t = d,
+    or TargetUnachievableWithinScan when d is above the cap.
     """
     if mode not in ("guaranteed", "opportunistic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     r = _parse_target(target_r)
     w1, raw = corollary1_width(p.m, r, p.p_min)
     w_eff = max(w1, register_width(p.m))
-    # the digits cover the widest scan either mode may make.  Its tables
-    # have D = 0 or D >= 2 * delta_star**2 >= floor (Pinsker, delta_star >=
-    # 1/(d * 2**cap_bits)), so a target below floor is decided as floor is
+    # the digits cover the widest scan either mode may make; a target below
+    # its Pinsker floor (see _inexact_rows_miss) is decided as the floor is
     cap_bits = min(w_eff if mode == "guaranteed" else w1 + 2, _MAX_BITS)
     floor = mp.mpf(2) / (p.common_denominator << cap_bits) ** 2
     dps = _decision_dps(p.m, 1 << cap_bits, max(r, floor))
@@ -670,8 +671,10 @@ def plan_precision(p: ProbabilityVector, target_r,
         verified = verify(table)
     if verified is None or not verified <= r:
         t = None
-        if mode == "guaranteed" or not _forced_rows_miss(p, r, cap_bits, dps):
+        if not _inexact_rows_miss(p, r, cap_bits, dps):
             t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
+        elif p.common_denominator <= 1 << cap_bits:
+            t = p.common_denominator    # the first table with D = 0
         if t is None:
             raise TargetUnachievableWithinScan(
                 f"no denominator up to 2**{cap_bits} reaches "

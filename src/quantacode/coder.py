@@ -34,8 +34,6 @@ from .precision import DEFAULT_DPS
 from .prob_model import MAX_TOTAL, FrequencyTable, ProbabilityVector
 from .bounds import _report_dps, kl_divergence
 
-FLUSH_OVERHEAD_BITS = 64  # leading byte + 5 flush bytes, rounded up
-
 FRAME_MAGIC = b"QC01"
 
 
@@ -48,8 +46,11 @@ def _check_table(table: FrequencyTable):
 
 
 def _as_symbol_array(symbols) -> np.ndarray:
+    """Symbols as integers: bytes as a uint8 view, integer arrays uncopied."""
     if isinstance(symbols, (bytes, bytearray, memoryview)):
-        return np.frombuffer(symbols, dtype=np.uint8).astype(np.int64)
+        return np.frombuffer(symbols, dtype=np.uint8)
+    if isinstance(symbols, np.ndarray) and symbols.dtype.kind in "iu":
+        return symbols
     return np.ascontiguousarray(symbols, dtype=np.int64)
 
 

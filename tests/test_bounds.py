@@ -43,7 +43,7 @@ from quantacode.bounds import (
     WidthBound,
     _decision_dps,
     _first_qualifying_t,
-    _forced_rows_miss,
+    _inexact_rows_miss,
     lemma1_exact,
     theorem1_exact,
 )
@@ -557,7 +557,7 @@ class TestPlanner:
         assert kl_divergence(p, table).nats < mp.mpf("3.2e-8")
         for target, miss in (("3.2e-8", False), ("3.1e-8", True), ("1e-9", True)):
             dps = _decision_dps(2, 1 << 24, to_mpf(target))
-            assert _forced_rows_miss(p, to_mpf(target, dps), 24, dps) == miss
+            assert _inexact_rows_miss(p, to_mpf(target, dps), 24, dps) == miss
 
     @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
     @pytest.mark.parametrize("probs, target", [

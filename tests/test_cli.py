@@ -198,6 +198,33 @@ class TestPlan:
         else:
             assert code == 0 and want in stdout
 
+    @pytest.mark.parametrize("probs, csv", [
+        ("golden", None),
+        ("0.123457,0.876543",
+         "opportunistic,1.00000000000e-2000000,1000000,20,40,0.0,6643857,"
+         "6643857.18977,3.01029950354e-6"),
+    ])
+    def test_target_below_pinsker_floor_needs_no_scan(self, tmp_path, capsys,
+                                                      monkeypatch, probs, csv):
+        # below 2/(d * 2**cap)**2 only an exact table qualifies, and the
+        # first is at t = d: golden's d exceeds 2**24, 0.123457's is 10**6.
+        # The plan used to scan every row up to one of them (3.7 s for golden)
+        import quantacode.bounds as B
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(B, "_iter_chunks", no_scan)
+        out = tmp_path / "plan.csv"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "plan", "-p", probs, "-R", "1e-2000000",
+                                "--mode", "opportunistic", "-o", str(out))
+        assert time.perf_counter() - start < 0.5
+        if csv is None:
+            assert code == 3 and not stdout and "2**24" in err
+        else:
+            assert code == 0 and out.read_text().splitlines()[2] == csv
+
 class TestCodecCommands:
     def test_file_roundtrip(self, tmp_path, capsys):
         table = tmp_path / "table.txt"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantacode import (
     CorruptStream,
@@ -67,6 +67,27 @@ class TestRoundtrip:
         p = ProbabilityVector(random_decimal_probs(rng, m))
         t = int(rng.integers(m, 5000))
         table = round_min_max(p, t)
+        syms = rng.integers(0, m, n, dtype=np.int64)
+        assert np.array_equal(decode(encode(syms, table), n, table), syms)
+
+    @given(st.integers(2, 300), st.integers(0, 2**32), st.integers(0, 3000))
+    @example(m=257, seed=1, n=3000)
+    @example(m=300, seed=2, n=1)
+    @settings(max_examples=30)
+    def test_wide_alphabets_and_tables(self, m, seed, n):
+        # m > 256 keeps the decoded symbols as C unsigned ints; t reaches 2**24
+        rng = np.random.default_rng(seed)
+        p = ProbabilityVector(random_decimal_probs(rng, m))
+        table = round_min_max(p, int(rng.integers(m, (1 << 24) + 1)))
+        syms = rng.integers(0, m, n, dtype=np.int64)
+        syms[::5] = table.order[-1]     # the last canonical interval
+        assert np.array_equal(decode(encode(syms, table), n, table), syms)
+
+    def test_wide_alphabet_across_slices(self):
+        m, n = 300, 2 * _kernels._CHUNK + 3
+        rng = np.random.default_rng(6)
+        p = ProbabilityVector(random_decimal_probs(rng, m))
+        table = round_min_max(p, 1 << 24)
         syms = rng.integers(0, m, n, dtype=np.int64)
         assert np.array_equal(decode(encode(syms, table), n, table), syms)
 
