@@ -332,7 +332,7 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
     """
     last = len(starts) - 1
     starts = list(starts)   # bisect is faster on a list
-    src = bytes(data) + bytes(8)
+    src = b"".join((data, bytes(8)))   # one copy, of bytes or a view
     code = int.from_bytes(src[1:5], "big")   # byte 0 leaves the 32-bit code
     ptr = 5
     rng = _MASK32

@@ -116,7 +116,7 @@ def decode_framed(data: bytes):
     except (ValueError, UnicodeDecodeError) as exc:
         raise CorruptStream(f"bad embedded table: {exc}")
     (n,) = struct.unpack(">Q", data[8 + tlen:16 + tlen])
-    return decode(data[16 + tlen:], n, table), table
+    return decode(memoryview(data)[16 + tlen:], n, table), table
 
 
 # ---- measurement ------------------------------------------------------------
