@@ -327,8 +327,9 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
     read with 8 zero bytes appended, and `over` counts the bytes read past
     its end: 0 for an honest stream, which reads 5 preamble bytes and one
     per renormalisation shift.  A 9th read past the end stops decoding with
-    over = 9, the symbols not yet decoded left undefined.  The symbols go to
-    a bytearray (C unsigned ints when m > 256), copied once into the result.
+    over = 9, the symbols not yet decoded left undefined.  The symbols go
+    into a bytearray of n (C unsigned ints when m > 256), one allocation
+    that is copied once into the result.
     """
     last = len(starts) - 1
     starts = list(starts)   # bisect is faster on a list
@@ -336,10 +337,9 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
     code = int.from_bytes(src[1:5], "big")   # byte 0 leaves the 32-bit code
     ptr = 5
     rng = _MASK32
-    ks = bytearray() if last < 256 else array("I")
-    put = ks.append
+    ks = bytearray(n) if last < 256 else array("I", [0]) * n
     try:
-        for _ in range(n):
+        for i in range(n):
             r = rng // t
             k = bisect_right(starts, code // r) - 1
             base = starts[k] * r
@@ -352,13 +352,12 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
                 code = ((code << 8) | src[ptr]) & _MASK32
                 ptr += 1
                 rng <<= 8
-            put(order[k])
+            ks[i] = order[k]
         over = max(ptr - len(data), 0)
     except IndexError:
         over = 9
-    syms = np.empty(n, dtype=np.int64)
-    syms[:len(ks)] = np.frombuffer(ks, dtype=np.uint8 if last < 256 else np.uintc)
-    return syms, over
+    syms = np.frombuffer(ks, dtype=np.uint8 if last < 256 else np.uintc)
+    return syms.astype(np.int64), over
 
 
 def rc_decode(data: bytes, n: int, order, starts, fpos, t: int):
