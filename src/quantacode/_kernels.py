@@ -45,7 +45,7 @@ from .errors import InvalidArgument
 
 _MASK32 = 0xFFFFFFFF
 _TOP24 = 1 << 24
-_CHUNK = 1 << 12        # symbols per tolist() slice of rc_encode
+_CHUNK = 1 << 12        # symbols per slice of rc_encode and sample_symbols
 
 _INT64_GUARD = 1 << 62
 _PAIRWISE_MAX_M = 8   # _round_ups counts pairs up to here, sorts above
@@ -356,8 +356,7 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
         over = max(ptr - len(data), 0)
     except IndexError:
         over = 9
-    syms = np.frombuffer(ks, dtype=np.uint8 if last < 256 else np.uintc)
-    return syms.astype(np.int64), over
+    return np.asarray(ks).astype(np.int64), over
 
 
 def rc_decode(data: bytes, n: int, order, starts, fpos, t: int):

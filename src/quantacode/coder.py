@@ -155,7 +155,11 @@ def sample_symbols(p: ProbabilityVector, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     cum = np.cumsum(np.array([float(x) for x in p.probs]))
     cum[-1] = 1.0
-    return np.searchsorted(cum, rng.random(n), side="right").astype(np.int64)
+    syms = np.empty(n, dtype=np.int64)
+    for i in range(0, n, _kernels._CHUNK):   # one stream, drawn in slices
+        u = rng.random(min(n - i, _kernels._CHUNK))
+        syms[i:i + u.size] = np.searchsorted(cum, u, side="right")
+    return syms
 
 
 def measure_rate(p: ProbabilityVector, table: FrequencyTable, n: int,
