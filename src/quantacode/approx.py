@@ -103,6 +103,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import mpmath as mp
@@ -187,16 +188,23 @@ def cf_convergents(x: Fraction, max_q: int):
 
 @dataclass(frozen=True)
 class RecordEntry:
-    """A record denominator: strictly smaller delta_star than every smaller t.
-
-    quality is t**2 * delta_star (exact Fraction) for m = 2, else the
-    high-precision real t**(1 + 1/m) * delta_star.
-    """
+    """A record denominator: strictly smaller delta_star than every smaller t."""
 
     t: int
     freqs: tuple[int, ...]
     delta_star: Fraction
-    quality: object
+
+    @cached_property
+    def quality(self):
+        """t**2 * delta_star (exact Fraction) for m = 2 or delta_star = 0,
+        else t**(1 + 1/m) * delta_star at DEFAULT_DPS digits; evaluated on
+        first use, since no scan needs it."""
+        m, x = len(self.freqs), self.t * self.delta_star
+        if m == 2 or x == 0:
+            return self.t * x
+        with mp.workdps(DEFAULT_DPS):
+            return (mp.mpf(self.t) ** (mp.mpf(1) / m)
+                    * mp.mpf(x.numerator) / x.denominator)
 
 
 @dataclass(frozen=True)
@@ -423,15 +431,11 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
         found.extend(recs)
     tables = _record_tables(p, [t for t, _, f in found if f is None])
     records: list[RecordEntry] = []
-    with mp.workdps(DEFAULT_DPS):
-        root = mp.mpf(1) / m
-        for t, a, f in found:
-            if f is None:
-                f, a2 = tables[t]
-                assert a2 == a
-            quality = (Fraction(0) if a == 0 else Fraction(t * a, d) if m == 2
-                       else mp.mpf(t) ** root * mp.mpf(a) / d)
-            records.append(RecordEntry(t, tuple(f), Fraction(a, d * t), quality))
+    for t, a, f in found:
+        if f is None:
+            f, a2 = tables[t]
+            assert a2 == a
+        records.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
     return ScanResult(records, hits, t_max, m, label)
 
 

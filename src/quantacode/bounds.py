@@ -86,17 +86,17 @@ class DivergencePair(NamedTuple):
     bits: mp.mpf
 
 
-def kl_divergence(p: ProbabilityVector, table: FrequencyTable,
-                  dps: int = DEFAULT_DPS) -> DivergencePair:
+def kl_divergence(p: ProbabilityVector, table: FrequencyTable) -> DivergencePair:
     """D(p || f/t) = sum_i p_i log(p_i t / f_i), in nats and bits.
 
-    Exact rational inputs, one rounding per term at dps digits.
+    Exact rational inputs, one rounding per term at _kl_dps(p, table)
+    digits, so the result is within D * 1e-13 of D.
     """
     if table.m != p.m:
         raise DimensionMismatch(f"table has {table.m} symbols, source has {p.m}")
     if any(f < 1 for f in table.freqs):
         raise ZeroFrequency("model assigns zero frequency to a symbol")
-    with mp.workdps(dps):
+    with mp.workdps(_kl_dps(p, table)):
         t = table.t
         nats = mp.fsum(
             (mp.mpf(x.numerator) / x.denominator)
@@ -104,6 +104,27 @@ def kl_divergence(p: ProbabilityVector, table: FrequencyTable,
             for x, f in zip(p.probs, table.freqs)
         )
         return DivergencePair(nats, nats / mp.log(2))
+
+
+def _kl_dps(p: ProbabilityVector, table: FrequencyTable) -> int:
+    """Digits at which kl_divergence evaluates D = D(p || f/t).
+
+    Rounding each term and their sum at dps digits moves the sum from D by
+    under 10**(1 - dps) * (c + D), c = ln m + ln t + 2.  The terms have size
+    about delta_star and cancel to a D of about delta_star**2, so this
+    raises DEFAULT_DPS where needed to keep that bound at most D * 1e-13,
+    which also keeps all 12 digits a report prints right.  Pinsker's
+    inequality with sum_i |p_i - f_i/t| >= 2 * delta_star gives
+    D >= 2 * delta_star**2, so dps >= 15 + log10(c / (2 * delta_star**2))
+    suffices.  An exact table (delta_star = 0) has D = 0 at any precision.
+    """
+    nums, d, t = p.numerators, p.common_denominator, table.t
+    a = max(abs(t * n - f * d) for n, f in zip(nums, table.freqs))
+    if a == 0:
+        return DEFAULT_DPS
+    log_c = math.log10((math.log(p.m) + math.log(t) + 2) / 2)
+    log_ds = math.log10(a) - math.log10(d * t)   # delta_star = a / (d*t)
+    return max(DEFAULT_DPS, 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
 
 
 def chi_square_divergence(p: ProbabilityVector, table: FrequencyTable) -> Fraction:
@@ -396,7 +417,7 @@ def build_bound_report(p: ProbabilityVector, table: FrequencyTable,
     """Evaluate the divergence and every bound whose premise holds."""
     prof = error_profile(p, table)
     ds, pm, m, t = prof.delta_star, p.p_min, p.m, table.t
-    div = kl_divergence(p, table, _report_dps(p, table))
+    div = kl_divergence(p, table)
 
     def bound_or_none(bound, *args):
         try:
@@ -494,8 +515,7 @@ class PrecisionPlan:
         ])
 
 
-def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
-                        dps: int):
+def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     """Smallest t in [m, t_cap] whose kl_divergence is <= r, or None.
 
     A float64 estimate screens each row.  Since sum_i p_i = 1,
@@ -507,34 +527,33 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
     sum_i p_i ln f_i <= ln t for the other; and the last two additions err
     by u*(H + ln t) and u*|estimate|.  So the estimate is within
     u*((m + 11)*H + (m + 19)*ln t + 2 + |estimate|) of D.  kl_divergence
-    rounds its terms and their sum at dps digits, which moves it from D by
-    under 10**(1 - dps) * (ln m + ln t + 1 + D).  For dps >= 3, every row
-    that kl_divergence accepts thus has an estimate below r + E with
-        E = ((m + 20)*u + 10**(1 - dps)) * (ln m + ln t_cap + 2 + r),
-    whose spare factor also covers the rounding of r and of r + E.  A p_i
-    that underflows to 0 makes the estimate NaN, and NaN rows pass too.
+    is within 1e-13 * D of D (see _kl_dps), so a row it accepts has
+    D <= r / (1 - 1e-13) < r * (1 + 2**-42), and an estimate below
+        r * (1 + 2**-40) + (m + 20)*u*(ln m + ln t_cap + 2 + r),
+    whose spare terms also cover |estimate| and the rounding of r and of
+    the screen itself.  A p_i that underflows to 0 makes the estimate NaN,
+    and NaN rows pass too.
 
-    E is about 5e-14 at t_cap = 2**24, so for a far smaller r nearly every
-    row would pass.  A second screen therefore drops a passing row whose
-    Pinsker bound D >= 2 * delta_star**2 (see _report_dps) exceeds
-    r + E_kl, E_kl = 10**(1 - dps) * (ln m + ln t_cap + 2 + r), the part of
-    E that covers kl_divergence's rounding; a row it accepts has D below
-    that.  The float of each |p_i - f_i/t| is within 3.01u of it (three
-    roundings of terms at most 1), so max_i of those floats minus 2**-49
-    bounds delta_star from below after its own rounding, and
-    2 * (1 - 2**-50) times its square, two more roundings, stays at most
-    2 * delta_star**2.  The float of r + E_kl, widened by a relative
-    2**-50, and at least 2**-1000 so that a product that rounds in the
-    subnormal range never exceeds it, is at least r + E_kl.
+    The absolute part is about 5e-14 at t_cap = 2**24, so for a far
+    smaller r nearly every row would pass.  A second screen therefore drops
+    a passing row whose Pinsker bound D >= 2 * delta_star**2 (see _kl_dps)
+    exceeds r * (1 + 2**-42), above every accepted D.  The float of each
+    |p_i - f_i/t| is within 3.01u of it (three roundings of terms at most
+    1), so max_i of those floats minus 2**-49 bounds delta_star from below
+    after its own rounding, and 2 * (1 - 2**-50) times its square, two more
+    roundings, stays at most 2 * delta_star**2.  The float of
+    r * (1 + 2**-40), two roundings, and at least 2**-1000 so that a
+    product that rounds in the subnormal range never exceeds it, is at
+    least r * (1 + 2**-42).
     Each passing row is decided by kl_divergence, the sum plan_precision
     verifies, in ascending t, so the first accepted t is the answer.
     """
     pf = np.array([float(x) for x in p.probs])
     c = float(np.dot(pf, np.log(pf)))
+    r_wide = float(r) * (1 + 2.0**-40)
     log_sum = math.log(p.m) + math.log(t_cap) + 2 + float(r)
-    screen = float(r) + ((p.m + 20) * 2.0**-53 + 10.0 ** (1 - dps)) * log_sum
-    pinsker = max((float(r) + 10.0 ** (1 - dps) * log_sum) * (1 + 2.0**-50),
-                  2.0**-1000)
+    screen = r_wide + (p.m + 20) * 2.0**-53 * log_sum
+    pinsker = max(r_wide, 2.0**-1000)
     for lo, _, f_arr, *_ in _iter_chunks(p, t_cap, want_freqs=True):
         t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
         f_f = np.asarray(f_arr, dtype=np.float64)
@@ -546,76 +565,35 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int,
             cand = cand[~(2 * (1 - 2.0**-50) * dev * dev > pinsker)]
         for j in cand:
             table = FrequencyTable.from_freqs(p, f_arr[j])
-            if kl_divergence(p, table, dps).nats <= r:
+            if kl_divergence(p, table).nats <= r:
                 return table.t
     return None
 
 
-def _inexact_rows_miss(p: ProbabilityVector, r: mp.mpf, cap_bits: int,
-                       dps: int) -> bool:
+def _inexact_rows_miss(p: ProbabilityVector, r: mp.mpf, cap_bits: int) -> bool:
     """True when every table with t <= 2**cap_bits and D > 0 misses r.
 
     Then only D = 0 meets r, first at t = d: t*p_i is an integer for every
     i only when d divides t.  Such a D is at least L, the larger of
-    Pinsker's 2 * delta_star**2 >= 2/(d * 2**cap_bits)**2 (see _report_dps)
+    Pinsker's 2 * delta_star**2 >= 2/(d * 2**cap_bits)**2 (see _kl_dps)
     and, when p_min < 2**-cap_bits, K = kl2(p_min || 2**-cap_bits): every
     q_i = f_i/t is then >= 2**-cap_bits, merging every symbol but i into
     one can only lower D (data processing), and kl2(p_i || x) increases in
     x >= p_i.  K is the divergence of the pair (p_min, 1 - p_min) from the
-    table (1, 2**cap_bits - 1), which kl_divergence gives within
-    eps*(c + K), eps = 10**(1 - dps), c = ln m + ln 2**cap_bits + 2 (see
-    _first_qualifying_t).  Each row's kl_divergence is then above
-    L*(1 - 2*eps) - 2*eps*c; the test asks L*(1 - 3*eps) - 3*eps*c > r,
-    whose spare eps covers its own rounding.
+    table (1, 2**cap_bits - 1), which kl_divergence gives within 1e-13 * K
+    (see _kl_dps); the Pinsker part is taken at DEFAULT_DPS digits.  Each
+    row's kl_divergence is within 1e-13 of its D, relative, so it exceeds
+    r once L * (1 - 2**-40) > r, whose spare covers the test's own
+    rounding.
     """
     t = 1 << cap_bits
-    with mp.workdps(dps):
+    with mp.workdps(DEFAULT_DPS):
         bound = mp.mpf(2) / (p.common_denominator * t) ** 2
         if p.p_min * t < 1:
             pair = ProbabilityVector([p.p_min, 1 - p.p_min])
             bound = max(bound, kl_divergence(
-                pair, FrequencyTable.from_freqs(pair, (1, t - 1)), dps).nats)
-        eps = mp.mpf(10) ** (1 - dps)
-        return bound > r and (bound * (1 - 3 * eps)
-                              - 3 * eps * (mp.log(p.m) + mp.log(t) + 2) > r)
-
-
-def _decision_dps(m: int, t_cap: int, r: mp.mpf) -> int:
-    """Digits at which a plan is decided: DEFAULT_DPS, raised where needed
-    so that kl_divergence's rounding bound
-    10**(1 - dps) * (ln m + ln t_cap + 2 + r) (see _first_qualifying_t) is
-    at most r * 1e-13.  At 6 digits that rounding is as large as a
-    divergence near 1e-7 itself, and a plan decided there can miss its
-    target.  The plan verifies its table at these digits or _report_dps
-    digits, whichever is more, so that rounding is at most D * 1e-13; the
-    decision and the verification can disagree only for a D within about
-    1e-13 of r.
-    """
-    c = math.log(m) + math.log(t_cap) + 2
-    y, n = mp.frexp(r)      # r = y * 2**n, 0.5 <= y < 1, at any magnitude
-    log_r = math.log10(float(y)) + n * math.log10(2)
-    # float(r) saturates only above 1e308, where `need` is tiny anyway
-    need = 14 + math.ceil(math.log10(c + min(float(r), 1e300)) - log_r)
-    return max(DEFAULT_DPS, need)
-
-
-def _report_dps(p: ProbabilityVector, table: FrequencyTable) -> int:
-    """Digits at which a report evaluates D = D(p || f/t) so that all 12
-    digits it prints are right: DEFAULT_DPS, raised where needed so that
-    kl_divergence's rounding bound 10**(1 - dps) * (c + D), with
-    c = ln m + ln t + 2 (see _first_qualifying_t), is at most D * 1e-13.
-
-    Pinsker's inequality with sum_i |p_i - f_i/t| >= 2 * delta_star gives
-    D >= 2 * delta_star**2, so dps >= 15 + log10(c / (2 * delta_star**2))
-    suffices.  An exact table (delta_star = 0) has D = 0 at any precision.
-    """
-    nums, d, t = p.numerators, p.common_denominator, table.t
-    a = max(abs(t * n - f * d) for n, f in zip(nums, table.freqs))
-    if a == 0:
-        return DEFAULT_DPS
-    log_c = math.log10((math.log(p.m) + math.log(t) + 2) / 2)
-    log_ds = math.log10(a) - math.log10(d * t)   # delta_star = a / (d*t)
-    return max(DEFAULT_DPS, 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
+                pair, FrequencyTable.from_freqs(pair, (1, t - 1))).nats)
+        return bound * (1 - mp.mpf(2) ** -40) > r
 
 
 def plan_precision(p: ProbabilityVector, target_r,
@@ -634,9 +612,8 @@ def plan_precision(p: ProbabilityVector, target_r,
     (corollary-2) bound for favorable sources.
 
     Both modes decide the target with kl_divergence, the same sum the plan
-    verifies, at the digits _decision_dps asks for, and the plan's
-    divergence is evaluated at those or _report_dps digits, whichever is
-    more.  Opportunistic mode gives up once t would exceed
+    verifies, at the digits it picks for each table (_kl_dps).
+    Opportunistic mode gives up once t would exceed
     2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
     absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
     width bound assumes.  In either mode, a target that every D > 0 up to
@@ -647,32 +624,23 @@ def plan_precision(p: ProbabilityVector, target_r,
         raise InvalidArgument(f"unknown mode {mode!r}")
     r = _parse_target(target_r)
     w1, raw = corollary1_width(p.m, r, p.p_min)
-    w_eff = max(w1, register_width(p.m))
-    # the digits cover the widest scan either mode may make; a target below
-    # its Pinsker floor (see _inexact_rows_miss) is decided as the floor is
-    cap_bits = min(w_eff if mode == "guaranteed" else w1 + 2, _MAX_BITS)
-    floor = mp.mpf(2) / (p.common_denominator << cap_bits) ** 2
-    dps = _decision_dps(p.m, 1 << cap_bits, max(r, floor))
-    r = to_mpf(target_r, dps)
     w2 = second_order_width(p, r)
-
-    def verify(table):
-        return kl_divergence(p, table, max(dps, _report_dps(p, table))).nats
-
     verified = None
     if mode == "guaranteed":
-        cap_bits = min(w_eff, w2)
+        cap_bits = min(max(w1, register_width(p.m)), w2)
         if cap_bits > _MAX_BITS:
             raise TargetUnachievableWithinScan(
                 f"a guaranteed plan needs W = {cap_bits} bits, more than the "
                 f"coder's {_MAX_BITS}; try --mode opportunistic"
             )
         table = best_table_under_width(p, cap_bits)
-        verified = verify(table)
+        verified = kl_divergence(p, table).nats
+    else:
+        cap_bits = min(w1 + 2, _MAX_BITS)
     if verified is None or not verified <= r:
         t = None
-        if not _inexact_rows_miss(p, r, cap_bits, dps):
-            t = _first_qualifying_t(p, r, 1 << cap_bits, dps)
+        if not _inexact_rows_miss(p, r, cap_bits):
+            t = _first_qualifying_t(p, r, 1 << cap_bits)
         elif p.common_denominator <= 1 << cap_bits:
             t = p.common_denominator    # the first table with D = 0
         if t is None:
@@ -681,7 +649,7 @@ def plan_precision(p: ProbabilityVector, target_r,
                 f"{format_decimal(r, 8)} nats"
             )
         table = round_min_max(p, t)
-        verified = verify(table)
+        verified = kl_divergence(p, table).nats
 
     width = table.width_bits
     return PrecisionPlan(r, width, table.t, table, verified, w1, raw, w2,

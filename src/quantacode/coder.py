@@ -32,7 +32,7 @@ from .errors import (
 )
 from .precision import DEFAULT_DPS
 from .prob_model import MAX_TOTAL, FrequencyTable, ProbabilityVector
-from .bounds import _report_dps, kl_divergence
+from .bounds import kl_divergence
 
 FRAME_MAGIC = b"QC01"
 
@@ -140,9 +140,9 @@ class RateReport:
                 f"{self.excess:.12g}")
 
 
-def entropy_bits(p: ProbabilityVector, dps: int = DEFAULT_DPS) -> mp.mpf:
-    """Source entropy H(p) in bits at dps digits."""
-    with mp.workdps(dps):
+def entropy_bits(p: ProbabilityVector) -> mp.mpf:
+    """Source entropy H(p) in bits at DEFAULT_DPS digits."""
+    with mp.workdps(DEFAULT_DPS):
         return -mp.fsum(
             (mp.mpf(x.numerator) / x.denominator)
             * mp.log(mp.mpf(x.numerator) / x.denominator)
@@ -176,8 +176,7 @@ def measure_rate(p: ProbabilityVector, table: FrequencyTable, n: int,
     syms = sample_symbols(p, n, seed)
     blob = encode(syms, table)
     total_bits = 8 * len(blob)
-    dps = _report_dps(p, table)   # so that the printed H and D are right
-    h = float(entropy_bits(p, dps))
-    d = float(kl_divergence(p, table, dps).bits)
+    h = float(entropy_bits(p))
+    d = float(kl_divergence(p, table).bits)
     rate = total_bits / n
     return RateReport(n, total_bits, rate, h, d, rate - h)

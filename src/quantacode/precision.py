@@ -1,8 +1,9 @@
 """Decimal helpers.
 
 All "high-precision real" values in this package are mpmath floats.  Their
-digit counts are derived from the inputs by the callers, with DEFAULT_DPS
-(50) as the floor: see ``bounds._decision_dps`` and ``bounds._report_dps``.
+digit counts are derived from the inputs, with DEFAULT_DPS (50) as the
+floor; each divergence is evaluated at the digits ``bounds._kl_dps``
+derives from its size.
 Exact quantities (probabilities, per-symbol errors) never pass through
 floats at all -- they stay `fractions.Fraction`, and their decimals (and
 the m-th roots that scan qualities need) are rounded exactly in Python

@@ -308,7 +308,7 @@ def test_criterion_8_coder_validation():
         uniform = qc.round_min_max(p, 3)
         assert uniform.freqs == (1, 1, 1)
         rep3 = qc.measure_rate(p, uniform, n, seed)
-        d_bits = float(qc.kl_divergence(p, uniform, dps=50).bits)
+        d_bits = float(qc.kl_divergence(p, uniform).bits)
         assert abs(rep3.excess - d_bits) <= 0.005, (rep3.excess, d_bits)
         print(f"  exact-table excess {rep.excess:.2e}; "
               f"uniform-table |excess - D| "

@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from quantacode import (
 from quantacode import _kernels
 from quantacode.approx import _CHUNK, _hit_ts, _iter_chunks, _threshold_tests
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
+from quantacode.precision import DEFAULT_DPS
 
 from conftest import random_decimal_probs
 
@@ -185,6 +188,27 @@ class TestRecordScan:
         last = res.records[-1]
         assert last.t == 987
         assert abs(float(last.quality) - 5 ** -0.5) < 5e-7
+
+    @pytest.mark.parametrize("m, digits", [(24, 6), (4, 20)])
+    def test_mary_quality_is_root_t_times_a_over_d(self, m, digits):
+        # record_scan stored t**(1/m) * A / d for each record before the
+        # quality was computed on demand, from A/d in lowest terms: the two
+        # roundings can differ by a few units of 2**-prec, relative
+        rnd = random.Random(m)
+        cuts = sorted({rnd.randrange(1, 10**digits) for _ in range(m - 1)})
+        ends = [0, *cuts, 10**digits]
+        p = ProbabilityVector([Fraction(b - a, 10**digits)
+                               for a, b in zip(ends, ends[1:])])
+        d = p.common_denominator
+        res = record_scan(p, 3000)
+        assert len(res.records) > 5
+        with mp.workdps(DEFAULT_DPS):
+            root = mp.mpf(1) / m
+            for r in res.records:
+                a = r.delta_star * d * r.t
+                assert a.denominator == 1 and a > 0
+                want = mp.mpf(r.t) ** root * mp.mpf(a.numerator) / d
+                assert abs(r.quality - want) <= want * mp.mpf(2) ** (2 - mp.mp.prec)
 
     def test_rational_terminates_at_exactness(self):
         res = record_scan(parse_probability_vector(["0.7", "0.3"]), 100)

@@ -41,13 +41,12 @@ from quantacode.bounds import (
     KAPPA_GENERIC,
     KAPPA_GOLDEN,
     WidthBound,
-    _decision_dps,
     _first_qualifying_t,
     _inexact_rows_miss,
     lemma1_exact,
     theorem1_exact,
 )
-from quantacode.precision import DEFAULT_DPS, to_mpf
+from quantacode.precision import to_mpf
 from quantacode.prob_model import MAX_TOTAL
 
 from conftest import random_decimal_probs
@@ -80,12 +79,6 @@ class TestKlDivergence:
         d = kl_divergence(p, table_for(p, [2, 2]))
         with mp.workdps(50):
             assert abs(d.bits - d.nats / mp.log(2)) < mp.mpf(10) ** -45
-
-    def test_respects_dps_argument(self):
-        p = golden_pair()
-        d50 = kl_divergence(p, round_min_max(p, 13), dps=50).nats
-        d80 = kl_divergence(p, round_min_max(p, 13), dps=80).nats
-        assert abs(d50 - d80) < mp.mpf(10) ** -45
 
 
 class TestLemma1:
@@ -399,8 +392,7 @@ class TestPlanner:
             plan_precision(golden_pair(), "1e-5", mode="opportunistic")
 
     def test_first_qualifying_respects_cap(self):
-        assert _first_qualifying_t(golden_pair(), to_mpf("1e-12"), 50,
-                                   DEFAULT_DPS) is None
+        assert _first_qualifying_t(golden_pair(), to_mpf("1e-12"), 50) is None
 
     def test_unreachable_target_needs_no_kl_divergence(self, monkeypatch):
         # the float screen passes every row whose estimate lies within its
@@ -410,9 +402,8 @@ class TestPlanner:
         calls = []
         monkeypatch.setattr(B, "kl_divergence",
                             lambda *a: calls.append(a) or kl_divergence(*a))
-        dps = _decision_dps(2, 1 << 16, to_mpf("1e-40"))
-        r = to_mpf("1e-40", dps)
-        assert _first_qualifying_t(golden_pair(), r, 1 << 16, dps) is None
+        r = to_mpf("1e-40")
+        assert _first_qualifying_t(golden_pair(), r, 1 << 16) is None
         assert not calls
 
     def test_unknown_mode_rejected(self):
@@ -441,34 +432,29 @@ class TestPlanner:
             r = kl_divergence(p, round_min_max(p, t0)).nats
             t = first_t(p, r)
             assert expected in (None, t)
-            assert _first_qualifying_t(p, r, t0, DEFAULT_DPS) == t
+            assert _first_qualifying_t(p, r, t0) == t
             assert plan_precision(p, r, mode="opportunistic").t == t
 
     def test_low_precision_screen_keeps_what_kl_divergence_accepts(self):
-        # the tables at t = 9 and t = 639 = 71 * 9 have the same ratios, so
-        # t = 9 meets R exactly; at 6 digits the rounding of kl_divergence
-        # far exceeds the float64 error of the screen
+        # the tables at t = 9 and t = 639 = 71 * 9 have the same ratios and
+        # D = 3.28e-7; R is that D summed at 6 digits, where the rounding of
+        # its terms dwarfs it.  The plan decides R at kl_divergence's own
+        # digits, where t = 9 misses it
         p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
-        r = kl_divergence(p, round_min_max(p, 639), dps=6).nats
-        assert _first_qualifying_t(p, r, 639, 6) == 9
-        # the plan is decided at _decision_dps digits: t = 9 misses r there
-        # (3.28e-7 > 2.75e-7)
+        r = mp.mpf((4725, -34))     # 2.75e-7
         assert plan_precision(p, r, mode="opportunistic").t == 151
 
     def test_low_precision_plan_meets_target_at_50_digits(self):
-        # at 6 digits the search takes t = 142, whose 50-digit D is 2.93e-7;
-        # at _decision_dps digits it takes a t that meets R, as the plans do
+        # summed at 6 digits, the search took t = 142, whose D is 2.93e-7;
+        # at kl_divergence's own digits it takes a t that meets R, as the
+        # plans do
         p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
         r = to_mpf("2.75e-7")
-        cap = 1 << 24
-        low = _first_qualifying_t(p, r, cap, 6)
-        assert kl_divergence(p, round_min_max(p, low)).nats > r
-        dps = _decision_dps(p.m, cap, r)
-        ts = [_first_qualifying_t(p, to_mpf("2.75e-7", dps), cap, dps)]
+        ts = [_first_qualifying_t(p, r, 1 << 24)]
         ts += [plan_precision(p, "2.75e-7", mode=mode).t
                for mode in ("opportunistic", "guaranteed")]
         for t in ts:
-            assert kl_divergence(p, round_min_max(p, t), dps=50).nats <= r
+            assert kl_divergence(p, round_min_max(p, t)).nats <= r
 
     def test_guaranteed_fallback_takes_first_qualifying_t(self, monkeypatch):
         import quantacode.bounds as B
@@ -537,9 +523,8 @@ class TestPlanner:
         p = parse_probability_vector("0.0001,0.9999")
         k = kl_divergence(p, FrequencyTable.from_freqs(p, (1, 4095))).nats
         reach = k * (1 + mp.mpf("1e-9"))
-        dps = _decision_dps(2, 1 << 12, reach)
         plan = plan_precision(p, reach, mode="opportunistic")
-        assert plan.t == _first_qualifying_t(p, reach, 1 << 12, dps) == 4096
+        assert plan.t == _first_qualifying_t(p, reach, 1 << 12) == 4096
 
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned")
@@ -556,8 +541,7 @@ class TestPlanner:
         assert table.freqs == (1, (1 << 24) - 1)
         assert kl_divergence(p, table).nats < mp.mpf("3.2e-8")
         for target, miss in (("3.2e-8", False), ("3.1e-8", True), ("1e-9", True)):
-            dps = _decision_dps(2, 1 << 24, to_mpf(target))
-            assert _inexact_rows_miss(p, to_mpf(target, dps), 24, dps) == miss
+            assert _inexact_rows_miss(p, to_mpf(target), 24) == miss
 
     @pytest.mark.parametrize("mode", ["guaranteed", "opportunistic"])
     @pytest.mark.parametrize("probs, target", [

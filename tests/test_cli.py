@@ -1,3 +1,4 @@
+import struct
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from quantacode import (
     sample_symbols,
     __version__,
 )
+from quantacode import cli
 from quantacode.cli import main
 
 
@@ -182,17 +184,17 @@ class TestPlan:
     ])
     def test_tiny_target_is_decided_at_few_digits(self, capsys, monkeypatch,
                                                   mode, probs, want):
-        # R = 1e-2000000 lies below every D > 0 of a table with t <= 2**24,
-        # so the plan is decided at the digits of that floor, not at the
-        # two million digits of R (which used to take minutes)
+        # R = 1e-2000000 lies below every D > 0 of a table with t <= 2**24;
+        # each divergence the plan evaluates takes the digits of its own
+        # size, never the two million digits of R (which took minutes)
         import quantacode.bounds as B
         digits = []
-        decision_dps = B._decision_dps
-        monkeypatch.setattr(B, "_decision_dps",
-                            lambda *a: digits.append(decision_dps(*a)) or digits[-1])
+        kl_dps = B._kl_dps
+        monkeypatch.setattr(B, "_kl_dps",
+                            lambda *a: digits.append(kl_dps(*a)) or digits[-1])
         code, stdout, err = run(capsys, "plan", "-p", probs, "-R", "1e-2000000",
                                 "--mode", mode)
-        assert digits and max(digits) < 200
+        assert max(digits, default=0) < 200
         if want is None:
             assert code == 3 and not stdout and err
         else:
@@ -454,3 +456,59 @@ class TestLowPrecisionReports:
             ["guaranteed-sufficient width: 17 (raw bound 17.6096593594)",
              f"eta = W / log2(m/R) = {eta}"],
             ["17", "17.6096593594", eta])
+
+
+class TestErrorBranches:
+    """Each failure the CLI maps to an exit code, reached through cli.main."""
+
+    def test_missing_input_file_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "decode", "-i", str(tmp_path / "none.qc"),
+                           "-o", str(tmp_path / "o.bin"))
+        assert code == 2 and err.startswith("error:")
+
+    def test_table_file_not_utf8_exits_2(self, tmp_path, capsys):
+        (tmp_path / "t.txt").write_bytes(b"\xff\xfe 2 4 2\n")
+        (tmp_path / "s.bin").write_bytes(bytes([0, 1]))
+        code, _, err = run(capsys, "encode", "-i", str(tmp_path / "s.bin"),
+                           "--table", str(tmp_path / "t.txt"),
+                           "-o", str(tmp_path / "s.qc"))
+        assert code == 2 and err.startswith("error:")
+
+    def test_approximate_needs_t_or_width(self, capsys):
+        code, stdout, err = run(capsys, "approximate", "-p", "0.7,0.3")
+        assert code == 2 and not stdout and "need -t or -W" in err
+
+    def test_simulate_needs_table_or_t(self, capsys):
+        code, stdout, err = run(capsys, "simulate", "-p", "0.7,0.3")
+        assert code == 2 and not stdout and "need --table or -t" in err
+
+    def test_framed_stream_with_bad_table_exits_2(self, tmp_path, capsys):
+        ttext = b"not a table"
+        blob = (b"QC01" + struct.pack(">I", len(ttext)) + ttext
+                + struct.pack(">Q", 0))
+        (tmp_path / "s.qc").write_bytes(blob)
+        code, _, err = run(capsys, "decode", "-i", str(tmp_path / "s.qc"),
+                           "-o", str(tmp_path / "o.bin"))
+        assert code == 2 and "bad embedded table" in err
+
+    def test_unparsable_probability_exits_2(self, capsys):
+        code, _, err = run(capsys, "approximate", "-p", "0.5,abc", "-t", "4")
+        assert code == 2 and "cannot parse p[1]" in err
+
+    def test_internal_error_exits_1_with_traceback(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_plan", boom)
+        code, stdout, err = run(capsys, "plan", "-p", "golden", "-R", "1e-5")
+        assert code == 1 and not stdout
+        assert "Traceback" in err and "RuntimeError: boom" in err
+
+    def test_report_prints_na_where_a_premise_fails(self, tmp_path, capsys):
+        # 2 * t * p_min = 0.2 <= 1: theorem 1's premise fails, and so does
+        # lemma 1's, since delta_star = 0.09 exceeds p_min = 0.01
+        code, stdout, _ = run(capsys, "approximate", "-p", "0.01,0.99",
+                              "-t", "10", "-o", str(tmp_path / "t.txt"))
+        assert code == 0
+        assert "rounding bound (nats):     n/a" in stdout
+        assert "error bound (nats):        n/a" in stdout
