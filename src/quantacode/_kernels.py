@@ -31,6 +31,8 @@ from a sort of each row's keys, which is faster there.
 
 The exhaustive test oracle has only the big-integer form; the range coder
 runs on Python ints and C-level primitives (bisect, bytearray appends).
+The encoder adds each carry to the bytes it has written (O(len) per stream,
+see :func:`_carry`); decoded symbols view the decoder's own byte buffer.
 """
 
 from __future__ import annotations
@@ -273,50 +275,50 @@ def exhaustive_min(nums, d: int, t: int):
 # range coder
 # =============================================================================
 
-def rc_encode(syms, pos, starts, fpos, t: int) -> bytes:
-    """Byte-wise carry-propagating range coder: symbols -> compressed bytes.
+def rc_encode(syms, freqs, starts, last, t: int) -> bytes:
+    """Byte-wise range coder: symbols -> compressed bytes.
 
-    Symbol s owns fpos[pos[s]] of t from starts[pos[s]] on; both lists are
-    re-indexed by symbol first.  The loop reads Python ints, not numpy
-    scalars, from bounded tolist() slices of `syms`.  The output is exactly
-    one byte per renormalisation shift plus the 5 flush shifts: a shift
-    emits the byte it completes, or holds it while a carry can still change
-    it (`pending` 0xFF bytes behind `cache`).
+    Symbol s owns freqs[s] of t from starts[s] on; `last`, the symbol at the
+    last canonical position, takes the rest of the range.  The loop reads
+    Python ints from bounded tolist() slices of the array `syms`.  Output:
+    the exact sum of each symbol's start*r << 8*(shifts after it), in 1 +
+    shifts + 4 big-endian bytes.  Bit 32 of `low` (< 2**33) is a carry that
+    the next shift, or the flush, adds to the bytes written.
     """
-    start_of = [starts[k] for k in pos]
-    freq_of = [fpos[k] for k in pos]
-    last = pos.index(len(starts) - 1)
-    low = cache = pending = 0
-    rng = _MASK32
-    out = bytearray()
-    emit = out.append
-    syms = np.asarray(syms)
+    low, rng = 0, _MASK32
+    out = bytearray(1)   # byte 0 stays 0: the sum is < 2**(32 + 8*shifts)
     for i in range(0, syms.size, _CHUNK):
         for s in syms[i:i + _CHUNK].tolist():
             r = rng // t
-            base = start_of[s] * r
+            base = starts[s] * r
             low += base
             if s == last:
                 rng -= base
             else:
-                rng = freq_of[s] * r
+                rng = freqs[s] * r
             while rng < _TOP24:
                 rng <<= 8
-                if low < 0xFF000000 or low > _MASK32:
-                    carry = low >> 32
-                    emit((cache + carry) & 0xFF)
-                    if pending:
-                        out += (b"\0" if carry else b"\xff") * pending
-                        pending = 0
-                    cache = (low >> 24) & 0xFF
-                else:
-                    pending += 1
+                if low > _MASK32:
+                    low = _carry(out, low)
+                out.append(low >> 24)
                 low = (low & 0xFFFFFF) << 8
-    # the flush: five shifts in closed form, as only the first can carry
-    carry = low >> 32
-    emit((cache + carry) & 0xFF)
-    out += (b"\0" if carry else b"\xff") * pending + (low & _MASK32).to_bytes(4, "big")
+    if low > _MASK32:
+        low = _carry(out, low)
+    out += low.to_bytes(4, "big")
     return bytes(out)
+
+
+def _carry(out: bytearray, low: int) -> int:
+    """Add bit 32 of `low` to `out` and return low's 32 bits: trailing 0xFF
+    bytes become 0, the byte before them goes up by one.  A byte turns from
+    0xFF to 0 at most once more than the carries that end at it, so all the
+    carries of a stream walk fewer than 2*len(out) bytes."""
+    i = len(out) - 1
+    while out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    out[i] += 1
+    return low & _MASK32
 
 
 def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
@@ -329,7 +331,7 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
     per renormalisation shift.  A 9th read past the end stops decoding with
     over = 9, the symbols not yet decoded left undefined.  The symbols go
     into a bytearray of n (C unsigned ints when m > 256), one allocation
-    that is copied once into the result.
+    that the result views without a copy: uint8 for m <= 256, else uint32.
     """
     last = len(starts) - 1
     starts = list(starts)   # bisect is faster on a list
@@ -356,7 +358,7 @@ def rc_decode_py(data: bytes, n: int, order, starts, fpos, t: int):
         over = max(ptr - len(data), 0)
     except IndexError:
         over = 9
-    return np.asarray(ks).astype(np.int64), over
+    return np.frombuffer(ks, np.uint8 if last < 256 else np.uint32), over
 
 
 def rc_decode(data: bytes, n: int, order, starts, fpos, t: int):

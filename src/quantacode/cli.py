@@ -54,9 +54,9 @@ def _csv_comment(seed: int | None = None) -> str:
     return f"# quantacode {__version__}" + ("" if seed is None else f" seed={seed}")
 
 
-def _write(path, data: str | bytes):
-    """Write text or bytes to `path`, or to stdout when it is None or "-"."""
-    binary = isinstance(data, bytes)
+def _write(path, data):
+    """Write text or bytes-like data to `path`, or stdout for None or "-"."""
+    binary = not isinstance(data, str)
     if path in (None, "-"):
         (sys.stdout.buffer if binary else sys.stdout).write(data)
     else:
@@ -144,9 +144,9 @@ def cmd_decode(args) -> int:
         syms = decode(blob, args.n, _load_table(args.table))
     else:
         syms, _ = decode_framed(blob)
-    if len(syms) and syms.max() > 255:
+    if syms.dtype == np.uint32 and len(syms) and syms.max() > 255:
         raise InvalidArgument(f"decoded symbol {syms.max()} is not a byte")
-    _write(args.out, syms.astype(np.uint8).tobytes())
+    _write(args.out, syms.astype(np.uint8, copy=False))
     return _EXIT_OK
 
 
@@ -247,10 +247,7 @@ def main(argv=None) -> int:
     except TargetUnachievableWithinScan as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_UNACHIEVABLE
-    except QuantacodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_INVALID
-    except (OSError, ValueError) as exc:
+    except (QuantacodeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
     except Exception:

@@ -1,17 +1,18 @@
 """Quantized range coder and its rate-measurement harness.
 
-The coder is a byte-wise carry-propagating range coder (64-bit state, 32-bit
-range register, renormalized when the range drops below 2**24).  Symbol
-intervals are the canonical cumulative intervals of the frequency table:
-symbol at canonical position k owns [cum[k], cum[k] + f_k) out of t.  With
-t capped at 2**24, range // t never truncates a nonzero interval, and after
-every renormalization range >= 2**24 = 2**(32 - 8).
+The coder is a byte-wise range coder: a 32-bit range register, renormalized
+below 2**24, and a 33-bit low whose carry is added to the bytes already
+written, in O(len) time per stream.  Symbol intervals are the canonical
+cumulative intervals of the frequency table: symbol at canonical position k
+owns [cum[k], cum[k] + f_k) out of t.  With t capped at 2**24, range // t
+never truncates a nonzero interval, and after every renormalization
+range >= 2**24 = 2**(32 - 8).
 
 The encoder is the measurement instrument for the redundancy analysis: for
 iid symbols from p, the empirical rate converges to H(p) + D(p || f/t) bits
-per symbol, up to O(1/n) flush overhead (at most the state width, 64 bits,
-per stream) plus sampling noise.  A finite-n measurement therefore validates
-the divergence computed by `bounds`, it does not bound it.
+per symbol, up to O(1/n) flush overhead (a leading zero byte and 4 flush
+bytes per stream) plus sampling noise.  A finite-n measurement therefore
+validates the divergence computed by `bounds`, it does not bound it.
 """
 
 from __future__ import annotations
@@ -65,18 +66,18 @@ def encode(symbols, table: FrequencyTable) -> bytes:
     if syms.size and (syms.min() < 0 or syms.max() >= table.m):
         bad = int(syms[(syms < 0) | (syms >= table.m)][0])
         raise SymbolOutOfRange(f"symbol {bad} outside [0, {table.m})")
-    fpos = [table.freqs[s] for s in table.order]
-    return _kernels.rc_encode(syms, table.position_of_symbol, table.cum,
-                              fpos, table.t)
+    starts = [table.cum[k] for k in table.position_of_symbol]
+    return _kernels.rc_encode(syms, table.freqs, starts, table.order[-1],
+                              table.t)
 
 
 def decode(data: bytes, n: int, table: FrequencyTable) -> np.ndarray:
-    """Exact inverse of encode for a stream of n symbols."""
+    """Exact inverse of encode for n symbols: uint8 (m <= 256) or uint32."""
     _check_table(table)
     if n < 0:
         raise InvalidArgument(f"n must be >= 0, got {n}")
     if n == 0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, np.uint8 if table.m <= 256 else np.uint32)
     # Each symbol shrinks the range by at least 1 - (t - f_max)/(2t), the
     # last interval included, since r = range // t >= range/(2t) when
     # range >= 2**24 >= t.  The range stays in [2**24, 2**32) and each byte

@@ -1,5 +1,6 @@
 import struct
 import time
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -272,6 +273,34 @@ class TestCodecCommands:
                            "--raw", "--table", str(tmp_path / "t.txt"),
                            "-n", "2", "-o", str(tmp_path / "o.bin"))
         assert code == 2 and "not a byte" in err
+
+    def test_wide_alphabet_with_byte_symbols_decodes(self, tmp_path, capsys):
+        table = round_min_max(ProbabilityVector([Fraction(1, 300)] * 300), 300)
+        payload = bytes(range(256)) * 4
+        (tmp_path / "s.qc").write_bytes(encode_framed(payload, table))
+        code, _, _ = run(capsys, "decode", "-i", str(tmp_path / "s.qc"),
+                         "-o", str(tmp_path / "o.bin"))
+        assert code == 0 and (tmp_path / "o.bin").read_bytes() == payload
+
+    def test_decode_peak_memory_per_symbol(self, tmp_path, capsys):
+        # the decoded bytes are written from the decoder's own buffer
+        n = 2 * 10**5
+        table = round_min_max(ProbabilityVector([Fraction(1, 200)] * 200), 1 << 24)
+        payload = np.random.default_rng(4).integers(0, 200, n).astype(np.uint8)
+        for name, data in (("w.qc", payload[:100]), ("s.qc", payload)):
+            (tmp_path / name).write_bytes(encode_framed(data, table))
+        # a first call pays the one-time costs (the parser, caches)
+        assert main(["decode", "-i", str(tmp_path / "w.qc"),
+                     "-o", str(tmp_path / "o.bin")]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["decode", "-i", str(tmp_path / "s.qc"),
+                         "-o", str(tmp_path / "o.bin")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and (tmp_path / "o.bin").read_bytes() == payload.tobytes()
+        assert peak < 4 * n, peak / n
 
     def test_raw_roundtrip_needs_table_and_n(self, tmp_path, capsys):
         table = tmp_path / "table.txt"

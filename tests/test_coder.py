@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,72 @@ CUT_OVER = {
         0: 6, 1: 5, 2: 4, 3: 3, 4: 2, 5: 1, 6: 0,
     },
 }
+
+
+def reference_encode(syms, table):
+    """The range coder with `low` kept as one unbounded integer: each shift
+    moves the whole sum 8 bits left, so no carry is ever held or added."""
+    low, rng, shifts = 0, 0xFFFFFFFF, 0
+    for s in syms:
+        r = rng // table.t
+        base = table.cum[table.position_of_symbol[s]] * r
+        low += base
+        rng = rng - base if s == table.order[-1] else table.freqs[s] * r
+        while rng < 1 << 24:
+            low, rng, shifts = low << 8, rng << 8, shifts + 1
+    return low.to_bytes(shifts + 5, "big")
+
+
+class TestCarry:
+    @pytest.mark.parametrize("m", [2, 3, 24, 200, 300])
+    def test_reference_gives_the_pinned_streams(self, m):
+        for t in _pin_ts(m):
+            table, syms = _pinned_case(m, t)
+            blob = reference_encode(syms.tolist(), table)
+            assert hashlib.sha256(blob).hexdigest() == ENCODE_SHA256[m, t], (m, t)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_reference_on_random_tables(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 301))
+        t = int(2 ** rng.uniform(math.log2(m + 1), 24))
+        table = round_min_max(ProbabilityVector(random_decimal_probs(rng, m)), t)
+        syms = rng.integers(0, m, 3000)
+        blob = encode(syms, table)
+        assert blob == reference_encode(syms.tolist(), table)
+        # the coded value stays below 2**(32 + 8*shifts): byte 0 is always 0
+        assert blob[0] == 0
+
+    def test_carry_through_twelve_0xff_bytes(self):
+        table = FrequencyTable.from_freqs(ProbabilityVector(["1/256"] * 256),
+                                          [1] * 256)   # symbol s owns [s, s+1)
+        # Follow the encoder's 32-bit window of low.  After symbol 1, each
+        # symbol's interval holds the carry boundary 2**32, so every shift
+        # writes 0xFF; the 14th symbol lies above it and carries.
+        syms, low, rng = [], 0, 0xFFFFFFFF
+        for k in range(14):
+            r = rng // 256
+            s = 1 if k == 0 else (0xFFFFFFFF - low) // r + (k == 13)
+            syms.append(s)
+            low, rng = low + s * r, r
+            while rng < 1 << 24:
+                low, rng = (low & 0xFFFFFF) << 8, rng << 8
+        held, full = encode(syms[:13], table), encode(syms, table)
+        assert held[2:14] == b"\xff" * 12
+        assert full[1] == held[1] + 1 and full[2:14] == bytes(12)
+        assert full == reference_encode(syms, table)
+        assert decode(full, 14, table).tolist() == syms
+
+
+class TestDecodedSymbols:
+    @pytest.mark.parametrize("m, dtype", [(2, np.uint8), (256, np.uint8),
+                                          (257, np.uint32), (300, np.uint32)])
+    def test_dtype_follows_the_alphabet(self, m, dtype):
+        _, table = uniform_table(m)
+        for n in (0, 1, m):
+            out = decode(encode(np.arange(n) % m, table), n, table)
+            assert out.dtype == dtype and out.tolist() == list(range(n))
+        assert not out.flags.owndata   # a view of the decoder's buffer
 
 
 class TestPinnedBytes:

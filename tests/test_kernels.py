@@ -208,9 +208,9 @@ class TestRangeCoder:
         p = ProbabilityVector(random_decimal_probs(rng, m))
         table = round_min_max(p, int(rng.integers(m, 3000)))
         syms = rng.integers(0, m, n, dtype=np.int64)
+        starts = [table.cum[k] for k in table.position_of_symbol]
+        blob = K.rc_encode(syms, table.freqs, starts, table.order[-1], table.t)
         fpos = [table.freqs[s] for s in table.order]
-        blob = K.rc_encode(syms, table.position_of_symbol, table.cum, fpos,
-                           table.t)
         out, over = K.rc_decode(blob, n, table.order, table.cum, fpos, table.t)
         assert over == 0
         assert np.array_equal(out, syms)
