@@ -1,17 +1,56 @@
 """Rational approximation constructions.
 
-Three ways to approximate a source by f/t tables:
+Two ways to approximate a source by f/t tables:
 
 * :func:`round_min_max` -- for a fixed denominator t, the table minimizing
   the worst per-symbol error delta_star, by sum-constrained largest-remainder
   rounding (with exact repair when some t*p_i < 1 forces f_i = 1).
-* :func:`cf_convergents` -- continued-fraction convergents of a single
-  probability, the classical best rational approximations for binary sources.
 * :func:`record_scan` -- sweep t upward and keep the denominators whose
   delta_star beats everything smaller ("record" denominators).  Their
   normalized quality (t^2 * delta_star for binary sources, t^(1+1/m) *
   delta_star otherwise) is what the Diophantine existence results constrain,
   so the scan doubles as a desk-scale empirical check of those results.
+
+A binary source needs no sweep: its records and hits come from the
+continued fraction of x = p_min = P/d <= 1/2 (_binary_fold).  Let
+x = [0; a_1, a_2, ...] have convergents p_k/q_k (q_0 = 1, q_1 = a_1, as
+cf_convergents lists them) and theta_k = q_k*x - p_k.  The theta_k
+alternate in sign, with theta_{k-1} = -alpha_{k+1} * theta_k for the
+complete quotient alpha_{k+1} >= a_{k+1}, equal only at the last term of a
+rational x.  The best table of t has f_min >= 1 and delta_star =
+|x - f_min/t|, so:
+
+* Forced prefix.  Where t*x < 1, f_min = 1 and delta_star = 1/t - x, which
+  falls with t: every t in [2, t0], t0 = ceil(1/x) - 1, is a record, with
+  A = d - t*P.
+* Records beyond it.  At t*x >= 1, delta_star(t) = ||t*x||/t <= 1/(2t) < x,
+  while ||s*x||/s = min(x, 1/s - x) for s <= t0.  So a record t > t0,
+  which beats 1/s - x for s in [2, t0], beats ||s*x||/s for every s < t,
+  s = 1 included: f_min/t is a best approximation of the first kind.
+  Such a fraction lies on the Stern-Brocot path of x, i.e. t is a
+  convergent denominator q_k or an intermediate one, q_{k-1} + j*q_k with
+  0 < j < a_{k+1} (Khinchin, Continued Fractions, ch. II): a fraction off
+  the path lies strictly inside one half of some mediant split whose other
+  half holds x, so the mediant, of smaller denominator, lies between it
+  and x.  The
+  intermediate has |t*x - (p_{k-1} + j*p_k)| = (alpha_{k+1} - j)*|theta_k|,
+  below |theta_{k-1}| <= 1/q_k <= 1/2, so that numerator is its nearest
+  integer.  Its delta_star is below q_k's |theta_k|/q_k only when
+  (alpha_{k+1} - j)*q_k < q_{k-1} + j*q_k, i.e. 2j > alpha_{k+1} -
+  q_{k-1}/q_k > a_{k+1} - 1: the half rule j >= a_{k+1}/2.  Along j the
+  intermediate's delta_star falls, so the records among one convergent's
+  intermediates are a suffix of them, found by bisection.  Every candidate
+  is decided by the cross-multiplication below against the best so far, in
+  ascending t; the best so far is always a record, so the candidates give
+  the same records as a sweep of every t.
+* Hits.  A hit has |x - f_min/t| < kappa/t**2 < 1/(2t**2), since kappa**2
+  < 1/4 (bounds.Kappa refuses more), so by Legendre's theorem f_min/t =
+  c/q in lowest terms is a convergent, with c >= 1, and t = K*q.  There
+  t*||t*x|| = K**2 * q*|theta|, with theta = q*x - c, while K*|theta| <
+  1/2; so a hit at K*q makes every smaller multiple of q a hit, and each
+  q's multiples are tested until the first miss.  A hit has A > 0, so
+  t*||t*x|| >= t/d', d' the reduced denominator of x: every hit lies below
+  the exact table at t = d'.
 
 All record and threshold decisions are exact: with p_i = P_i / d and
 A = max_i |t*P_i - f_i*d|, delta_star = A/(d*t), a record is decided by the
@@ -26,8 +65,8 @@ its chunk, is a hit with no test of its own: one B per chunk decides
 almost every row for large m, where almost every row is a hit.  Only the
 candidates above that cap take the A**m test.
 
-`record_scan` and `best_table_under_width` need only records and hits, so
-there a float64 prescreen *excludes* rows, and every remaining candidate is
+For m > 2, `record_scan` and `best_table_under_width` need only records and
+hits, so there a float64 prescreen *excludes* rows, and every remaining candidate is
 decided by the integer tests above on the true p, in ascending t: no result
 rests on a float or on a truncated source.  The screen reads
 delta~ = A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
@@ -65,7 +104,7 @@ An exact table (delta_star = 0) has delta~ <= eps, so it is always a
 record candidate, and once confirmed it ends the scan.
 
 The screen pays while eps is far below the records' delta_star, i.e. while
-t**3 is far below 2**62 (t up to about 10**6 for binary sources); beyond
+t**(2 + 1/m) is far below 2**62 (t well below 10**8 for m = 3); beyond
 that more rows, up to every row, are candidates for minmax_freqs_exact.
 
 `scan_rows` prints every row's exact A, and the planner's divergence
@@ -101,6 +140,8 @@ any m; minmax_freqs_exact only builds tables and confirms candidates.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,11 +158,12 @@ from .errors import (
     WidthTooSmall,
 )
 from .precision import DEFAULT_DPS, _iroot_floor
-from .prob_model import FrequencyTable, ProbabilityVector
+from .prob_model import MAX_TOTAL, FrequencyTable, ProbabilityVector, register_width
 
 _CHUNK = 4096
 _SLACK = 1e-9  # relative widening of every float64 prescreen bound
 _INT64_TOP = (1 << 62) - 1  # hi * D on a truncated chunk stays at most this
+_MAX_BITS = register_width(MAX_TOTAL)   # 24, the widest table the coder takes
 
 
 def round_min_max(p: ProbabilityVector, t: int) -> FrequencyTable:
@@ -410,6 +452,59 @@ def _record_tables(p: ProbabilityVector, ts: list) -> dict:
     return out
 
 
+def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True):
+    """(runs, hit_ts) of a binary source up to t_max, from the continued
+    fraction of x = p_min = P/d (see the module docstring).
+
+    runs are ranges of record denominators, in ascending t: the forced
+    prefix range(2, t0 + 1), where A = d - t*P, then each convergent
+    denominator that is a record and each suffix of intermediate
+    denominators that are, ending at an exact table.  hit_ts lists the
+    fact-constant hits (empty unless `hits`) in ascending t, all below the
+    exact table.
+    """
+    big_p, d = min(p.numerators), p.common_denominator
+
+    def a_of(t):    # A at t: f_min = 1 where t*x < 1, else the nearest integer
+        r = t * big_p
+        return d - r if r < d else min(r % d, d - r % d)
+
+    def beats(t):   # delta_star(t) below the best so far
+        return best is None or a_of(t) * best[1] < best[0] * t
+
+    qs = [q for _, q in cf_convergents(Fraction(big_p, d), d)]  # q_0 = 1, q_1, ...
+    t0 = min((d - 1) // big_p, t_max)
+    runs = [range(2, t0 + 1)]
+    best = (d - t0 * big_p, t0) if t0 >= 2 else None
+    for k in range(1, len(qs)):
+        q_prev, q = qs[k - 1], qs[k]
+        if q > t_max:
+            break
+        if beats(q):
+            runs.append(range(q, q + 1))
+            best = (a_of(q), q)
+            if best[0] == 0:
+                break
+        a_next = (qs[k + 1] - q_prev) // q if k + 1 < len(qs) else 0
+        # delta_star falls along the intermediates, so their records are a suffix
+        cands = range(q_prev + (a_next + 1) // 2 * q,
+                      min(q_prev + a_next * q, t_max + 1), q)
+        j = bisect.bisect_left(cands, True, key=beats)
+        if j < len(cands):
+            runs.append(cands[j:])
+            best = (a_of(cands[-1]), cands[-1])
+    hit_ts = set()
+    if hits:
+        exact_hit = _threshold_tests(2, d, kappa)[0]
+        for q in qs[1:]:
+            for t in range(q, t_max + 1, q):
+                a = a_of(t)
+                if not (a and exact_hit(t, a)):
+                    break
+                hit_ts.add(t)
+    return runs, sorted(hit_ts)
+
+
 def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
     """Scan t in [m, t_max]; collect record denominators and fact-constant hits.
 
@@ -418,13 +513,25 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
     emitted with quality 0 and the scan stops.  `fact_hits` lists every
     scanned t (record or not) whose quality beats m/(m+1) for m > 2, or the
     binary constant kappa (default generic 2**-1.5; pass
-    ``bounds.KAPPA_GOLDEN`` for golden-equivalent sources).
+    ``bounds.KAPPA_GOLDEN`` for golden-equivalent sources).  Binary sources
+    take their candidates from the continued fraction (_binary_fold), every
+    other source from the chunked scan (_fold).
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
     m, d = p.m, p.common_denominator
     label = (f"{m}/{m + 1}" if m > 2
              else kappa.label if kappa is not None else "generic")
+    if m == 2:
+        (forced, *runs), hits = _binary_fold(p, t_max, kappa)
+        nums = p.numerators
+        small = min(nums)
+        records = [RecordEntry(t, (1, t - 1) if nums[0] == small else (t - 1, 1),
+                               Fraction(d - t * small, d * t)) for t in forced]
+        for t in itertools.chain.from_iterable(runs):
+            f, a = _kernels.minmax_freqs_exact(nums, d, t)
+            records.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
+        return ScanResult(records, hits, t_max, m, label)
     found, hits = [], []
     for _, _, recs, hit_ts in _fold(p, t_max, kappa):
         hits.extend(hit_ts)
@@ -463,11 +570,20 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTa
 
     Ties go to the smallest t.  The guaranteed plan starts from this table;
     when its divergence misses the target, ``bounds.plan_precision`` falls
-    back to the smallest t <= 2**width_bits that meets it.
+    back to the smallest t <= 2**width_bits that meets it.  A binary source
+    takes it from the continued fraction at any width; m > 2 scans every t,
+    so a width above the coder's _MAX_BITS raises InstanceTooLarge at once.
     """
     t_hi = 1 << width_bits
     if t_hi < p.m:
         raise WidthTooSmall(f"2**{width_bits} < m = {p.m}")
+    if p.m == 2:
+        runs, _ = _binary_fold(p, t_hi, hits=False)
+        return round_min_max(p, [r for r in runs if r][-1][-1])
+    if width_bits > _MAX_BITS:
+        raise InstanceTooLarge(
+            f"W = {width_bits} would scan every t up to 2**{width_bits} of an "
+            f"m = {p.m} source; the limit is the coder's {_MAX_BITS} bits")
     for _, _, recs, _ in _fold(p, t_hi, hits=False):
         if recs:
             best_t = recs[-1][0]

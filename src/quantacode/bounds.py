@@ -37,7 +37,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .approx import _iter_chunks, best_table_under_width, round_min_max
+from .approx import _MAX_BITS, _iter_chunks, best_table_under_width, round_min_max
 from .errors import (
     AlphabetNotMary,
     DimensionMismatch,
@@ -51,7 +51,6 @@ from .errors import (
 )
 from .precision import DEFAULT_DPS, format_decimal, to_mpf
 from .prob_model import (
-    MAX_TOTAL,
     FrequencyTable,
     ProbabilityVector,
     error_profile,
@@ -59,7 +58,6 @@ from .prob_model import (
     register_width,
 )
 
-_MAX_BITS = register_width(MAX_TOTAL)   # 24, the widest table the coder takes
 
 # ---- kappa ------------------------------------------------------------------
 
@@ -69,6 +67,12 @@ class Kappa:
 
     label: str
     square: Fraction
+
+    def __post_init__(self):
+        # the binary record scan finds every hit by Legendre's theorem,
+        # which needs t**2 * delta_star < 1/2
+        if not 0 < self.square < Fraction(1, 4):
+            raise InvalidArgument(f"kappa**2 = {self.square} must lie in (0, 1/4)")
 
     def value(self) -> mp.mpf:
         with mp.workdps(DEFAULT_DPS):

@@ -192,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("-t", type=int, default=None, help="denominator")
     sp.add_argument("-W", "--width", type=int, default=None,
-                    help="register width budget (scan all t <= 2**W)")
+                    help="register width budget: best t <= 2**W "
+                         "(W <= 24 for m > 2)")
     sp.add_argument("--kappa", choices=("golden", "generic"), default="generic")
     sp.add_argument("--report-csv", default=None, help="also write the report CSV")
     sp.set_defaults(func=cmd_approximate)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,10 +27,11 @@ from quantacode import (
     silver_pair,
     silver_surrogate,
 )
-from quantacode import _kernels
+from quantacode import _kernels, cli
 from quantacode.approx import _CHUNK, _hit_ts, _iter_chunks, _threshold_tests
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 from quantacode.precision import DEFAULT_DPS
+from quantacode.prob_model import PRESETS
 
 from conftest import random_decimal_probs
 
@@ -654,3 +656,99 @@ def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
     table = best_table_under_width(p, 16)
     chunks = -(-((1 << 16) - p.m + 1) // _CHUNK)
     assert len(calls) <= chunks + 1 and calls[-1] == table.t
+
+
+# ---- binary records and hits from the continued fraction ---------------------
+
+def scan_reference(p, t_max, kappa):
+    """Records (t, freqs, delta_star) and hits of p from scan_rows, which
+    decides every row of the chunked scan."""
+    d = p.common_denominator
+    rows = list(scan_rows(p, t_max, kappa=kappa))
+    recs = [(t, round_min_max(p, t).freqs, Fraction(a, d * t))
+            for t, a, rec, _ in rows if rec]
+    return recs, [t for t, _, _, beat in rows if beat]
+
+
+def assert_records_match_the_scan(p, t_max, kappa):
+    recs, hits = scan_reference(p, t_max, kappa)
+    res = record_scan(p, t_max, kappa=kappa)
+    assert [(r.t, r.freqs, r.delta_star) for r in res.records] == recs
+    assert res.fact_hits == hits
+
+
+@st.composite
+def binary_sources(draw):
+    """Binary sources from each case the continued-fraction path treats."""
+    kind = draw(st.sampled_from(["decimal", "tiny", "rational", "quotient"]))
+    if kind == "decimal":   # 6 digits fit int64; 20 and 33 do not
+        den = 10 ** draw(st.sampled_from([6, 20, 33]))
+        x = Fraction(draw(st.integers(1, den - 1)), den)
+    elif kind == "tiny":    # p_min down to 1e-8: every t < 1/p_min is forced
+        x = Fraction(draw(st.integers(10, 99)), 10 ** draw(st.integers(3, 9)))
+    elif kind == "rational":    # the exact table at t = q ends the output
+        q = draw(st.integers(2, 500))
+        x = Fraction(draw(st.integers(1, q - 1)), q)
+    else:   # c/q -+ 1/n: a partial quotient near n/q**2, as in 0.500001
+        q = draw(st.integers(2, 40))
+        n = draw(st.integers(10 * q * q, 10**4 * q))
+        sign = draw(st.sampled_from([-1, 1]))
+        x = Fraction(draw(st.integers(1, q - 1)), q) + Fraction(sign, n)
+    return ProbabilityVector([x, 1 - x] if draw(st.booleans()) else [1 - x, x])
+
+
+KAPPAS = [KAPPA_GOLDEN, KAPPA_GENERIC]
+FIB_TO_2_40 = FIBONACCI[:2]
+while FIB_TO_2_40[-1] + FIB_TO_2_40[-2] <= 1 << 40:
+    FIB_TO_2_40.append(FIB_TO_2_40[-1] + FIB_TO_2_40[-2])
+
+
+@given(binary_sources(), st.integers(2, 20000), st.sampled_from(KAPPAS))
+@settings(max_examples=120)
+def test_binary_records_and_hits_match_the_scan(p, t_max, kappa):
+    assert_records_match_the_scan(p, t_max, kappa)
+
+
+@pytest.mark.parametrize("spec, t_max", [
+    ("golden", 1 << 14), ("silver", 1 << 14),
+    ("0.500001,0.499999", 3 * 10**5),   # records from t = 250,001 on
+    ("0.7,0.3", 100), ("0.333333,0.666667", 1 << 17),
+    ("0.000001,0.999999", 1 << 15), ("0.01,0.99", 1 << 17),
+    ("0.00000001,0.99999999", 1 << 15),
+])
+@pytest.mark.parametrize("kappa", KAPPAS, ids=["golden", "generic"])
+def test_binary_named_sources_match_the_scan(spec, t_max, kappa):
+    p = PRESETS[spec]() if spec in PRESETS else parse_probability_vector(spec)
+    assert_records_match_the_scan(p, t_max, kappa)
+
+
+@given(binary_sources(), st.integers(1, 14))
+@settings(max_examples=60)
+def test_binary_best_table_is_the_last_record(p, width):
+    recs, _ = scan_reference(p, 1 << width, None)
+    want = round_min_max(p, recs[-1][0])
+    table = best_table_under_width(p, width)
+    assert (table.t, table.freqs) == (want.t, want.freqs)
+
+
+def test_binary_paths_do_not_scan(monkeypatch):
+    import quantacode.approx as A
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(A, "_iter_chunks", no_scan)
+    res = record_scan(golden_pair(), 1 << 30, kappa=KAPPA_GOLDEN)
+    assert res.record_ts == [f for f in FIB_TO_2_40 if f <= 1 << 30]
+    assert best_table_under_width(golden_pair(), 30).t == res.record_ts[-1]
+
+
+def test_golden_width_40_through_the_cli(capsys):
+    start = time.perf_counter()
+    code = cli.main(["approximate", "-p", "golden", "-W", "40"])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "denominator t = 956722026041," in out
+    assert FIB_TO_2_40[-1] == 956722026041
+    assert elapsed < 1

@@ -49,6 +49,20 @@ class TestApproximate:
         assert code == 0
         assert "13" in out.read_text().splitlines()[2]
 
+    @pytest.mark.parametrize("probs", ["0.7,0.2,0.1", "triple"])
+    def test_width_beyond_coder_exits_2_before_any_scan(self, capsys, monkeypatch,
+                                                        probs):
+        # m > 2 scans every t up to 2**W: -W 40 would run for days
+        import quantacode.approx as A
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned")
+
+        monkeypatch.setattr(A, "_iter_chunks", no_scan)
+        code, stdout, err = run(capsys, "approximate", "-p", probs, "-W", "40")
+        assert code == 2 and stdout == ""
+        assert "W = 40" in err and "24" in err
+
     def test_invalid_denominator_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "approximate", "-p", "0.7,0.3", "-t", "1",
                            "-o", str(tmp_path / "x"))

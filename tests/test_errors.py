@@ -8,6 +8,7 @@ import pytest
 
 from quantacode import (
     FrequencyTable,
+    Kappa,
     QuantacodeError,
     cf_convergents,
     parse_probability_vector,
@@ -23,6 +24,7 @@ CASES = {
     "cf-x-outside": lambda: cf_convergents(Fraction(3, 2), 5),
     "cf-max-q": lambda: cf_convergents(Fraction(1, 2), 0),
     "register-width": lambda: register_width(1),
+    "kappa-square": lambda: Kappa("quarter", Fraction(1, 4)),
     "table-t": lambda: FrequencyTable((1, 3), 5, (0, 1), (0, 1), 2),
     "table-order": lambda: FrequencyTable((1, 3), 4, (0, 0), (0, 1), 2),
     "table-cum": lambda: FrequencyTable((1, 3), 4, (0, 1), (0, 2), 2),
