@@ -3,8 +3,8 @@
 The min-max apportionment has two implementations:
 
 * :func:`minmax_scan`, a vectorized numpy kernel on int64 over a range of
-  t, for any alphabet size, where every intermediate provably fits (see
-  :func:`fits_int64`);
+  t (:func:`_minmax_rows` over any array of t), for any alphabet size,
+  where every intermediate provably fits (see :func:`fits_int64`);
 * :func:`minmax_freqs_exact`, a pure-Python big-integer reference for one
   t and the semantic ground truth: it builds single tables, repairs the
   kernel's shedding rows, confirms scan candidates and is the test oracle,
@@ -19,6 +19,11 @@ only shedding rows call the exact reference.  It can also certify its
 tables for every source within a given distance of its input, which lets
 a truncated stand-in for a source that overflows int64 give that source's
 exact tables (see :func:`minmax_scan`).
+
+:func:`gap_screen` keeps the t of an array at which every t*p_i lies
+within a per-row cap of an integer.  That distance bounds every table's
+error from below, so `approx` drops the rows that cannot be records or
+hits before the min-max kernel builds any table.
 
 The int64 kernel works symbol-major: its arrays are (m, rows), so each
 reduction over the symbols runs along axis 0, across whole rows of the
@@ -51,7 +56,7 @@ _CHUNK = 1 << 12        # symbols per slice of rc_encode and sample_symbols
 
 _INT64_GUARD = 1 << 62
 _PAIRWISE_MAX_M = 8   # _round_ups counts pairs up to here, sorts above
-_BLOCK = 3 << 12       # entries per (m, rows) block of minmax_scan
+_BLOCK = 3 << 12       # entries per (m, rows) block of _minmax_rows
 
 
 def backend() -> str:
@@ -139,7 +144,8 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
 
     Returns (A, F) as int64 arrays, F as (rows, m).  Raises InvalidArgument
     where :func:`fits_int64` fails; `approx` scans such a source on a
-    truncated stand-in.
+    truncated stand-in.  :func:`_minmax_rows` does the work, and takes
+    any ascending array of t.
 
     x = t*P_i, its floors n and remainders rem are (m, rows) arrays, so
     every reduction over the symbols runs along axis 0.  Round-ups go to
@@ -167,22 +173,29 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
 
     Premise: m <= t_lo, as in every scan, which starts at t = m.  Then
     key < d*m <= d*t_hi < 2**62 under the int64 guard, whatever m is.
-
-    The rows are taken in blocks of _BLOCK // m, so that every (m, rows)
-    array stays under glibc's 128 KiB mmap threshold: a larger one is
-    mapped afresh and page-faulted on each call, which cost more than the
-    arithmetic from m = 4 on.
     """
     nums = [int(v) for v in nums]
     if not fits_int64(nums, d, t_hi):
         raise InvalidArgument(f"int64 scan overflows at d = {d}, t = {t_hi}")
+    assert len(nums) <= t_lo, (len(nums), t_lo)
+    return _minmax_rows(nums, d, np.arange(t_lo, t_hi + 1, dtype=np.int64),
+                        want_freqs, slack)
+
+
+def _minmax_rows(nums, d: int, T, want_freqs: bool = False, slack: int | None = None):
+    """:func:`minmax_scan` at the t of the ascending int64 array T, with
+    m <= T[0] and every t*nums_i and t*d in int64 (unchecked).
+
+    The rows are taken in blocks of _BLOCK // m, so that every (m, rows)
+    array stays under glibc's 128 KiB mmap threshold: a larger one is
+    mapped afresh and page-faulted on each call, which cost more than the
+    arithmetic from m = 4 on.  An empty T gives empty arrays.
+    """
+    nums = [int(v) for v in nums]
     P = np.asarray(nums, dtype=np.int64)
-    m = P.shape[0]
-    assert m <= t_lo, (m, t_lo)
-    step = max(_BLOCK // m, 1)
-    parts = [_minmax_block(nums, P, d, np.arange(lo, min(lo + step, t_hi + 1),
-                                                 dtype=np.int64), slack)
-             for lo in range(t_lo, t_hi + 1, step)]
+    step = max(_BLOCK // P.shape[0], 1)
+    parts = [_minmax_block(nums, P, d, T[i:i + step], slack)
+             for i in range(0, max(len(T), 1), step)]   # one block when T is empty
     a, f, sure = zip(*parts)
     f = np.concatenate([b.T for b in f]) if want_freqs else None
     if slack is None:
@@ -190,8 +203,25 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
     return None, f, np.concatenate(sure)
 
 
+def gap_screen(nums, d: int, T, cap):
+    """The t = T[j] at which every ||t*nums_i||_d <= cap[j], in order.
+
+    ||x||_d = min(x mod d, d - x mod d) is the distance from x to the
+    nearest multiple of d: for any integer f, |x - f*d| >= ||x||_d, so
+    max_i ||t*nums_i||_d is a lower bound on every table's A at t.  T is an
+    int64 array and cap a matching int64 array; each symbol's pass keeps
+    only the rows still in, so the later passes run on the survivors.
+    Premise: every t*nums_i fits int64, as :func:`fits_int64` asserts.
+    """
+    for v in nums:
+        r = T * int(v) % d
+        keep = np.minimum(r, d - r) <= cap
+        T, cap = T[keep], cap[keep]
+    return T
+
+
 def _minmax_block(nums, P, d, T, slack):
-    """One block of :func:`minmax_scan`: (A or None, F as (m, rows),
+    """One block of :func:`_minmax_rows`: (A or None, F as (m, rows),
     sure or None)."""
     m = P.shape[0]
     tie = np.arange(m - 1, -1, -1, dtype=np.int64)[:, None]

@@ -68,7 +68,8 @@ candidates above that cap take the A**m test.
 For m > 2, `record_scan` and `best_table_under_width` need only records and
 hits, so there a float64 prescreen *excludes* rows, and every remaining candidate is
 decided by the integer tests above on the true p, in ascending t: no result
-rests on a float or on a truncated source.  The screen reads
+rests on a float or on a truncated source.  (A gap screen, below, first
+drops most rows before any table is built.)  The screen reads
 delta~ = A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
 
 * a chunk that fits int64 is scanned on p itself: D = d, eps = 0;
@@ -105,11 +106,52 @@ record candidate, and once confirmed it ends the scan.
 
 The screen pays while eps is far below the records' delta_star, i.e. while
 t**(2 + 1/m) is far below 2**62 (t well below 10**8 for m = 3); beyond
-that more rows, up to every row, are candidates for minmax_freqs_exact.
+that more rows, up to every row, are candidates.
 
-`scan_rows` prints every row's exact A, and the planner's divergence
-search needs every row's exact table of p.  So their truncated chunks also
-carry p's tables, certified on the kernel's table F~ of P~.  Let a be the
+Before the kernel builds any table, an m > 2 record scan drops most rows
+by a cheaper lower bound (_kernels.gap_screen).  Write ||x||_D for the
+distance from x to the nearest multiple of D.  For any integers f_i,
+|t*P_i - f_i*D| >= ||t*P_i||_D, so the gap max_i ||t*P_i||_D is at most
+the A of every table at t: gap/D <= t*delta_star(P/D, t), Dirichlet's
+simultaneous-approximation quantity max_i ||t*p_i|| (Cassels, An
+Introduction to Diophantine Approximation, 1957).  The distance from x to
+the nearest integer is 1-Lipschitz in x, so on a truncated chunk
+||t*P~_i||_D / D lies within t*eps of ||t*p_i||_d / d; hence gap/D <=
+t*delta_star(p, t) + t*eps on every chunk.  So
+
+* a record t has delta_star(t) below the best delta_b confirmed in the
+  earlier chunks, and gap < D*t*(delta_b + eps);
+* a hit has t*(t*delta_star)**m < (m/(m+1))**m, i.e. t*delta_star <
+  m/(m+1) * t**(-1/m), and gap < D*(m/(m+1) * t**(-1/m) + t*eps).
+
+The cap theta(t) is the larger of the two bounds (the record bound alone
+when the scan wants no hits), with best_q >= delta_b for delta_b and each
+widened by its prescreen slack (_gap_cap), which covers a few units of
+2**-53 of float error in each and in the chord below.  Both bounds are
+convex in t, so theta is, and on a chunk [lo, hi] the chord through
+theta(lo) and theta(hi) lies above it.  Each row's cap is that chord,
+floored, since the gap is an integer.  gap_screen keeps the rows whose
+gap is at most their cap, symbol by symbol on the rows still in; only
+those reach the kernel and the prescreen above.  Every record and every
+hit is kept, and the kept rows are decided as before: a record beats
+every earlier row, and the best of those is itself a record, so the
+survivors' running best is the scan's.  The output is that of the full
+scan.
+
+Every row is still taken:
+
+* in the first chunk, where nothing is confirmed yet;
+* with `every_row` (scan_rows), which prints every row;
+* in a chunk whose cap reaches D/4 at lo or hi, where the convex theta
+  peaks.  Each symbol's pass keeps about 2*theta/D of the rows, at most
+  half of them below D/4; above that the passes cost more than they
+  save.  The hit bound 24/25 * t**(-1/24) >= 0.48 of m = 24 never drops
+  below 1/4 for t <= 2**24, nor does that of any m >= 13.
+
+`scan_rows` prints every row's exact A, the planner's divergence search
+needs every row's exact table of p, and a record scan needs its
+candidates' exact A.  So their truncated chunks also carry p's tables,
+certified on the kernel's table F~ of P~.  Let a be the
 A of the truncation, so |D*p_i - P~_i| <= a/d.  For t <= hi, each scaled
 value t*D*p_i then lies within g = ceil(hi*a/d) of t*P~_i; once
 D*p_min >= 1, a/d = D*delta_star(p, D) < 1, so g <= hi.  Write n_i and
@@ -132,10 +174,11 @@ remainders among the bigs) then makes the same choices on p as on P~, so
 F~'s row is p's table.  The kernel checks the three conditions on the n,
 rem and table it already has.  A row that fails one is rebuilt by
 minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62, so such rows are
-rare while hi**2 is far below 2**62.  `scan_rows` then takes each row's
-exact A = max_i |t*P_i - F_i*d| from its table in Python integers, and
-decides every row exactly.  So the int64 kernel scans every chunk, for
-any m; minmax_freqs_exact only builds tables and confirms candidates.
+rare while hi**2 is far below 2**62.  `scan_rows`, and a record scan for
+its candidates, then take each row's exact A = max_i |t*P_i - F_i*d|
+from its table in Python integers, and decide it exactly.  So the int64
+kernel scans every chunk, for any m; minmax_freqs_exact only builds
+single tables and rebuilds the rows the certificate leaves.
 """
 
 from __future__ import annotations
@@ -143,6 +186,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -249,11 +293,39 @@ class RecordEntry:
                     * mp.mpf(x.numerator) / x.denominator)
 
 
+class _Records(Sequence):
+    """A scan's record entries, read-only: the entries of `forced`, a range
+    of t built one at a time by `entry(t)` as they are read, then those of
+    the list `rest`.  It compares equal to any sequence of equal entries;
+    a slice is a list."""
+
+    def __init__(self, rest, forced=range(0), entry=None):
+        self._rest, self._forced, self._entry = rest, forced, entry
+
+    def __len__(self):
+        return len(self._forced) + len(self._rest)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        k = range(len(self))[i]
+        n = len(self._forced)
+        return self._entry(self._forced[k]) if k < n else self._rest[k - n]
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self):
+        return repr(list(self))
+
+
 @dataclass(frozen=True)
 class ScanResult:
     """Outcome of a record scan up to t_max."""
 
-    records: list
+    records: Sequence      # RecordEntry in ascending t, read-only (_Records)
     fact_hits: list        # every scanned t whose quality beats the fact constant
     t_max: int
     m: int
@@ -271,42 +343,64 @@ def _float_up(n: int, q: int) -> float:
     return math.nextafter(x, math.inf) if num * q < n * den else x
 
 
-def _iter_chunks(p: ProbabilityVector, t_max: int, want_freqs: bool = False):
-    """Yield (lo, A, F, D, eps) for consecutive chunks of t in [m, t_max].
+def _chunks(p: ProbabilityVector, t_max: int):
+    """Yield (lo, hi, P, D, eps, g) for consecutive chunks [lo, hi] of t in
+    [m, t_max]: the int64 kernel scans the chunk on the source P/D, and
+    delta_star(p, t) lies within eps of delta_star(P/D, t).  Two kinds of
+    chunk, for any m (see the module docstring):
 
-    A[j] belongs to t = lo + j, and delta_star(p, t) lies within eps of
-    A[j]/(D*t).  F holds p's frequency rows when `want_freqs`, else None.
-    Two kinds of chunk, for any m, both scanned by the int64 kernel:
-
-    * fits int64: A is an int64 ndarray on p itself, D = d, eps = 0.0;
-    * overflows int64: A is the truncated source P~/D's, with
-      D = (2**62 - 1) // hi (hi the chunk's last t), P~ p's min-max table
-      at t = D, and eps that table's delta_star, rounded up and widened by
-      a relative 2**-49 (see the module docstring).  With `want_freqs`, A
-      is None and F holds p's own tables: the kernel certifies each row of
-      P~'s tables for p with g = ceil(hi*a/d), a the truncation's A, and
-      minmax_freqs_exact rebuilds every row that fails.  g is capped at D,
-      where no row passes, so that 2g stays in int64.
+    * fits int64: P = p's numerators, D = d, eps = 0.0, g = 0;
+    * overflows int64: the truncated source P~/D, with D = (2**62 - 1) //
+      hi, P~ p's min-max table at t = D, and eps that table's delta_star,
+      rounded up and widened by a relative 2**-49.  g = ceil(hi*a/d), a
+      that table's A, is the slack with which the kernel certifies P~'s
+      tables for p; it is capped at D, where no row passes, so that 2g
+      stays in int64.
     """
     nums, d, m = p.numerators, p.common_denominator, p.m
     for lo in range(m, t_max + 1, _CHUNK):
         hi = min(lo + _CHUNK - 1, t_max)
         if _kernels.fits_int64(nums, d, hi):
-            yield (lo, *_kernels.minmax_scan(nums, d, lo, hi, want_freqs), d, 0.0)
+            yield lo, hi, nums, d, 0.0, 0
             continue
         den = _INT64_TOP // hi
         p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
         eps = _float_up(a, d * den) * (1 + 2.0**-49)
-        if not want_freqs:
-            yield (lo, *_kernels.minmax_scan(p_trunc, den, lo, hi), den, eps)
-            continue
-        g = min(-(-hi * a // d), den)
-        _, f_chunk, sure = _kernels.minmax_scan(p_trunc, den, lo, hi, True, g)
-        redo = np.flatnonzero(~sure)
-        if redo.size:
-            f_chunk[redo] = [_kernels.minmax_freqs_exact(nums, d, lo + j)[0]
-                             for j in redo.tolist()]
-        yield lo, None, f_chunk, den, eps
+        yield lo, hi, p_trunc, den, eps, min(-(-hi * a // d), den)
+
+
+def _certify(p: ProbabilityVector, ts, kernel_out):
+    """p's min-max tables at the t of the int64 array ts, all in one
+    truncated chunk of _chunks, as an int64 (rows, m) array, from the
+    kernel's (None, F~, sure) on P~/D with that chunk's slack g: F~ where
+    the kernel certifies it for p, minmax_freqs_exact's table elsewhere."""
+    _, f, sure = kernel_out
+    redo = np.flatnonzero(~sure)
+    if redo.size:
+        nums, d = p.numerators, p.common_denominator
+        f[redo] = [_kernels.minmax_freqs_exact(nums, d, t)[0]
+                   for t in ts[redo].tolist()]
+    return f
+
+
+def _true_a(p: ProbabilityVector, ts, rows: list) -> list:
+    """A = max_i |t*P_i - f_i*d| of p's tables `rows` (lists) at the t in
+    ts, in Python integers."""
+    nums, d = p.numerators, p.common_denominator
+    return [max(abs(t * v - x * d) for v, x in zip(nums, row))
+            for t, row in zip(ts.tolist(), rows)]
+
+
+def _iter_chunks(p: ProbabilityVector, t_max: int):
+    """Yield (lo, F) for consecutive chunks of t in [m, t_max]: F[j] is
+    p's min-max table at t = lo + j, an int64 (rows, m) array, on the int64
+    kernel for any m (certified on truncated chunks, see _certify)."""
+    for lo, hi, big_p, den, eps, g in _chunks(p, t_max):
+        if eps:
+            ts = np.arange(lo, hi + 1, dtype=np.int64)
+            yield lo, _certify(p, ts, _kernels.minmax_scan(big_p, den, lo, hi, True, g))
+        else:
+            yield lo, _kernels.minmax_scan(big_p, den, lo, hi, True)[1]
 
 
 def _threshold_tests(m: int, d: int, kappa):
@@ -365,36 +459,68 @@ def _hit_ts(lo: int, js, a, exact, cap) -> list:
     return (js[ok] + lo).tolist()
 
 
+def _gap_cap(t: int, m: int, den: int, eps: float, best_q: float, hits: bool) -> float:
+    """D * theta(t), theta the larger of the record bound t*(best_q + eps)
+    and, with `hits`, the m-ary hit bound m/(m+1) * t**(-1/m) + t*eps, each
+    widened like its prescreen bound: at least the largest
+    max_i ||t*P_i||_D that a record or hit at t can have, for a chunk of
+    truncation error eps after a confirmed best delta_star <= best_q (see
+    the module docstring).  Convex in t."""
+    cap = t * (best_q + eps) * (1 + _SLACK)
+    if hits:
+        cap = max(cap, (m / (m + 1) * t ** (-1 / m) + t * eps) * (1 + m * _SLACK))
+    return den * cap
+
+
 def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
           every_row: bool = False):
-    """The record/threshold fold over _iter_chunks.
+    """The record/threshold fold over _chunks.
 
     Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A, f) of its
     record denominators and hit_ts its fact-constant hits (empty unless
     `hits`), both in ascending t, with the true A of p; f is p's table at t
-    where the fold rebuilt it (truncated chunks), else None.  The scan stops
-    at the first exact table (A = 0), the final record, and that chunk's A
-    ends there.  On ndarray chunks a float64 prescreen, widened by the
-    chunk's eps, excludes the rows that cannot be records or hits, and only
-    the remaining candidates are decided exactly (on truncated chunks after
-    minmax_freqs_exact rebuilds their true A).  With `every_row`, a
-    truncated chunk's A is p's own, taken row by row from its certified
-    tables, and every one of its rows is a candidate.  Hits are decided by
+    where the fold built it (truncated chunks), else None.  A is every
+    row's true A with `every_row`, else None.  The scan stops at the first
+    exact table (A = 0), the final record, and that chunk's A ends there.
+
+    For m > 2 without `every_row`, each chunk after the first whose gap
+    caps stay below D/4 first keeps only the rows that gap_screen passes
+    (see the module docstring).  The kernel then gives the kept rows' A~;
+    a float64 prescreen, widened by the chunk's eps, excludes the rows that
+    cannot be records or hits, and only the remaining candidates are
+    decided exactly (on truncated chunks on their true A, from p's
+    certified tables).  With `every_row`, a truncated chunk's A is p's own
+    for every row, and every row is a candidate.  Hits are decided by
     _hit_ts.
     """
-    m, nums, d = p.m, p.numerators, p.common_denominator
+    m, d = p.m, p.common_denominator
     if hits:
         exact_hit, hit_cap, screen_hit = _threshold_tests(m, d, kappa)
     best_a = best_t = None
     best_q = math.inf   # float64 >= the least delta_star so far
-    for lo, a_chunk, f_chunk, den, eps in _iter_chunks(p, t_max, every_row):
-        tables = {}     # j: p's table at t = lo + j, where the fold rebuilt it
-        if a_chunk is None:     # a truncated chunk with p's tables
-            a_chunk = [max(abs(t * v - f * d) for v, f in zip(nums, row))
-                       for t, row in enumerate(f_chunk.tolist(), lo)]
-        if isinstance(a_chunk, np.ndarray):
-            t_f = np.arange(lo, lo + len(a_chunk), dtype=np.float64)
-            x = a_chunk.astype(np.float64) / float(den)   # t * delta~
+    for lo, hi, big_p, den, eps, g in _chunks(p, t_max):
+        ts = np.arange(lo, hi + 1, dtype=np.int64)
+        t_of = range(lo, hi + 1)    # ts as Python ints
+        tables = {}     # j: p's table at t = ts[j], where the fold built it
+        if every_row and eps:   # every row's true A, from p's tables
+            f = _certify(p, ts, _kernels.minmax_scan(big_p, den, lo, hi, True, g))
+            a_rows = _true_a(p, ts, f.tolist())
+            rec_cand = enumerate(a_rows)
+            hit_j, hit_a = np.arange(len(ts)), a_rows
+        else:
+            screened = False
+            if m > 2 and not every_row and best_a is not None:
+                th_lo, th_hi = (_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
+                screened = max(th_lo, th_hi) < den / 4
+            if screened:    # the chord bounds the convex cap on [lo, hi]
+                cap = th_lo + (ts - lo) * ((th_hi - th_lo) / max(hi - lo, 1))
+                ts = _kernels.gap_screen(big_p, den, ts, cap.astype(np.int64))
+                t_of = ts.tolist()
+                a_rows = _kernels._minmax_rows(big_p, den, ts)[0]   # A~
+            else:
+                a_rows = _kernels.minmax_scan(big_p, den, lo, hi)[0]
+            t_f = ts.astype(np.float64)
+            x = a_rows.astype(np.float64) / float(den)   # t * delta~
             q = x / t_f                                  # delta~
             q_low = q_high = q
             if eps:   # truncated chunk; at eps = 0 these are the identity
@@ -407,20 +533,21 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
                 with np.errstate(over="ignore", under="ignore"):
                     hit_j = np.flatnonzero(screen_hit(t_f, x))
             if eps:   # decide each candidate on the true p
-                true = {j: _kernels.minmax_freqs_exact(nums, d, lo + j)
-                        for j in np.union1d(rec_j, hit_j).tolist()}
-                tables = {j: true[j][0] for j in rec_j.tolist()}
-                rec_cand = [(j, true[j][1]) for j in rec_j.tolist()]
-                hit_a = [true[j][1] for j in hit_j.tolist()]
+                cand = np.union1d(rec_j, hit_j).tolist()
+                t_cand = ts[cand]
+                f = _certify(p, t_cand,
+                             _kernels._minmax_rows(big_p, den, t_cand, True, g))
+                rows = f.tolist()
+                tables = dict(zip(cand, rows))
+                true_a = dict(zip(cand, _true_a(p, t_cand, rows)))
+                rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
+                hit_a = [true_a[j] for j in hit_j.tolist()]
             else:
-                rec_cand = zip(rec_j.tolist(), a_chunk[rec_j].tolist())
-                hit_a = a_chunk[hit_j]
-        else:
-            rec_cand = enumerate(a_chunk)
-            hit_j, hit_a = np.arange(len(a_chunk)), a_chunk
-        recs, end = [], len(a_chunk)
+                rec_cand = zip(rec_j.tolist(), a_rows[rec_j].tolist())
+                hit_a = a_rows[hit_j]
+        recs, end = [], len(ts)
         for j, a in rec_cand:
-            t = lo + j
+            t = t_of[j]
             if best_a is None or a * best_t < best_a * t:
                 best_a, best_t = a, t
                 recs.append((t, a, tables.get(j)))
@@ -432,24 +559,10 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
         hit_ts = []
         if hits and hit_j.size:
             k = int(np.searchsorted(hit_j, end))    # the rows before `end`
-            hit_ts = _hit_ts(lo, hit_j[:k], hit_a[:k], exact_hit, hit_cap)
-        yield lo, a_chunk[:end], recs, hit_ts
+            hit_ts = _hit_ts(lo, ts[hit_j[:k]] - lo, hit_a[:k], exact_hit, hit_cap)
+        yield lo, a_rows[:end] if every_row else None, recs, hit_ts
         if best_a == 0:
             return
-
-
-def _record_tables(p: ProbabilityVector, ts: list) -> dict:
-    """{t: (f, A)} of p's min-max tables at the ascending t in ts, all from
-    chunks that fit int64, by one _kernels._minmax_block call per _CHUNK of
-    them (shedding rows take the exact path there)."""
-    nums, d = p.numerators, p.common_denominator
-    out = {}
-    P = np.asarray(nums, dtype=np.int64) if ts else None
-    for i in range(0, len(ts), _CHUNK):
-        T = np.asarray(ts[i:i + _CHUNK], dtype=np.int64)
-        a, f, _ = _kernels._minmax_block(nums, P, d, T, None)
-        out.update(zip(T.tolist(), zip(f.T.tolist(), a.tolist())))
-    return out
 
 
 def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True):
@@ -515,7 +628,9 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
     binary constant kappa (default generic 2**-1.5; pass
     ``bounds.KAPPA_GOLDEN`` for golden-equivalent sources).  Binary sources
     take their candidates from the continued fraction (_binary_fold), every
-    other source from the chunked scan (_fold).
+    other source from the chunked scan (_fold).  The records are a
+    read-only sequence; a binary source's forced prefix (t < 1/p_min) is
+    built entry by entry as it is read.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
@@ -526,24 +641,31 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
         (forced, *runs), hits = _binary_fold(p, t_max, kappa)
         nums = p.numerators
         small = min(nums)
-        records = [RecordEntry(t, (1, t - 1) if nums[0] == small else (t - 1, 1),
-                               Fraction(d - t * small, d * t)) for t in forced]
+        first = nums[0] == small
+
+        def forced_entry(t):
+            return RecordEntry(t, (1, t - 1) if first else (t - 1, 1),
+                               Fraction(d - t * small, d * t))
+
+        rest = []
         for t in itertools.chain.from_iterable(runs):
             f, a = _kernels.minmax_freqs_exact(nums, d, t)
-            records.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
-        return ScanResult(records, hits, t_max, m, label)
+            rest.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
+        return ScanResult(_Records(rest, forced, forced_entry), hits, t_max, m, label)
     found, hits = [], []
     for _, _, recs, hit_ts in _fold(p, t_max, kappa):
         hits.extend(hit_ts)
         found.extend(recs)
-    tables = _record_tables(p, [t for t, _, f in found if f is None])
-    records: list[RecordEntry] = []
-    for t, a, f in found:
-        if f is None:
-            f, a2 = tables[t]
-            assert a2 == a
-        records.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
-    return ScanResult(records, hits, t_max, m, label)
+    ts, tables = [t for t, _, f in found if f is None], {}
+    if ts:      # all from chunks that fit int64
+        a_rows, f_rows = _kernels._minmax_rows(p.numerators, d,
+                                               np.array(ts, dtype=np.int64), True)
+        assert a_rows.tolist() == [a for _, a, f in found if f is None]
+        tables = dict(zip(ts, f_rows.tolist()))
+    return ScanResult(_Records([RecordEntry(t, tuple(tables[t] if f is None else f),
+                                            Fraction(a, d * t))
+                                for t, a, f in found]),
+                      hits, t_max, m, label)
 
 
 def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):

@@ -558,7 +558,7 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     log_sum = math.log(p.m) + math.log(t_cap) + 2 + float(r)
     screen = r_wide + (p.m + 20) * 2.0**-53 * log_sum
     pinsker = max(r_wide, 2.0**-1000)
-    for lo, _, f_arr, *_ in _iter_chunks(p, t_cap, want_freqs=True):
+    for lo, f_arr in _iter_chunks(p, t_cap):
         t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
         f_f = np.asarray(f_arr, dtype=np.float64)
         d_float = c + np.log(t_f) - np.log(f_f) @ pf

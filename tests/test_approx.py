@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -497,8 +498,7 @@ def test_screened_fold_matches_row_by_row_oracle(p):
     assert [(t, rec, beat) for t, _, rec, beat in scanned] == rows
     # every row's A, and every certified table of the truncated chunks
     assert [(t, a) for t, a, *_ in scanned] == [(t, a) for t, _, a in tables[:len(rows)]]
-    certified = [(t, f) for lo, _, f_chunk, *_ in
-                 _iter_chunks(p, FOLD_T_MAX, want_freqs=True)
+    certified = [(t, f) for lo, f_chunk in _iter_chunks(p, FOLD_T_MAX)
                  for t, f in enumerate(f_chunk.tolist(), lo)]
     assert certified == [(t, f) for t, f, _ in tables]
     for width in (12, 13):
@@ -658,6 +658,90 @@ def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
     assert len(calls) <= chunks + 1 and calls[-1] == table.t
 
 
+# ---- the gap screen of m > 2 record scans ---------------------------------------
+
+@given(st.integers(3, 12), st.sampled_from([6, 20, 33]), st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_gap_screened_fold_matches_row_by_row_oracle(m, digits, seed):
+    # three chunks: the second and third are screened wherever their caps
+    # stay below D/4; 6-digit sources fit int64, 20 and 33 digits do not
+    p = ProbabilityVector(_digit_probs(np.random.default_rng(seed), m, digits))
+    rows = exact_fold(p, FOLD_T_MAX)
+    res = record_scan(p, FOLD_T_MAX)
+    assert res.record_ts == [t for t, rec, _ in rows if rec]
+    assert res.fact_hits == [t for t, _, beat in rows if beat]
+    for width in (12, 13):
+        best = [r for r in res.records if r.t <= 1 << width][-1]
+        table = best_table_under_width(p, width)
+        assert (table.t, table.freqs) == (best.t, best.freqs)
+
+
+def _count_rows(monkeypatch):
+    """Patch the int64 kernel to count the rows it builds tables for."""
+    built = []
+    kernel = _kernels._minmax_rows
+    monkeypatch.setattr(_kernels, "_minmax_rows",
+                        lambda nums, d, ts, *a: built.append(len(ts))
+                        or kernel(nums, d, ts, *a))
+    return built
+
+
+def test_gap_screen_prunes_most_rows(monkeypatch):
+    p = ProbabilityVector(random_decimal_probs(np.random.default_rng(71), 3))
+    built = _count_rows(monkeypatch)
+    record_scan(p, 2 * 10**5)
+    assert sum(built) < 2 * 10**4     # tables for under 10% of the rows
+
+
+def test_wide_cap_takes_every_row(monkeypatch):
+    # m = 24: the hit bound 24/25 * t**(-1/24) stays above 1/4 for every
+    # t <= 2**24, where the screen would cost more than it saves
+    p = ProbabilityVector(random_decimal_probs(np.random.default_rng(73), 24))
+    built = _count_rows(monkeypatch)
+    screens = []
+    monkeypatch.setattr(_kernels, "gap_screen", lambda *a: screens.append(a))
+    t_max = 3 * _CHUNK
+    res = record_scan(p, t_max)
+    assert not screens
+    assert sum(built) == t_max - p.m + 1 + len(res.records)
+
+
+def test_truncated_candidates_take_certified_tables(monkeypatch):
+    # a 20-digit m = 24 source: almost every row is a hit candidate, and
+    # the kernel's certified tables give their exact A, not one
+    # minmax_freqs_exact rebuild per row
+    p = ProbabilityVector(_digit_probs(np.random.default_rng(79), 24))
+    t_max = 12305
+    want = record_scan(p, t_max)
+    exact = _kernels.minmax_freqs_exact
+    calls = []
+    monkeypatch.setattr(_kernels, "minmax_freqs_exact",
+                        lambda *a: calls.append(a[2]) or exact(*a))
+    res = record_scan(p, t_max)
+    assert res == want and len(res.fact_hits) > t_max // 2
+    assert len(calls) <= (t_max - p.m + 1) // 100
+
+
+def test_forced_prefix_records_are_built_when_read():
+    p = parse_probability_vector(["0.00000001", "0.99999999"])
+    start = time.perf_counter()
+    res = record_scan(p, 1 << 24)
+    assert time.perf_counter() - start < 0.1
+    recs = res.records
+    assert len(recs) == (1 << 24) - 1       # every t in [2, 2**24] is forced
+    d = p.common_denominator
+    for r in (recs[0], recs[12345], recs[-1]):
+        f, a = _kernels.minmax_freqs_exact(p.numerators, d, r.t)
+        assert (r.freqs, r.delta_star) == (tuple(f), Fraction(a, d * r.t))
+    assert [r.t for r in recs[-3:]] == [(1 << 24) - 2, (1 << 24) - 1, 1 << 24]
+    assert recs[2:5] == [recs[2], recs[3], recs[4]] == list(itertools.islice(recs, 2, 5))
+    small = record_scan(p, 300)
+    assert small.records == list(small.records) and list(small.records) == small.records
+    assert small.records != list(small.records)[:-1]
+    with pytest.raises(IndexError):
+        recs[1 << 24]
+
+
 # ---- binary records and hits from the continued fraction ---------------------
 
 def scan_reference(p, t_max, kappa):
@@ -737,7 +821,7 @@ def test_binary_paths_do_not_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned")
 
-    monkeypatch.setattr(A, "_iter_chunks", no_scan)
+    monkeypatch.setattr(A, "_chunks", no_scan)
     res = record_scan(golden_pair(), 1 << 30, kappa=KAPPA_GOLDEN)
     assert res.record_ts == [f for f in FIB_TO_2_40 if f <= 1 << 30]
     assert best_table_under_width(golden_pair(), 30).t == res.record_ts[-1]

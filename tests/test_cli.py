@@ -58,7 +58,7 @@ class TestApproximate:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(A, "_iter_chunks", no_scan)
+        monkeypatch.setattr(A, "_chunks", no_scan)
         code, stdout, err = run(capsys, "approximate", "-p", probs, "-W", "40")
         assert code == 2 and stdout == ""
         assert "W = 40" in err and "24" in err
