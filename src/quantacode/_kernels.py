@@ -21,7 +21,7 @@ a truncated stand-in for a source that overflows int64 give that source's
 exact tables (see :func:`minmax_scan`).
 
 :func:`gap_screen` keeps the t of an array at which every t*p_i lies
-within a per-row cap of an integer.  That distance bounds every table's
+within one cap of an integer.  That distance bounds every table's
 error from below, so `approx` drops the rows that cannot be records or
 hits before the min-max kernel builds any table.
 
@@ -203,20 +203,19 @@ def _minmax_rows(nums, d: int, T, want_freqs: bool = False, slack: int | None = 
     return None, f, np.concatenate(sure)
 
 
-def gap_screen(nums, d: int, T, cap):
-    """The t = T[j] at which every ||t*nums_i||_d <= cap[j], in order.
+def gap_screen(nums, d: int, T, cap: int):
+    """The t of the int64 array T with every ||t*nums_i||_d <= cap, in order.
 
     ||x||_d = min(x mod d, d - x mod d) is the distance from x to the
     nearest multiple of d: for any integer f, |x - f*d| >= ||x||_d, so
-    max_i ||t*nums_i||_d is a lower bound on every table's A at t.  T is an
-    int64 array and cap a matching int64 array; each symbol's pass keeps
-    only the rows still in, so the later passes run on the survivors.
-    Premise: every t*nums_i fits int64, as :func:`fits_int64` asserts.
+    max_i ||t*nums_i||_d is a lower bound on every table's A at t.  cap is
+    one integer for every row; each symbol's pass keeps only the rows still
+    in, so the later passes run on the survivors.  Premise: every t*nums_i
+    fits int64, as :func:`fits_int64` asserts.
     """
     for v in nums:
         r = T * int(v) % d
-        keep = np.minimum(r, d - r) <= cap
-        T, cap = T[keep], cap[keep]
+        T = T[np.minimum(r, d - r) <= cap]
     return T
 
 

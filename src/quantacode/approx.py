@@ -127,16 +127,15 @@ t*delta_star(p, t) + t*eps on every chunk.  So
 The cap theta(t) is the larger of the two bounds (the record bound alone
 when the scan wants no hits), with best_q >= delta_b for delta_b and each
 widened by its prescreen slack (_gap_cap), which covers a few units of
-2**-53 of float error in each and in the chord below.  Both bounds are
-convex in t, so theta is, and on a chunk [lo, hi] the chord through
-theta(lo) and theta(hi) lies above it.  Each row's cap is that chord,
-floored, since the gap is an integer.  gap_screen keeps the rows whose
-gap is at most their cap, symbol by symbol on the rows still in; only
-those reach the kernel and the prescreen above.  Every record and every
-hit is kept, and the kept rows are decided as before: a record beats
-every earlier row, and the best of those is itself a record, so the
-survivors' running best is the scan's.  The output is that of the full
-scan.
+2**-53 of float error in each.  Both bounds are convex in t, so theta is,
+and on a chunk [lo, hi] it peaks at lo or hi: the chunk's cap is the
+larger of those two, floored, since the gap is an integer.  gap_screen
+keeps the rows whose gap is at most that cap, symbol by symbol on the
+rows still in; only those reach the kernel and the prescreen above.
+Every record and every hit is kept, and the kept rows are decided as
+before: a record beats every earlier row, and the best of those is
+itself a record, so the survivors' running best is the scan's.  The
+output is that of the full scan.
 
 Every row is still taken:
 
@@ -465,7 +464,7 @@ def _gap_cap(t: int, m: int, den: int, eps: float, best_q: float, hits: bool) ->
     widened like its prescreen bound: at least the largest
     max_i ||t*P_i||_D that a record or hit at t can have, for a chunk of
     truncation error eps after a confirmed best delta_star <= best_q (see
-    the module docstring).  Convex in t."""
+    the module docstring).  Convex in t, so on a chunk it peaks at an end."""
     cap = t * (best_q + eps) * (1 + _SLACK)
     if hits:
         cap = max(cap, (m / (m + 1) * t ** (-1 / m) + t * eps) * (1 + m * _SLACK))
@@ -484,7 +483,7 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
     exact table (A = 0), the final record, and that chunk's A ends there.
 
     For m > 2 without `every_row`, each chunk after the first whose gap
-    caps stay below D/4 first keeps only the rows that gap_screen passes
+    cap stays below D/4 first keeps only the rows that gap_screen passes
     (see the module docstring).  The kernel then gives the kept rows' A~;
     a float64 prescreen, widened by the chunk's eps, excludes the rows that
     cannot be records or hits, and only the remaining candidates are
@@ -508,13 +507,11 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
             rec_cand = enumerate(a_rows)
             hit_j, hit_a = np.arange(len(ts)), a_rows
         else:
-            screened = False
+            cap = math.inf
             if m > 2 and not every_row and best_a is not None:
-                th_lo, th_hi = (_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
-                screened = max(th_lo, th_hi) < den / 4
-            if screened:    # the chord bounds the convex cap on [lo, hi]
-                cap = th_lo + (ts - lo) * ((th_hi - th_lo) / max(hi - lo, 1))
-                ts = _kernels.gap_screen(big_p, den, ts, cap.astype(np.int64))
+                cap = max(_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
+            if cap < den / 4:   # the convex cap peaks at lo or hi
+                ts = _kernels.gap_screen(big_p, den, ts, int(cap))
                 t_of = ts.tolist()
                 a_rows = _kernels._minmax_rows(big_p, den, ts)[0]   # A~
             else:

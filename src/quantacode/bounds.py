@@ -604,34 +604,34 @@ def plan_precision(p: ProbabilityVector, target_r,
                    mode: str = "guaranteed") -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
 
-    guaranteed: take the always-sufficient width W, the smaller of
-    corollary1_width and second_order_width, and the delta_star-minimizing
-    table within it.  A W above the coder's 24 bits raises
-    TargetUnachievableWithinScan at once, before any scan.  Should that
-    table miss the target, fall back to the smallest t <= 2**W whose
-    divergence meets it; such a t exists exactly when the minimum divergence
-    over t <= 2**W meets the target.
-    opportunistic: scan t upward and return the first denominator whose exact
+    Both modes search t <= 2**W for one width cap W: the smaller of
+    second_order_width and corollary1_width, the latter raised to
+    register_width(m) as PrecisionPlan allows.
+    guaranteed: a W above the coder's 24 bits raises
+    TargetUnachievableWithinScan at once, before any scan.  Otherwise take
+    the delta_star-minimizing table within W; should it miss the target,
+    fall back to the smallest t <= 2**W whose divergence meets it, which
+    exists exactly when the minimum divergence over t <= 2**W does.
+    opportunistic: return the first t <= 2**min(W, 24) whose exact
     divergence meets the target; its width is typically near the record
-    (corollary-2) bound for favorable sources.
+    (corollary-2) bound for favorable sources.  A search past 2**W could
+    only find a plan PrecisionPlan refuses, or none: the best table under
+    2**second_order_width meets the target.
 
     Both modes decide the target with kl_divergence, the same sum the plan
-    verifies, at the digits it picks for each table (_kl_dps).
-    Opportunistic mode gives up once t would exceed
-    2**(corollary1_width + 2) or the coder limit 2**24; the two extra bits
-    absorb the worst-case gap between delta_star < 1/t and the 1/(2t) the
-    width bound assumes.  In either mode, a target that every D > 0 up to
-    the cap misses (_inexact_rows_miss) is decided without a scan: t = d,
-    or TargetUnachievableWithinScan when d is above the cap.
+    verifies, at the digits it picks for each table (_kl_dps).  In either
+    mode, a target that every D > 0 up to the cap misses
+    (_inexact_rows_miss) is decided without a scan: t = d, or
+    TargetUnachievableWithinScan when d is above the cap.
     """
     if mode not in ("guaranteed", "opportunistic"):
         raise InvalidArgument(f"unknown mode {mode!r}")
     r = _parse_target(target_r)
     w1, raw = corollary1_width(p.m, r, p.p_min)
     w2 = second_order_width(p, r)
+    cap_bits = min(max(w1, register_width(p.m)), w2)
     verified = None
     if mode == "guaranteed":
-        cap_bits = min(max(w1, register_width(p.m)), w2)
         if cap_bits > _MAX_BITS:
             raise TargetUnachievableWithinScan(
                 f"a guaranteed plan needs W = {cap_bits} bits, more than the "
@@ -640,7 +640,7 @@ def plan_precision(p: ProbabilityVector, target_r,
         table = best_table_under_width(p, cap_bits)
         verified = kl_divergence(p, table).nats
     else:
-        cap_bits = min(w1 + 2, _MAX_BITS)
+        cap_bits = min(cap_bits, _MAX_BITS)
     if verified is None or not verified <= r:
         t = None
         if not _inexact_rows_miss(p, r, cap_bits):

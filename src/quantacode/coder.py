@@ -114,7 +114,7 @@ def decode_framed(data: bytes):
         raise CorruptStream("framed stream truncated in header")
     try:
         table = FrequencyTable.parse_text(data[8:8 + tlen].decode())
-    except (ValueError, UnicodeDecodeError) as exc:
+    except ValueError as exc:   # every table error, and UnicodeDecodeError
         raise CorruptStream(f"bad embedded table: {exc}")
     (n,) = struct.unpack(">Q", data[8 + tlen:16 + tlen])
     return decode(memoryview(data)[16 + tlen:], n, table), table

@@ -1,8 +1,10 @@
 """Exception hierarchy for quantacode.
 
 Every error raised by the library derives from QuantacodeError so callers can
-catch the whole family at once.  The CLI maps QuantacodeError to exit code 2
-(invalid input), except TargetUnachievableWithinScan which maps to exit code 3.
+catch the whole family at once.  Every one raised on bad input also derives
+from InvalidArgument, and so is a ValueError.  The CLI maps QuantacodeError
+to exit code 2 (invalid input), except TargetUnachievableWithinScan which maps
+to exit code 3.
 """
 
 
@@ -19,55 +21,55 @@ class InvalidArgument(QuantacodeError, ValueError):
 
 # ---- probability vectors ----------------------------------------------------
 
-class NonPositiveProbability(QuantacodeError):
+class NonPositiveProbability(InvalidArgument):
     """A probability entry is not strictly inside (0, 1)."""
 
 
-class SumOutOfTolerance(QuantacodeError):
+class SumOutOfTolerance(InvalidArgument):
     """The raw probabilities do not sum to 1 within the parse tolerance."""
 
 
-class AlphabetTooSmall(QuantacodeError):
+class AlphabetTooSmall(InvalidArgument):
     """Fewer than two symbols."""
 
 
-class DimensionMismatch(QuantacodeError):
+class DimensionMismatch(InvalidArgument):
     """Probability vector and frequency table have different lengths."""
 
 
 # ---- approximation ----------------------------------------------------------
 
-class DenominatorTooSmall(QuantacodeError):
+class DenominatorTooSmall(InvalidArgument):
     """Requested denominator t < m, so f_i >= 1 is infeasible."""
 
 
-class InstanceTooLarge(QuantacodeError):
+class InstanceTooLarge(InvalidArgument):
     """Exhaustive search requested beyond its supported size (m <= 4, t <= 64)."""
 
 
-class WidthTooSmall(QuantacodeError):
+class WidthTooSmall(InvalidArgument):
     """2**W < m, no frequency table fits in the requested register width."""
 
 
 # ---- bounds -----------------------------------------------------------------
 
-class RatioNotLessThanOne(QuantacodeError):
+class RatioNotLessThanOne(InvalidArgument):
     """delta_star / p_min >= 1; the divergence bound does not apply."""
 
 
-class PreconditionViolated(QuantacodeError):
+class PreconditionViolated(InvalidArgument):
     """A closed-form bound was evaluated outside its domain."""
 
 
-class AlphabetNotMary(QuantacodeError):
+class AlphabetNotMary(InvalidArgument):
     """The m-ary bound was requested for m <= 2 (or the binary one for m != 2)."""
 
 
-class NonPositiveTarget(QuantacodeError):
+class NonPositiveTarget(InvalidArgument):
     """Target redundancy must be > 0."""
 
 
-class KappaMissing(QuantacodeError):
+class KappaMissing(InvalidArgument):
     """The binary width bound needs an explicit kappa constant."""
 
 
@@ -77,17 +79,17 @@ class TargetUnachievableWithinScan(QuantacodeError):
 
 # ---- coder ------------------------------------------------------------------
 
-class ZeroFrequency(QuantacodeError):
+class ZeroFrequency(InvalidArgument):
     """A frequency table entry is < 1."""
 
 
-class TableTooWide(QuantacodeError):
+class TableTooWide(InvalidArgument):
     """The table total t exceeds the coder limit 2**24."""
 
 
-class SymbolOutOfRange(QuantacodeError):
+class SymbolOutOfRange(InvalidArgument):
     """An input symbol index is outside [0, m)."""
 
 
-class CorruptStream(QuantacodeError):
+class CorruptStream(InvalidArgument):
     """The compressed stream is inconsistent (truncated, bad magic, bad header)."""

@@ -18,7 +18,7 @@ irrational.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
@@ -39,12 +39,11 @@ MAX_TOTAL = 1 << 24  # the largest table total t the range coder takes
 _ONE = Fraction(1)
 
 
-def register_width(t) -> int:
-    """W = ceil(log2 t) via integer bit length; t may be an int or a table.
+def register_width(t: int) -> int:
+    """W = ceil(log2 t) via integer bit length.
 
     For t >= 2 this is the unique W with 2**(W-1) < t <= 2**W.
     """
-    t = getattr(t, "t", t)
     if t < 2:
         raise InvalidArgument(f"register width needs t >= 2, got {t}")
     return (t - 1).bit_length()
@@ -139,15 +138,6 @@ def canonical_order(p: ProbabilityVector) -> tuple[int, ...]:
     return tuple(sorted(range(p.m), key=lambda i: (p.probs[i], i)))
 
 
-def _interval_starts(order, freqs) -> tuple[int, ...]:
-    """Low end of each symbol's interval, by canonical position."""
-    starts, acc = [], 0
-    for sym in order:
-        starts.append(acc)
-        acc += freqs[sym]
-    return tuple(starts)
-
-
 def _three_ints(line: str, what: str) -> list[int]:
     """The three integer fields of a table-file line."""
     parts = line.split()
@@ -163,19 +153,20 @@ def _three_ints(line: str, what: str) -> list[int]:
 class FrequencyTable:
     """Integer frequencies f_i with denominator t = sum f_i.
 
-    `freqs` is indexed by symbol.  `order` is the canonical permutation
-    (ascending source probability, ties by symbol index) and `cum` holds the
-    interval low ends by canonical position, so symbol order[k] owns the
-    integer interval [cum[k], cum[k] + freqs[order[k]]) out of t.  The last
-    interval ends exactly at t.  `width_bits` = ceil(log2 t) is the register
-    width needed to store any f_i or cumulative sum.
+    Built from `freqs`, indexed by symbol, and `order`, the canonical
+    permutation (ascending source probability, ties by symbol index); the
+    rest is derived from those two.  `cum` holds the interval low ends by
+    canonical position, so symbol order[k] owns the integer interval
+    [cum[k], cum[k] + freqs[order[k]]) out of t.  The last interval ends
+    exactly at t.  `width_bits` = ceil(log2 t) is the register width needed
+    to store any f_i or cumulative sum.
     """
 
     freqs: tuple[int, ...]
-    t: int
+    t: int = field(init=False)
     order: tuple[int, ...]
-    cum: tuple[int, ...]
-    width_bits: int
+    cum: tuple[int, ...] = field(init=False)
+    width_bits: int = field(init=False)
 
     def __post_init__(self):
         m = len(self.freqs)
@@ -184,16 +175,15 @@ class FrequencyTable:
         for i, f in enumerate(self.freqs):
             if f < 1:
                 raise ZeroFrequency(f"f[{i}] = {f}; every frequency must be >= 1")
-        if self.t != sum(self.freqs):
-            raise InvalidArgument(f"t = {self.t} != sum(freqs) = {sum(self.freqs)}")
         if sorted(self.order) != list(range(m)):
             raise InvalidArgument("order is not a permutation of the symbols")
-        if _interval_starts(self.order, self.freqs) != self.cum:
-            raise InvalidArgument("cum does not match the cumulative sums of freqs")
-        if self.width_bits != register_width(self.t):
-            raise InvalidArgument(
-                f"width_bits = {self.width_bits} != ceil(log2 {self.t})"
-            )
+        cum, t = [], 0
+        for sym in self.order:
+            cum.append(t)
+            t += self.freqs[sym]
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "cum", tuple(cum))
+        object.__setattr__(self, "width_bits", register_width(t))
 
     @classmethod
     def from_freqs(cls, p: ProbabilityVector, freqs) -> "FrequencyTable":
@@ -201,10 +191,7 @@ class FrequencyTable:
         freqs = tuple(int(f) for f in freqs)
         if len(freqs) != p.m:
             raise DimensionMismatch(f"{len(freqs)} freqs for {p.m} symbols")
-        order = canonical_order(p)
-        t = sum(freqs)
-        return cls(freqs, t, order, _interval_starts(order, freqs),
-                   register_width(t))
+        return cls(freqs, canonical_order(p))
 
     @property
     def m(self) -> int:
@@ -212,11 +199,7 @@ class FrequencyTable:
 
     def inclusive_sums(self) -> tuple[int, ...]:
         """Cumulative sums s_1..s_m in canonical order; strictly increasing, ends at t."""
-        sums, acc = [], 0
-        for sym in self.order:
-            acc += self.freqs[sym]
-            sums.append(acc)
-        return tuple(sums)
+        return tuple(c + self.freqs[sym] for c, sym in zip(self.cum, self.order))
 
     @cached_property
     def position_of_symbol(self) -> tuple[int, ...]:
@@ -270,8 +253,10 @@ class FrequencyTable:
             prev = s
         if prev != t:
             raise InvalidArgument(f"cumulative sums end at {prev}, expected t = {t}")
-        return cls(tuple(freqs), t, tuple(order),
-                   _interval_starts(order, freqs), width)
+        table = cls(tuple(freqs), tuple(order))
+        if width != table.width_bits:
+            raise InvalidArgument(f"header W = {width} != ceil(log2 {t})")
+        return table
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from quantacode import (
     silver_pair,
     silver_surrogate,
 )
-from quantacode import _kernels, cli
+from quantacode import _kernels, approx, cli
 from quantacode.approx import _CHUNK, _hit_ts, _iter_chunks, _threshold_tests
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 from quantacode.precision import DEFAULT_DPS
@@ -704,6 +704,52 @@ def test_wide_cap_takes_every_row(monkeypatch):
     res = record_scan(p, t_max)
     assert not screens
     assert sum(built) == t_max - p.m + 1 + len(res.records)
+
+
+def _screen_of_last_row(p, t_max):
+    """(gap, lo, D, eps, best_q) of t_max's row: its truncated gap
+    max_i ||t_max*P~_i||_D on its chunk [lo, t_max] of _chunks, and the
+    float best_q of the best record below lo, as _fold holds them."""
+    lo, hi, big_p, den, eps, _ = list(approx._chunks(p, t_max))[-1]
+    assert hi == t_max and eps
+    best = record_scan(p, lo - 1).records[-1]
+    d = p.common_denominator
+    best_q = approx._float_up(int(best.delta_star * d * best.t), d * best.t)
+    gap = max(min(t_max * v % den, den - t_max * v % den) for v in big_p)
+    return gap, lo, den, eps, best_q
+
+
+def test_record_cap_keeps_its_t_eps_term():
+    # p lies within 2e-7 of (1, 5, 1)/7 and of (12860, 64299, 12860)/90019:
+    # delta_star is u + eta at t = 7 and u - eta at t = 90019, u = 1/(7 *
+    # 90019), eta = 2.5e-17.  That record beats t = 7 by far less than the
+    # truncation error, so its truncated gap lies above the record cap
+    # without the t*eps term, and above the hit cap
+    p = parse_probability_vector(["0.14285793634042337094", "0.71428412731915323312",
+                                  "0.14285793634042339594"])
+    t_max = 90019
+    gap, lo, den, eps, best_q = _screen_of_last_row(p, t_max)
+    assert gap > approx._gap_cap(t_max, 3, den, 0.0, best_q, False)
+    assert gap > approx._gap_cap(lo, 3, den, eps, 0.0, True)
+    assert record_scan(p, t_max).record_ts[-2:] == [7, t_max]
+
+
+def test_hit_cap_keeps_its_t_eps_term():
+    # p lies within 3e-7 of (1, 93, 1)/95, so delta_star is the same omega
+    # at every multiple of 95.  t_h = 69635 = 3 + 17 * 4096, the first row
+    # of its chunk, is one, and a hit: t_h * omega lies below 3/4 *
+    # t_h**(-1/3) by a relative 4e-10, less than the truncation error moves
+    # the gap.  p also lies near (471, 43802, 471)/44744, and the records
+    # from t = 40279 on, 95 apart, bring the best delta_star to a sixth of
+    # omega, so the record cap does not reach t_h
+    p = parse_probability_vector(["0.01052643341771198961", "0.97894710662817716317",
+                                  "0.01052645995411084722"])
+    t_h = 69635
+    gap, lo, den, eps, best_q = _screen_of_last_row(p, t_h)
+    assert lo == t_h
+    assert gap > approx._gap_cap(t_h, 3, den, 0.0, 0.0, True)
+    assert gap > approx._gap_cap(t_h, 3, den, eps, best_q, False)
+    assert t_h in record_scan(p, t_h).fact_hits
 
 
 def test_truncated_candidates_take_certified_tables(monkeypatch):

@@ -476,6 +476,37 @@ class TestPlanner:
         with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*3 "):
             plan_precision(golden_pair(), "1e-5", mode="guaranteed")
 
+    def test_opportunistic_stops_at_the_guaranteed_width(self, monkeypatch):
+        # t = 21 meets 1e-5 but is 5 bits wide: above the 3-bit cap, so the
+        # search must not reach it, and the request is unachievable (exit
+        # 3), not an invalid plan
+        import quantacode.bounds as B
+        monkeypatch.setattr(B, "corollary1_width",
+                            lambda m, r, pm: WidthBound(3, mp.mpf(4)))
+        with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*3 "):
+            plan_precision(golden_pair(), "1e-5", mode="opportunistic")
+
+    @pytest.mark.parametrize("probs, target", [
+        ("golden", "1e-5"), ("golden", "1e-12"), ("golden", "1e-15"),
+        ("0.7,0.2,0.1", "1e-4"), ("0.001,0.999", "1e-2"),
+    ])
+    def test_opportunistic_search_cap(self, monkeypatch, probs, target):
+        # the search's t_cap is 2**min(max(w1, register_width(m)), w2, 24):
+        # w2 binds for golden at 1e-5 and 1e-12, 24 at 1e-15 (w2 = 26), w1
+        # for 0.001,0.999 (10 against w2 = 11)
+        import quantacode.bounds as B
+        caps = []
+        monkeypatch.setattr(B, "_first_qualifying_t",
+                            lambda p, r, t_cap: caps.append(t_cap))
+        p = golden_pair() if probs == "golden" else parse_probability_vector(probs)
+        w1 = corollary1_width(p.m, target, p.p_min).width
+        w2 = second_order_width(p, target)
+        with pytest.raises(TargetUnachievableWithinScan):
+            plan_precision(p, target, mode="opportunistic")
+        assert caps == [1 << min(max(w1, register_width(p.m)), w2, 24)]
+        if (probs, target) == ("golden", "1e-5"):
+            assert caps == [1024]
+
     def test_pmin_proportional_to_r_plan_runs_on_int64(self, monkeypatch):
         # p_min = 0.70710678118 * R overflows int64 from t = 46 on; the
         # search reads p's tables off the int64 kernel and calls the exact

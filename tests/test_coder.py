@@ -175,6 +175,18 @@ class TestFraming:
         with pytest.raises(CorruptStream, match="symbol count"):
             decode_framed(blob)
 
+    @pytest.mark.parametrize("ttext", [
+        "3 10 4\n2 0 0\n1 2 2\n0 8 10\n",     # f[2] = 0: ZeroFrequency
+        "1 10 4\n0 10 10\n",                   # one symbol: AlphabetTooSmall
+    ])
+    def test_forged_table_is_a_stream_error(self, ttext):
+        table, blob, _ = self.forged(30)
+        old = 8 + len(table.serialize_text().encode())
+        blob = (blob[:4] + len(ttext).to_bytes(4, "big") + ttext.encode()
+                + blob[old:])
+        with pytest.raises(CorruptStream, match="bad embedded table"):
+            decode_framed(blob)
+
     def test_count_bound_admits_runs_of_the_likeliest_symbol(self):
         # the cheapest symbols per unit of t - f_max come nearest the bound
         p = parse_probability_vector(["0.0625", "0.9375"])

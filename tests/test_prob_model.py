@@ -164,13 +164,16 @@ class TestFrequencyTable:
         with pytest.raises(ZeroFrequency):
             FrequencyTable.from_freqs(p, [4, 0])
 
-    def test_rejects_bad_cum(self):
-        with pytest.raises(ValueError):
-            FrequencyTable((3, 1), 4, (1, 0), (0, 3), 2)  # cum of wrong order
+    def test_derives_t_cum_and_width(self):
+        table = FrequencyTable((3, 1, 4), (1, 0, 2))
+        assert (table.t, table.cum, table.width_bits) == (8, (0, 1, 4), 3)
+        assert table == FrequencyTable.from_freqs(
+            parse_probability_vector(["0.375", "0.125", "0.5"]), [3, 1, 4])
 
     def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            FrequencyTable((3, 1), 4, (1, 0), (0, 1), 3)
+        # the header's W is outside input; the table derives its own
+        with pytest.raises(ValueError, match="header W = 3"):
+            FrequencyTable.parse_text("2 4 3\n1 1 1\n0 3 4\n")
 
     def test_canonical_order_matches_probs(self):
         p = parse_probability_vector(["0.2", "0.5", "0.3"])
