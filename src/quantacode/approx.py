@@ -54,23 +54,25 @@ rational x.  The best table of t has f_min >= 1 and delta_star =
 
 All record and threshold decisions are exact: with p_i = P_i / d and
 A = max_i |t*P_i - f_i*d|, delta_star = A/(d*t), a record is decided by the
-cross-multiplication A*t' < A'*t, and e.g. t^(1+1/m)*delta_star < m/(m+1)
-by t * A**m * (m+1)**m < m**m * d**m, both in Python integers.  The hit
-test has an exact integer cap: it holds exactly when 0 <= A <= B(t), with
-B(t) = c // t, c = isqrt((kappa**2 numerator * d**2 - 1) // kappa**2
-denominator) for m = 2, and B(t) the floor m-th root of
-(m**m * d**m - 1) // (t * (m+1)**m) otherwise.  B is non-increasing in
-t, so a candidate with 0 < A <= B(t_last), t_last the last candidate of
-its chunk, is a hit with no test of its own: one B per chunk decides
-almost every row for large m, where almost every row is a hit.  Only the
+cross-multiplication A*t' < A'*t, a binary hit t**2 * delta_star < kappa by
+(t*A)**2 * kappa**2 denominator < kappa**2 numerator * d**2, and an m-ary
+one t^(1+1/m)*delta_star < m/(m+1) by t * A**m * (m+1)**m < m**m * d**m,
+all in Python integers.  The m-ary test has an exact integer cap: it holds
+exactly when 0 <= A <= B(t), B(t) the floor m-th root of
+(m**m * d**m - 1) // (t * (m+1)**m).  B is non-increasing in t, so a
+candidate with 0 < A <= B(t_last), t_last the last candidate of its
+chunk, is a hit with no test of its own: one B per chunk decides almost
+every row for large m, where almost every row is a hit.  Only the
 candidates above that cap take the A**m test.
 
-For m > 2, `record_scan` and `best_table_under_width` need only records and
-hits, so there a float64 prescreen *excludes* rows, and every remaining candidate is
-decided by the integer tests above on the true p, in ascending t: no result
-rests on a float or on a truncated source.  (A gap screen, below, first
-drops most rows before any table is built.)  The screen reads
-delta~ = A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
+`record_scan`, `best_table_under_width` and `scan_rows` take every record
+and hit from one place per alphabet kind: _binary_fold for m = 2, the
+chunked fold _fold for m > 2.  The fold needs only records and hits, so a
+float64 prescreen *excludes* rows, and every remaining candidate is decided
+by the integer tests above on the true p, in ascending t: no result rests
+on a float or on a truncated source.  (A gap screen, below, first drops
+most rows before any table is built.)  The screen reads delta~ =
+A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
 
 * a chunk that fits int64 is scanned on p itself: D = d, eps = 0;
 * a chunk [lo, hi] of a source that overflows int64 is scanned on
@@ -85,39 +87,38 @@ delta~ = A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
 A row t is a record candidate when delta~_t - eps lies below both the
 confirmed best delta_star (rounded up) and delta~_s + eps for every earlier
 row s of its chunk, and a fact-constant candidate when the quality at
-max(delta~_t - eps, 0) passes the bound: (t**2 * delta)**2 < kappa**2
-(m = 2) or t * (t*delta)**m < (m/(m+1))**m.  The record and binary bounds
-are widened by a relative 1e-9, the m-ary one by m * 1e-9.  A true record
-has delta~_t - eps <= delta_star_t < delta_star_s <= delta~_s + eps, and a
-true hit passes at delta_star_t >= delta~_t - eps since the quality grows
-with delta; so the absolute eps keeps both candidates in exact arithmetic,
-and the relative slack covers the float64 rounding.  Each float quantity
-carries a relative error of a few units of 2**-53 per operation: about 4
-for delta~ (A~, D and two divisions) and for the running-minimum side,
-under 5e-16, and about 4m + 8 for t * (t*delta)**m, since the m-th power
-multiplies the error of its base by m: under 2e-15 * m, far below m * 1e-9
-for every m.  The differences delta~ - eps and t*delta~ - t*eps can
-cancel: where eps exceeds a third of delta~, the 2**-49 widening of eps
-outweighs the float error of delta~, and elsewhere the difference keeps a
-relative error of a few units.  A~/D >= 2**-62 never underflows; only the
-m-th power can, far below the bound, and then the row stays a candidate.
-An exact table (delta_star = 0) has delta~ <= eps, so it is always a
-record candidate, and once confirmed it ends the scan.
+max(delta~_t - eps, 0) passes the bound t * (t*delta)**m < (m/(m+1))**m.
+The record bound is widened by a relative 1e-9, the hit bound by m * 1e-9.
+A true record has delta~_t - eps <= delta_star_t < delta_star_s <=
+delta~_s + eps, and a true hit passes at delta_star_t >= delta~_t - eps
+since the quality grows with delta; so the absolute eps keeps both
+candidates in exact arithmetic, and the relative slack covers the float64
+rounding.  Each float quantity carries a relative error of a few units of
+2**-53 per operation: about 4 for delta~ (A~, D and two divisions) and for
+the running-minimum side, under 5e-16, and about 4m + 8 for
+t * (t*delta)**m, since the m-th power multiplies the error of its base by
+m: under 2e-15 * m, far below m * 1e-9 for every m.  The differences delta~ - eps and
+t*delta~ - t*eps can cancel: where eps exceeds a third of delta~, the
+2**-49 widening of eps outweighs the float error of delta~, and elsewhere
+the difference keeps a relative error of a few units.  A~/D >= 2**-62 never
+underflows; only the m-th power can, far below the bound, and then the row
+stays a candidate.  An exact table (delta_star = 0) has delta~ <= eps, so
+it is always a record candidate, and once confirmed it ends the scan.
 
 The screen pays while eps is far below the records' delta_star, i.e. while
 t**(2 + 1/m) is far below 2**62 (t well below 10**8 for m = 3); beyond
 that more rows, up to every row, are candidates.
 
-Before the kernel builds any table, an m > 2 record scan drops most rows
-by a cheaper lower bound (_kernels.gap_screen).  Write ||x||_D for the
-distance from x to the nearest multiple of D.  For any integers f_i,
-|t*P_i - f_i*D| >= ||t*P_i||_D, so the gap max_i ||t*P_i||_D is at most
-the A of every table at t: gap/D <= t*delta_star(P/D, t), Dirichlet's
-simultaneous-approximation quantity max_i ||t*p_i|| (Cassels, An
-Introduction to Diophantine Approximation, 1957).  The distance from x to
-the nearest integer is 1-Lipschitz in x, so on a truncated chunk
-||t*P~_i||_D / D lies within t*eps of ||t*p_i||_d / d; hence gap/D <=
-t*delta_star(p, t) + t*eps on every chunk.  So
+Before the kernel builds any table, the fold drops most rows by a cheaper
+lower bound (_kernels.gap_screen).  Write ||x||_D for the distance from x
+to the nearest multiple of D.  For any integers f_i, |t*P_i - f_i*D| >=
+||t*P_i||_D, so the gap max_i ||t*P_i||_D is at most the A of every table
+at t: gap/D <= t*delta_star(P/D, t), Dirichlet's simultaneous-approximation
+quantity max_i ||t*p_i|| (Cassels, An Introduction to Diophantine
+Approximation, 1957).  The distance from x to the nearest integer is
+1-Lipschitz in x, so on a truncated chunk ||t*P~_i||_D / D lies within
+t*eps of ||t*p_i||_d / d; hence gap/D <= t*delta_star(p, t) + t*eps on
+every chunk.  So
 
 * a record t has delta_star(t) below the best delta_b confirmed in the
   earlier chunks, and gap < D*t*(delta_b + eps);
@@ -140,7 +141,6 @@ output is that of the full scan.
 Every row is still taken:
 
 * in the first chunk, where nothing is confirmed yet;
-* with `every_row` (scan_rows), which prints every row;
 * in a chunk whose cap reaches D/4 at lo or hi, where the convex theta
   peaks.  Each symbol's pass keeps about 2*theta/D of the rows, at most
   half of them below D/4; above that the passes cost more than they
@@ -148,16 +148,16 @@ Every row is still taken:
   below 1/4 for t <= 2**24, nor does that of any m >= 13.
 
 `scan_rows` prints every row's exact A, the planner's divergence search
-needs every row's exact table of p, and a record scan needs its
-candidates' exact A.  So their truncated chunks also carry p's tables,
-certified on the kernel's table F~ of P~.  Let a be the
-A of the truncation, so |D*p_i - P~_i| <= a/d.  For t <= hi, each scaled
-value t*D*p_i then lies within g = ceil(hi*a/d) of t*P~_i; once
-D*p_min >= 1, a/d = D*delta_star(p, D) < 1, so g <= hi.  Write n_i and
-rem_i for the quotient and remainder of t*P~_i by D.  The smalls are the i
-with n_i = 0, the bigs the others, and k = t - sum_i n_i - #smalls is the
-number of round-ups left after forcing the smalls to 1.  F~'s row at t is
-p's min-max table, tie-breaks included, when
+needs every row's exact table of p (both read _iter_chunks), and the fold
+needs its candidates' exact A.  So their truncated chunks also carry p's
+tables, certified on the kernel's table F~ of P~.  Let a be the A of the
+truncation, so |D*p_i - P~_i| <= a/d.  For t <= hi, each scaled value
+t*D*p_i then lies within g = ceil(hi*a/d) of t*P~_i; once D*p_min >= 1,
+a/d = D*delta_star(p, D) < 1, so g <= hi.  Write n_i and rem_i for the quotient
+and remainder of t*P~_i by D.  The smalls are the i with n_i = 0, the bigs
+the others, and k = t - sum_i n_i - #smalls is the number of round-ups left
+after forcing the smalls to 1.  F~'s row at t is p's min-max table,
+tie-breaks included, when
 
 1. g <= rem_i < D - g for every i.  Then t*D*p_i lies in
    [n_i*D, (n_i + 1)*D), so the floors of t*p_i are the n_i.  So p has the
@@ -173,11 +173,11 @@ remainders among the bigs) then makes the same choices on p as on P~, so
 F~'s row is p's table.  The kernel checks the three conditions on the n,
 rem and table it already has.  A row that fails one is rebuilt by
 minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62, so such rows are
-rare while hi**2 is far below 2**62.  `scan_rows`, and a record scan for
-its candidates, then take each row's exact A = max_i |t*P_i - F_i*d|
-from its table in Python integers, and decide it exactly.  So the int64
-kernel scans every chunk, for any m; minmax_freqs_exact only builds
-single tables and rebuilds the rows the certificate leaves.
+rare while hi**2 is far below 2**62.  `scan_rows` for every row, and the
+fold for its candidates, then take the exact A = max_i |t*P_i - F_i*d| from
+the table in Python integers.  So the int64 kernel scans every chunk, for
+any m; minmax_freqs_exact only builds single tables and rebuilds the rows
+the certificate leaves.
 """
 
 from __future__ import annotations
@@ -402,32 +402,19 @@ def _iter_chunks(p: ProbabilityVector, t_max: int):
             yield lo, _kernels.minmax_scan(big_p, den, lo, hi, True)[1]
 
 
-def _threshold_tests(m: int, d: int, kappa):
-    """Exact, cap and float64 forms of "quality beats the fact constant".
+def _threshold_tests(m: int, d: int):
+    """Exact, cap and float64 forms of "quality beats m/(m+1)", for m > 2.
 
-    exact(t, a) decides t**2 * delta_star < kappa (m = 2; default generic
-    2**-1.5) or t**(1+1/m) * delta_star < m/(m+1) by integer
-    cross-multiplication, with the per-scan constants computed here, once.
-    cap(t) is the largest integer a that passes at t, so for a >= 0,
-    exact(t, a) holds exactly when a <= cap(t).  With kappa**2 = k_num/k_den
-    and integers on both sides, (t*a)**2 * k_den < k_num * d**2 holds
-    exactly when t*a <= c = isqrt((k_num * d**2 - 1) // k_den), i.e.
-    a <= c // t; and t * a**m * (m+1)**m < m**m * d**m exactly when
-    a**m <= (m**m * d**m - 1) // (t * (m+1)**m), i.e. a is at most the
-    floor m-th root of the right side.  Both caps are non-increasing in t.
+    exact(t, a) decides t**(1+1/m) * delta_star < m/(m+1) by the integer
+    cross-multiplication t * a**m * (m+1)**m < m**m * d**m, with the
+    per-scan constants computed here, once.  cap(t) is the largest integer
+    a that passes at t, so for a >= 0, exact(t, a) holds exactly when
+    a <= cap(t): a**m <= (m**m * d**m - 1) // (t * (m+1)**m), i.e. a is
+    at most the floor m-th root of the right side, non-increasing in t.
     screen(t, x), on float64 arrays with x = t * delta (A/d on an exact
-    chunk), is the same inequality widened by a relative _SLACK (m = 2) or
-    m * _SLACK (see the module docstring): it is true wherever exact(t, a)
-    is.
+    chunk), is the same inequality widened by a relative m * _SLACK (see
+    the module docstring): it is true wherever exact(t, a) is.
     """
-    if m == 2:
-        kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
-        k_den, rhs = kappa_square.denominator, kappa_square.numerator * d * d
-        c = math.isqrt((rhs - 1) // k_den)
-        bound = float(kappa_square) * (1 + _SLACK)
-        return (lambda t, a: (t * a) ** 2 * k_den < rhs,
-                lambda t: c // t,
-                lambda t, x: (t * x) ** 2 < bound)
     lhs_c, rhs = (m + 1) ** m, m**m * d**m
     bound = float(Fraction(m, m + 1) ** m) * (1 + m * _SLACK)
     return (lambda t, a: t * a**m * lhs_c < rhs,
@@ -471,77 +458,67 @@ def _gap_cap(t: int, m: int, den: int, eps: float, best_q: float, hits: bool) ->
     return den * cap
 
 
-def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
-          every_row: bool = False):
-    """The record/threshold fold over _chunks.
+def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
+    """The record/threshold fold of an m > 2 source over _chunks.
 
-    Yields (lo, A, recs, hit_ts) per chunk: recs lists the (t, A, f) of its
+    Yields (recs, hit_ts) per chunk: recs lists the (t, A, f) of its
     record denominators and hit_ts its fact-constant hits (empty unless
     `hits`), both in ascending t, with the true A of p; f is p's table at t
-    where the fold built it (truncated chunks), else None.  A is every
-    row's true A with `every_row`, else None.  The scan stops at the first
-    exact table (A = 0), the final record, and that chunk's A ends there.
+    where the fold built it (truncated chunks), else None.  The scan stops
+    at the first exact table (A = 0), the final record.
 
-    For m > 2 without `every_row`, each chunk after the first whose gap
-    cap stays below D/4 first keeps only the rows that gap_screen passes
-    (see the module docstring).  The kernel then gives the kept rows' A~;
-    a float64 prescreen, widened by the chunk's eps, excludes the rows that
-    cannot be records or hits, and only the remaining candidates are
-    decided exactly (on truncated chunks on their true A, from p's
-    certified tables).  With `every_row`, a truncated chunk's A is p's own
-    for every row, and every row is a candidate.  Hits are decided by
+    Each chunk after the first whose gap cap stays below D/4 first keeps
+    only the rows that gap_screen passes (see the module docstring).  The
+    kernel then gives the kept rows' A~; a float64 prescreen, widened by
+    the chunk's eps, excludes the rows that cannot be records or hits, and
+    only the remaining candidates are decided exactly (on truncated chunks
+    on their true A, from p's certified tables).  Hits are decided by
     _hit_ts.
     """
     m, d = p.m, p.common_denominator
     if hits:
-        exact_hit, hit_cap, screen_hit = _threshold_tests(m, d, kappa)
+        exact_hit, hit_cap, screen_hit = _threshold_tests(m, d)
     best_a = best_t = None
     best_q = math.inf   # float64 >= the least delta_star so far
     for lo, hi, big_p, den, eps, g in _chunks(p, t_max):
         ts = np.arange(lo, hi + 1, dtype=np.int64)
         t_of = range(lo, hi + 1)    # ts as Python ints
-        tables = {}     # j: p's table at t = ts[j], where the fold built it
-        if every_row and eps:   # every row's true A, from p's tables
-            f = _certify(p, ts, _kernels.minmax_scan(big_p, den, lo, hi, True, g))
-            a_rows = _true_a(p, ts, f.tolist())
-            rec_cand = enumerate(a_rows)
-            hit_j, hit_a = np.arange(len(ts)), a_rows
+        cap = math.inf
+        if best_a is not None:
+            cap = max(_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
+        if cap < den / 4:   # the convex cap peaks at lo or hi
+            ts = _kernels.gap_screen(big_p, den, ts, int(cap))
+            t_of = ts.tolist()
+            a_rows = _kernels._minmax_rows(big_p, den, ts)[0]   # A~
         else:
-            cap = math.inf
-            if m > 2 and not every_row and best_a is not None:
-                cap = max(_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
-            if cap < den / 4:   # the convex cap peaks at lo or hi
-                ts = _kernels.gap_screen(big_p, den, ts, int(cap))
-                t_of = ts.tolist()
-                a_rows = _kernels._minmax_rows(big_p, den, ts)[0]   # A~
-            else:
-                a_rows = _kernels.minmax_scan(big_p, den, lo, hi)[0]
-            t_f = ts.astype(np.float64)
-            x = a_rows.astype(np.float64) / float(den)   # t * delta~
-            q = x / t_f                                  # delta~
-            q_low = q_high = q
-            if eps:   # truncated chunk; at eps = 0 these are the identity
-                q_low, q_high = q - eps, q + eps
-                x = np.maximum(x - t_f * eps, 0.0)      # t * max(delta~ - eps, 0)
-            prev = np.minimum.accumulate(np.concatenate(([best_q], q_high[:-1])))
-            rec_j = np.flatnonzero(q_low < prev * (1 + _SLACK))
-            hit_j = rec_j[:0]
-            if hits:
-                with np.errstate(over="ignore", under="ignore"):
-                    hit_j = np.flatnonzero(screen_hit(t_f, x))
-            if eps:   # decide each candidate on the true p
-                cand = np.union1d(rec_j, hit_j).tolist()
-                t_cand = ts[cand]
-                f = _certify(p, t_cand,
-                             _kernels._minmax_rows(big_p, den, t_cand, True, g))
-                rows = f.tolist()
-                tables = dict(zip(cand, rows))
-                true_a = dict(zip(cand, _true_a(p, t_cand, rows)))
-                rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
-                hit_a = [true_a[j] for j in hit_j.tolist()]
-            else:
-                rec_cand = zip(rec_j.tolist(), a_rows[rec_j].tolist())
-                hit_a = a_rows[hit_j]
+            a_rows = _kernels.minmax_scan(big_p, den, lo, hi)[0]
+        t_f = ts.astype(np.float64)
+        x = a_rows.astype(np.float64) / float(den)   # t * delta~
+        q = x / t_f                                  # delta~
+        q_low = q_high = q
+        if eps:   # truncated chunk; at eps = 0 these are the identity
+            q_low, q_high = q - eps, q + eps
+            x = np.maximum(x - t_f * eps, 0.0)      # t * max(delta~ - eps, 0)
+        prev = np.minimum.accumulate(np.concatenate(([best_q], q_high[:-1])))
+        rec_j = np.flatnonzero(q_low < prev * (1 + _SLACK))
+        hit_j = rec_j[:0]
+        if hits:
+            with np.errstate(over="ignore", under="ignore"):
+                hit_j = np.flatnonzero(screen_hit(t_f, x))
+        tables = {}     # j: p's table at t = ts[j], where the fold built it
+        if eps:   # decide each candidate on the true p
+            cand = np.union1d(rec_j, hit_j).tolist()
+            t_cand = ts[cand]
+            f = _certify(p, t_cand,
+                         _kernels._minmax_rows(big_p, den, t_cand, True, g))
+            rows = f.tolist()
+            tables = dict(zip(cand, rows))
+            true_a = dict(zip(cand, _true_a(p, t_cand, rows)))
+            rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
+            hit_a = [true_a[j] for j in hit_j.tolist()]
+        else:
+            rec_cand = zip(rec_j.tolist(), a_rows[rec_j].tolist())
+            hit_a = a_rows[hit_j]
         recs, end = [], len(ts)
         for j, a in rec_cand:
             t = t_of[j]
@@ -557,7 +534,7 @@ def _fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True,
         if hits and hit_j.size:
             k = int(np.searchsorted(hit_j, end))    # the rows before `end`
             hit_ts = _hit_ts(lo, ts[hit_j[:k]] - lo, hit_a[:k], exact_hit, hit_cap)
-        yield lo, a_rows[:end] if every_row else None, recs, hit_ts
+        yield recs, hit_ts
         if best_a == 0:
             return
 
@@ -570,8 +547,8 @@ def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True
     prefix range(2, t0 + 1), where A = d - t*P, then each convergent
     denominator that is a record and each suffix of intermediate
     denominators that are, ending at an exact table.  hit_ts lists the
-    fact-constant hits (empty unless `hits`) in ascending t, all below the
-    exact table.
+    hits of t**2 * delta_star < kappa (default generic 2**-1.5; empty
+    unless `hits`) in ascending t, all below the exact table.
     """
     big_p, d = min(p.numerators), p.common_denominator
 
@@ -605,11 +582,12 @@ def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True
             best = (a_of(cands[-1]), cands[-1])
     hit_ts = set()
     if hits:
-        exact_hit = _threshold_tests(2, d, kappa)[0]
+        kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
+        k_den, rhs = kappa_square.denominator, kappa_square.numerator * d * d
         for q in qs[1:]:
             for t in range(q, t_max + 1, q):
-                a = a_of(t)
-                if not (a and exact_hit(t, a)):
+                a = a_of(t)     # a hit: A > 0 and t**2 * delta_star < kappa
+                if not (a and (t * a) ** 2 * k_den < rhs):
                     break
                 hit_ts.add(t)
     return runs, sorted(hit_ts)
@@ -650,7 +628,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
             rest.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
         return ScanResult(_Records(rest, forced, forced_entry), hits, t_max, m, label)
     found, hits = [], []
-    for _, _, recs, hit_ts in _fold(p, t_max, kappa):
+    for recs, hit_ts in _fold(p, t_max):
         hits.extend(hit_ts)
         found.extend(recs)
     ts, tables = [t for t, _, f in found if f is None], {}
@@ -671,15 +649,35 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
     Yields (t, A, is_record, beats_fact) with delta_star = A/(d*t) exact
     (d = p.common_denominator); the quality of RecordEntry is then t*A/d
     for m = 2 and (t * A**m / d**m)**(1/m) otherwise.  Stops after an
-    exact table.
+    exact table.  The flags are record_scan's, from _binary_fold (m = 2)
+    or _fold, chunk by chunk; A comes from p's tables (_iter_chunks), in
+    int64 on a chunk that fits it and in Python integers on a truncated one.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
-    for lo, a_chunk, recs, hit_ts in _fold(p, t_max, kappa, every_row=True):
-        rec_set, hit_set = {t for t, *_ in recs}, set(hit_ts)
-        for t, a in enumerate(a_chunk.tolist() if isinstance(a_chunk, np.ndarray)
-                              else a_chunk, lo):
+    nums, d = p.numerators, p.common_denominator
+    if p.m == 2:
+        runs, hit_ts = _binary_fold(p, t_max, kappa)
+        hit_set = set(hit_ts)
+
+        def in_chunk(r, lo):    # the t of the range r in lo's chunk
+            return r[bisect.bisect_left(r, lo):bisect.bisect_left(r, lo + _CHUNK)]
+
+        flags = (({t for r in runs for t in in_chunk(r, lo)}, hit_set)
+                 for lo in range(2, t_max + 1, _CHUNK))
+    else:
+        flags = (({t for t, *_ in recs}, set(hit_ts))
+                 for recs, hit_ts in _fold(p, t_max))
+    for (rec_set, hit_set), (lo, f) in zip(flags, _iter_chunks(p, t_max)):
+        ts = np.arange(lo, lo + len(f), dtype=np.int64)
+        if _kernels.fits_int64(nums, d, lo + len(f) - 1):
+            a_rows = np.abs(ts[:, None] * np.array(nums) - f * d).max(axis=1).tolist()
+        else:
+            a_rows = _true_a(p, ts, f.tolist())
+        for t, a in enumerate(a_rows, lo):
             yield t, a, t in rec_set, t in hit_set
+            if a == 0:
+                return
 
 
 # ---- width-constrained search -----------------------------------------------
@@ -703,7 +701,7 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTa
         raise InstanceTooLarge(
             f"W = {width_bits} would scan every t up to 2**{width_bits} of an "
             f"m = {p.m} source; the limit is the coder's {_MAX_BITS} bits")
-    for _, _, recs, _ in _fold(p, t_hi, hits=False):
+    for recs, _ in _fold(p, t_hi, hits=False):
         if recs:
             best_t = recs[-1][0]
     return round_min_max(p, best_t)

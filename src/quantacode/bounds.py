@@ -454,31 +454,39 @@ def build_bound_report(p: ProbabilityVector, table: FrequencyTable,
 
 # ---- precision planner --------------------------------------------------------
 
+def _width_cap(m: int, w1: int, w2: int) -> int:
+    """The widest W a plan of an m-symbol source may take: the smaller of
+    the second-order width w2 and the corollary-1 width w1, the latter
+    raised to register_width(m), since corollary 1 clamps to >= 1, which
+    can dip below the smallest width able to hold m symbols at all."""
+    return min(max(w1, register_width(m)), w2)
+
+
 @dataclass(frozen=True)
 class PrecisionPlan:
-    """A verified (W, t, table) choice for a target redundancy."""
+    """A verified (W, t, table) choice for a target redundancy; t, the
+    width W and the memory cost m * W are derived from the table."""
 
     target_r: mp.mpf
-    width_bits: int
-    t: int
+    width_bits: int = field(init=False)
+    t: int = field(init=False)
     table: FrequencyTable
     verified_divergence: mp.mpf     # nats, recomputed on the final table
     corollary1_width: int
     raw_width_bound: mp.mpf
     second_order_width: int
-    memory_bits: int
+    memory_bits: int = field(init=False)
     mode: str
 
     def __post_init__(self):
+        m, width = self.table.m, self.table.width_bits
+        object.__setattr__(self, "width_bits", width)
+        object.__setattr__(self, "t", self.table.t)
+        object.__setattr__(self, "memory_bits", memory_cost(m, width))
         if not self.verified_divergence <= self.target_r:
             raise InvalidArgument("plan verification failed: divergence above target")
-        # corollary-1 clamps to >= 1, which can dip below the smallest width
-        # able to hold m symbols at all; allow that floor
-        floor = register_width(max(self.table.m, 2))
-        if self.width_bits > max(self.corollary1_width, floor):
-            raise InvalidArgument("plan width exceeds the guaranteed-sufficient width")
-        if self.memory_bits != memory_cost(self.table.m, self.width_bits):
-            raise InvalidArgument("memory cost must be m * W")
+        if width > _width_cap(m, self.corollary1_width, self.second_order_width):
+            raise InvalidArgument("plan width exceeds the width the planner searches under")
 
     def eta(self) -> mp.mpf | None:
         """Achieved width per log2(m/R): the implementation-quality ratio.
@@ -604,9 +612,8 @@ def plan_precision(p: ProbabilityVector, target_r,
                    mode: str = "guaranteed") -> PrecisionPlan:
     """Choose (W, t, table) achieving divergence <= target_r nats.
 
-    Both modes search t <= 2**W for one width cap W: the smaller of
-    second_order_width and corollary1_width, the latter raised to
-    register_width(m) as PrecisionPlan allows.
+    Both modes search t <= 2**W for one width cap W (_width_cap), the cap
+    PrecisionPlan checks the plan's width against.
     guaranteed: a W above the coder's 24 bits raises
     TargetUnachievableWithinScan at once, before any scan.  Otherwise take
     the delta_star-minimizing table within W; should it miss the target,
@@ -629,7 +636,7 @@ def plan_precision(p: ProbabilityVector, target_r,
     r = _parse_target(target_r)
     w1, raw = corollary1_width(p.m, r, p.p_min)
     w2 = second_order_width(p, r)
-    cap_bits = min(max(w1, register_width(p.m)), w2)
+    cap_bits = _width_cap(p.m, w1, w2)
     verified = None
     if mode == "guaranteed":
         if cap_bits > _MAX_BITS:
@@ -655,6 +662,4 @@ def plan_precision(p: ProbabilityVector, target_r,
         table = round_min_max(p, t)
         verified = kl_divergence(p, table).nats
 
-    width = table.width_bits
-    return PrecisionPlan(r, width, table.t, table, verified, w1, raw, w2,
-                         memory_cost(p.m, width), mode)
+    return PrecisionPlan(r, table, verified, w1, raw, w2, mode)

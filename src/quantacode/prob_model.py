@@ -89,12 +89,6 @@ class ProbabilityVector:
         d = self.common_denominator
         return tuple(x.numerator * (d // x.denominator) for x in self.probs)
 
-    def __iter__(self):
-        return iter(self.probs)
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
 
 def parse_probability_vector(spec) -> ProbabilityVector:
     """Parse decimal or fraction strings into an exact ProbabilityVector.

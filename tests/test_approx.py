@@ -288,11 +288,13 @@ def exact_tables(p, t_max):
             for t in range(p.m, t_max + 1)]
 
 
-def exact_fold(p, t_max, tables=None):
+def exact_fold(p, t_max, tables=None, kappa=None):
     """Row-by-row reference fold in Fractions: [(t, is_record, beats_fact)],
-    ending at the first exact table; binary sources use kappa**2 = 1/8.
-    `tables` are exact_tables(p, t_max), computed here when not given."""
+    ending at the first exact table; binary sources test kappa (default
+    generic, kappa**2 = 1/8).  `tables` are exact_tables(p, t_max),
+    computed here when not given."""
     d, m = p.common_denominator, p.m
+    kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
     rows, best = [], None
     for t, _, a in tables or exact_tables(p, t_max):
         ds = Fraction(a, d * t)
@@ -300,7 +302,7 @@ def exact_fold(p, t_max, tables=None):
         if is_rec:
             best = ds
         if m == 2:
-            beats = (t * t * ds) ** 2 < Fraction(1, 8)
+            beats = (t * t * ds) ** 2 < kappa_square
         else:
             beats = t * (t * ds) ** m < Fraction(m, m + 1) ** m
         rows.append((t, is_rec, a > 0 and beats))
@@ -349,7 +351,8 @@ FOLD_T_MAX = 2 * _CHUNK + 64  # three chunks, so folds cross chunk boundaries
 @pytest.mark.parametrize("p", _fold_sources())
 def test_int64_fold_matches_row_by_row_oracle(p):
     assert _kernels.fits_int64(p.numerators, p.common_denominator, FOLD_T_MAX)
-    rows = exact_fold(p, FOLD_T_MAX)
+    tables = exact_tables(p, FOLD_T_MAX)
+    rows = exact_fold(p, FOLD_T_MAX, tables)
     want_recs = [t for t, rec, _ in rows if rec]
     want_hits = [t for t, _, beat in rows if beat]
 
@@ -358,6 +361,9 @@ def test_int64_fold_matches_row_by_row_oracle(p):
     assert res.fact_hits == want_hits
     flags = [(t, rec, beat) for t, _, rec, beat in scan_rows(p, FOLD_T_MAX)]
     assert flags == rows
+    golden = [(t, rec, beat) for t, _, rec, beat
+              in scan_rows(p, FOLD_T_MAX, kappa=KAPPA_GOLDEN)]
+    assert golden == exact_fold(p, FOLD_T_MAX, tables, KAPPA_GOLDEN)
     width = 13  # 2**13 < FOLD_T_MAX spans two chunks
     best = [r for r in res.records if r.t <= 1 << width][-1]
     table = best_table_under_width(p, width)
@@ -537,33 +543,38 @@ def test_screened_cases_exercise_their_rows():
 # ---- exact hit caps and batched record tables --------------------------------
 
 @pytest.mark.parametrize("kappa", [KAPPA_GENERIC, KAPPA_GOLDEN], ids=["generic", "golden"])
-@pytest.mark.parametrize("m", [2, 3, 6, 24, 64])
+@pytest.mark.parametrize("m", [3, 6, 24, 64])
 def test_hit_cap_is_the_largest_passing_a(m, kappa):
     rng = np.random.default_rng(m)
     for d in (10**6, 10**20):
-        exact, cap, _ = _threshold_tests(m, d, kappa)
+        exact, cap, _ = _threshold_tests(m, d)
         ts = sorted(rng.integers(m, 10**7, size=300).tolist() + [m, d**m])
         caps = [cap(t) for t in ts]
         assert caps == sorted(caps, reverse=True)    # non-increasing in t
         for t, c in zip(ts, caps):
             assert exact(t, c) and not exact(t, c + 1), (t, c)
         assert 0 in caps and caps[0] > 0
-    if m > 2:
-        # at d = 2*(m+1)*k, t = 2**m and a = m*k the quality is m/(m+1)
-        # exactly, which is no hit
-        k = 1000
-        exact, cap, _ = _threshold_tests(m, 2 * (m + 1) * k, kappa)
-        assert not exact(2**m, m * k) and cap(2**m) == m * k - 1
+    # at d = 2*(m+1)*k, t = 2**m and a = m*k the quality is m/(m+1)
+    # exactly, which is no hit
+    k = 1000
+    exact, cap, _ = _threshold_tests(m, 2 * (m + 1) * k)
+    assert not exact(2**m, m * k) and cap(2**m) == m * k - 1
+    # a binary kappa leaves an m-ary scan's hits to the m/(m+1) test
+    p = ProbabilityVector(random_decimal_probs(rng, m))
+    exact = _threshold_tests(m, p.common_denominator)[0]
+    rows = list(scan_rows(p, 300, kappa=kappa))
+    assert ([t for t, _, _, beat in rows if beat]
+            == [t for t, a, *_ in rows if a and exact(t, a)])
 
 
 
-@pytest.mark.parametrize("m", [2, 3, 24])
+@pytest.mark.parametrize("m", [3, 24])
 @pytest.mark.parametrize("d", [10**6, 10**20])
 def test_hit_rows_agree_with_the_exact_test(m, d):
     # A around each row's own cap and around the last row's, so that rows
     # fall below the chunk's cap, between it and their own, and above both
     rng = np.random.default_rng(61 + m)
-    exact, cap, _ = _threshold_tests(m, d, None)
+    exact, cap, _ = _threshold_tests(m, d)
     lo = 100
     js = np.sort(rng.choice(_CHUNK, size=200, replace=False))
     last = cap(lo + int(js[-1]))
@@ -791,13 +802,16 @@ def test_forced_prefix_records_are_built_when_read():
 # ---- binary records and hits from the continued fraction ---------------------
 
 def scan_reference(p, t_max, kappa):
-    """Records (t, freqs, delta_star) and hits of p from scan_rows, which
-    decides every row of the chunked scan."""
-    d = p.common_denominator
-    rows = list(scan_rows(p, t_max, kappa=kappa))
-    recs = [(t, round_min_max(p, t).freqs, Fraction(a, d * t))
-            for t, a, rec, _ in rows if rec]
-    return recs, [t for t, _, _, beat in rows if beat]
+    """Records (t, freqs, delta_star) and hits of p from a row-by-row exact
+    pass (exact_fold) over p's every-row tables from _iter_chunks."""
+    nums, d = p.numerators, p.common_denominator
+    tables = [(t, tuple(f), max(abs(t * v - x * d) for v, x in zip(nums, f)))
+              for lo, f_chunk in _iter_chunks(p, t_max)
+              for t, f in enumerate(f_chunk.tolist(), lo)]
+    rows = exact_fold(p, t_max, tables, kappa)
+    recs = [(t, f, Fraction(a, d * t))
+            for (t, f, a), (_, rec, _) in zip(tables, rows) if rec]
+    return recs, [t for t, _, beat in rows if beat]
 
 
 def assert_records_match_the_scan(p, t_max, kappa):

@@ -52,8 +52,9 @@ CASES = {
     "table-width": lambda: FrequencyTable.parse_text("2 4 3\n1 1 1\n0 3 4\n"),
     "plan-divergence": lambda: dataclasses.replace(
         _plan(), verified_divergence=_plan().target_r * 2),
-    "plan-width": lambda: dataclasses.replace(_plan(), width_bits=40),
-    "plan-memory": lambda: dataclasses.replace(_plan(), memory_bits=1),
+    # W = 9 lies within corollary 1's 10 bits but above the second-order 7
+    "plan-width": lambda: dataclasses.replace(
+        _plan(), table=round_min_max(parse_probability_vector(["0.7", "0.3"]), 1 << 9)),
     # one raise of each class, named after it
     "NonPositiveProbability": lambda: parse_probability_vector(["0.5", "-0.5"]),
     "SumOutOfTolerance": lambda: parse_probability_vector(["0.5", "0.6"]),
