@@ -63,7 +63,23 @@ exactly when 0 <= A <= B(t), B(t) the floor m-th root of
 candidate with 0 < A <= B(t_last), t_last the last candidate of its
 chunk, is a hit with no test of its own: one B per chunk decides almost
 every row for large m, where almost every row is a hit.  Only the
-candidates above that cap take the A**m test.
+candidates above that cap take the A**m test; this holds on a chunk of
+any length, and a longer one only sends more rows to that test.
+
+Every scan takes t in consecutive chunks [lo, hi] (_spans): the first
+has `first` rows and each next one twice as many, up to _MAX_CHUNK =
+16,384, whose int64 array of t (128 KiB) stays at glibc's mmap
+threshold, as _kernels._BLOCK does.  The fold below, `scan_rows` and
+`best_table_under_width` start at first = 4,096 rows: the fold confirms
+nothing in its first chunk, so it builds all of that chunk's tables at
+any length, and after it each chunk pays a fixed cost (Python work,
+about 30 numpy calls, the gap cap and gap_screen's passes) that longer
+chunks pay less often: a 2*10**5 record scan takes 14 chunks, not 49 of
+4,096.  The planner's divergence search (bounds._first_qualifying_t)
+stops at its first success, often at a small t, so it starts at 256
+rows.  A chunk only groups the rows screened together; every rule below
+holds on any chunk, with D, eps and g taken from that chunk's own hi,
+so no output depends on the chunk lengths.
 
 `record_scan`, `best_table_under_width` and `scan_rows` take every record
 and hit from one place per alphabet kind: _binary_fold for m = 2, the
@@ -129,7 +145,7 @@ The cap theta(t) is the larger of the two bounds (the record bound alone
 when the scan wants no hits), with best_q >= delta_b for delta_b and each
 widened by its prescreen slack (_gap_cap), which covers a few units of
 2**-53 of float error in each.  Both bounds are convex in t, so theta is,
-and on a chunk [lo, hi] it peaks at lo or hi: the chunk's cap is the
+and on any chunk [lo, hi] it peaks at lo or hi: the chunk's cap is the
 larger of those two, floored, since the gap is an integer.  gap_screen
 keeps the rows whose gap is at most that cap, symbol by symbol on the
 rows still in; only those reach the kernel and the prescreen above.
@@ -172,8 +188,9 @@ The construction (floors, smalls forced to 1, round-ups to the k largest
 remainders among the bigs) then makes the same choices on p as on P~, so
 F~'s row is p's table.  The kernel checks the three conditions on the n,
 rem and table it already has.  A row that fails one is rebuilt by
-minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62, so such rows are
-rare while hi**2 is far below 2**62.  `scan_rows` for every row, and the
+minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62 (about 2**-14 at
+hi = 2**24, for a chunk of any length), so such rows are rare while
+hi**2 is far below 2**62.  `scan_rows` for every row, and the
 fold for its candidates, then take the exact A = max_i |t*P_i - F_i*d| from
 the table in Python integers.  So the int64 kernel scans every chunk, for
 any m; minmax_freqs_exact only builds single tables and rebuilds the rows
@@ -203,7 +220,8 @@ from .errors import (
 from .precision import DEFAULT_DPS, _iroot_floor
 from .prob_model import MAX_TOTAL, FrequencyTable, ProbabilityVector, register_width
 
-_CHUNK = 4096
+_FIRST_CHUNK = 4096    # first chunk of the fold, scan_rows and best_table_under_width
+_MAX_CHUNK = 1 << 14   # 16,384 int64 rows, 128 KiB: glibc's mmap threshold
 _SLACK = 1e-9  # relative widening of every float64 prescreen bound
 _INT64_TOP = (1 << 62) - 1  # hi * D on a truncated chunk stays at most this
 _MAX_BITS = register_width(MAX_TOTAL)   # 24, the widest table the coder takes
@@ -342,9 +360,20 @@ def _float_up(n: int, q: int) -> float:
     return math.nextafter(x, math.inf) if num * q < n * den else x
 
 
-def _chunks(p: ProbabilityVector, t_max: int):
-    """Yield (lo, hi, P, D, eps, g) for consecutive chunks [lo, hi] of t in
-    [m, t_max]: the int64 kernel scans the chunk on the source P/D, and
+def _spans(lo: int, t_max: int, first: int):
+    """Consecutive spans (lo, hi) covering [lo, t_max] exactly: the first
+    has `first` rows, and each next one twice as many as the one before,
+    up to _MAX_CHUNK (the last is cut at t_max)."""
+    size = first
+    while lo <= t_max:
+        hi = min(lo + size - 1, t_max)
+        yield lo, hi
+        lo, size = hi + 1, min(2 * size, _MAX_CHUNK)
+
+
+def _chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
+    """Yield (lo, hi, P, D, eps, g) for the chunks [lo, hi] of _spans(m,
+    t_max, first): the int64 kernel scans the chunk on the source P/D, and
     delta_star(p, t) lies within eps of delta_star(P/D, t).  Two kinds of
     chunk, for any m (see the module docstring):
 
@@ -356,9 +385,8 @@ def _chunks(p: ProbabilityVector, t_max: int):
       tables for p; it is capped at D, where no row passes, so that 2g
       stays in int64.
     """
-    nums, d, m = p.numerators, p.common_denominator, p.m
-    for lo in range(m, t_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK - 1, t_max)
+    nums, d = p.numerators, p.common_denominator
+    for lo, hi in _spans(p.m, t_max, first):
         if _kernels.fits_int64(nums, d, hi):
             yield lo, hi, nums, d, 0.0, 0
             continue
@@ -390,16 +418,18 @@ def _true_a(p: ProbabilityVector, ts, rows: list) -> list:
             for t, row in zip(ts.tolist(), rows)]
 
 
-def _iter_chunks(p: ProbabilityVector, t_max: int):
-    """Yield (lo, F) for consecutive chunks of t in [m, t_max]: F[j] is
+def _iter_chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
+    """Yield (lo, A, F) for the chunks of _chunks(p, t_max, first): F[j] is
     p's min-max table at t = lo + j, an int64 (rows, m) array, on the int64
-    kernel for any m (certified on truncated chunks, see _certify)."""
-    for lo, hi, big_p, den, eps, g in _chunks(p, t_max):
+    kernel for any m (certified on truncated chunks, see _certify).  A is
+    the kernel's int64 array of those tables' A where the chunk fits int64,
+    and None on a truncated chunk, whose A only _true_a gives."""
+    for lo, hi, big_p, den, eps, g in _chunks(p, t_max, first):
         if eps:
             ts = np.arange(lo, hi + 1, dtype=np.int64)
-            yield lo, _certify(p, ts, _kernels.minmax_scan(big_p, den, lo, hi, True, g))
+            yield lo, None, _certify(p, ts, _kernels.minmax_scan(big_p, den, lo, hi, True, g))
         else:
-            yield lo, _kernels.minmax_scan(big_p, den, lo, hi, True)[1]
+            yield lo, *_kernels.minmax_scan(big_p, den, lo, hi, True)
 
 
 def _threshold_tests(m: int, d: int):
@@ -459,7 +489,8 @@ def _gap_cap(t: int, m: int, den: int, eps: float, best_q: float, hits: bool) ->
 
 
 def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
-    """The record/threshold fold of an m > 2 source over _chunks.
+    """The record/threshold fold of an m > 2 source over _chunks, whose
+    first chunk is 4,096 rows and the later ones 8,192 and then 16,384.
 
     Yields (recs, hit_ts) per chunk: recs lists the (t, A, f) of its
     record denominators and hit_ts its fact-constant hits (empty unless
@@ -650,30 +681,28 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
     (d = p.common_denominator); the quality of RecordEntry is then t*A/d
     for m = 2 and (t * A**m / d**m)**(1/m) otherwise.  Stops after an
     exact table.  The flags are record_scan's, from _binary_fold (m = 2)
-    or _fold, chunk by chunk; A comes from p's tables (_iter_chunks), in
-    int64 on a chunk that fits it and in Python integers on a truncated one.
+    or _fold, chunk by chunk; A comes with p's tables (_iter_chunks): the
+    kernel's on a chunk that fits int64, _true_a's on a truncated one.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
-    nums, d = p.numerators, p.common_denominator
     if p.m == 2:
         runs, hit_ts = _binary_fold(p, t_max, kappa)
         hit_set = set(hit_ts)
 
-        def in_chunk(r, lo):    # the t of the range r in lo's chunk
-            return r[bisect.bisect_left(r, lo):bisect.bisect_left(r, lo + _CHUNK)]
+        def in_span(r, lo, hi):     # the t of the range r in [lo, hi]
+            return r[bisect.bisect_left(r, lo):bisect.bisect_right(r, hi)]
 
-        flags = (({t for r in runs for t in in_chunk(r, lo)}, hit_set)
-                 for lo in range(2, t_max + 1, _CHUNK))
+        flags = (({t for r in runs for t in in_span(r, lo, hi)}, hit_set)
+                 for lo, hi in _spans(2, t_max, _FIRST_CHUNK))
     else:
         flags = (({t for t, *_ in recs}, set(hit_ts))
                  for recs, hit_ts in _fold(p, t_max))
-    for (rec_set, hit_set), (lo, f) in zip(flags, _iter_chunks(p, t_max)):
-        ts = np.arange(lo, lo + len(f), dtype=np.int64)
-        if _kernels.fits_int64(nums, d, lo + len(f) - 1):
-            a_rows = np.abs(ts[:, None] * np.array(nums) - f * d).max(axis=1).tolist()
+    for (rec_set, hit_set), (lo, a_rows, f) in zip(flags, _iter_chunks(p, t_max)):
+        if a_rows is None:      # a truncated chunk
+            a_rows = _true_a(p, np.arange(lo, lo + len(f), dtype=np.int64), f.tolist())
         else:
-            a_rows = _true_a(p, ts, f.tolist())
+            a_rows = a_rows.tolist()
         for t, a in enumerate(a_rows, lo):
             yield t, a, t in rec_set, t in hit_set
             if a == 0:

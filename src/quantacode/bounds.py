@@ -527,6 +527,12 @@ class PrecisionPlan:
         ])
 
 
+# The search stops at its first success, often at a small t, so its first
+# chunk is 256 rows rather than the fold's 4,096; later ones double
+# (approx._spans).
+_SEARCH_FIRST_CHUNK = 256
+
+
 def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     """Smallest t in [m, t_cap] whose kl_divergence is <= r, or None.
 
@@ -566,7 +572,7 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     log_sum = math.log(p.m) + math.log(t_cap) + 2 + float(r)
     screen = r_wide + (p.m + 20) * 2.0**-53 * log_sum
     pinsker = max(r_wide, 2.0**-1000)
-    for lo, f_arr in _iter_chunks(p, t_cap):
+    for lo, _, f_arr in _iter_chunks(p, t_cap, _SEARCH_FIRST_CHUNK):
         t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
         f_f = np.asarray(f_arr, dtype=np.float64)
         d_float = c + np.log(t_f) - np.log(f_f) @ pf

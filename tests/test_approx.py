@@ -28,8 +28,8 @@ from quantacode import (
     silver_pair,
     silver_surrogate,
 )
-from quantacode import _kernels, approx, cli
-from quantacode.approx import _CHUNK, _hit_ts, _iter_chunks, _threshold_tests
+from quantacode import _kernels, approx, bounds, cli
+from quantacode.approx import _FIRST_CHUNK, _hit_ts, _iter_chunks, _spans, _threshold_tests
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 from quantacode.precision import DEFAULT_DPS
 from quantacode.prob_model import PRESETS
@@ -281,6 +281,12 @@ class TestBestTableUnderWidth:
 
 # ---- the int64 fold against a row-by-row exact oracle -----------------------
 
+def nth_span(m, k, first=_FIRST_CHUNK):
+    """(lo, hi) of the k-th chunk, from 0, that a scan of an m-symbol
+    source takes (approx._spans)."""
+    return next(itertools.islice(_spans(m, 1 << 40, first), k, None))
+
+
 def exact_tables(p, t_max):
     """[(t, f, A)] for every t in [m, t_max], from the big-integer reference."""
     nums, d = p.numerators, p.common_denominator
@@ -315,20 +321,20 @@ def _fold_sources():
     rng = np.random.default_rng(31)
     out = [pytest.param(ProbabilityVector(random_decimal_probs(rng, m)), id=f"m{m}")
            for m in (2, 3, 4, 6, 8, 24, 64, 65, 128)]
-    n = _CHUNK + 2
+    n = nth_span(2, 1)[0]
     spikes = [Fraction(k, 100) + Fraction(s, 10**11)
               for k, s in zip([2] * 36 + [1] * 28, [1, -1] * 32)]
     eps = Fraction(1, 6 * 4100)
     near = Fraction(1, 3) + eps + eps / 10**8
     edge = Fraction(1367, 4100) + Fraction(35352, 10**5) / 4100**2
     out += [
-        # repair rows: t * p_min < 1 up to t = 8130, across two chunk ends
+        # repair rows: t * p_min < 1 up to t = 8130, across a chunk end
         pytest.param(parse_probability_vector(["0.000123", "0.4", "0.599877"]),
                      id="repair"),
         # exact table mid-chunk: first exact row t = d = 6000
         pytest.param(parse_probability_vector(["1001/6000", "1999/6000", "1/2"]),
                      id="exact-mid-chunk"),
-        # exact table at t = d = 2 + _CHUNK, the first row of the second chunk
+        # exact table at t = d = n, the first row of the second chunk
         pytest.param(ProbabilityVector([Fraction(1001, n), Fraction(n - 1001, n)]),
                      id="exact-first-row"),
         # A/t ties exactly: every t = 3k up to ~2.5e5 repeats delta_star(3)
@@ -345,7 +351,8 @@ def _fold_sources():
     return out
 
 
-FOLD_T_MAX = 2 * _CHUNK + 64  # three chunks, so folds cross chunk boundaries
+# three chunks of a binary source, so folds cross chunk boundaries
+FOLD_T_MAX = nth_span(2, 2)[0] + 62
 
 
 @pytest.mark.parametrize("p", _fold_sources())
@@ -380,22 +387,25 @@ def _digit_probs(rng, m, digits=20):
     return [Fraction(v, den) for v in nums]
 
 
-# every source below overflows int64 on each chunk, and the second chunk,
-# t in [_CHUNK + 2, 2*_CHUNK + 1], is screened on numerators over this D
-D_SECOND = ((1 << 62) - 1) // (2 * _CHUNK + 1)
+# every source below overflows int64 on each chunk, and the second chunk
+# of a binary source, t in SECOND = [lo, hi], is screened on numerators
+# over this D
+SECOND = nth_span(2, 1)
+D_SECOND = ((1 << 62) - 1) // SECOND[1]
 
 
 def _close_pair():
-    """Records t1 = 5006 < t2 = 7513, both in the second chunk, whose
+    """Records t1 = 5006 < t2 = 6837, both in the second chunk, whose
     delta_star differ by less than that chunk's eps, with the truncation
     moving them the wrong way.
 
-    1877/5006 < 2817/7513 are Farey neighbours; x sits just above their
-    midpoint `mid`: with g = mid - x~ (g*D = 0.246), x~ on the D grid and
+    1583/5006 < 2162/6837 are Farey neighbours; x sits just above their
+    midpoint `mid`: with g = mid - x~ (g*D = 0.228), x~ on the D grid and
     eps = x - x~ = 1.2*g, delta_star(t1) - delta_star(t2) = 2*(x - mid) =
     0.4*g < eps, while the truncated delta~(t2) - delta~(t1) = 2*g >= eps.
     """
-    t1, k1, t2, k2 = 5006, 1877, 7513, 2817
+    t1, k1, t2, k2 = 5006, 1583, 6837, 2162
+    assert SECOND[0] <= t1 < t2 <= SECOND[1]
     assert k2 * t1 - k1 * t2 == 1
     mid = (Fraction(k1, t1) + Fraction(k2, t2)) / 2
     x_grid = Fraction(int(mid * D_SECOND), D_SECOND)
@@ -406,10 +416,10 @@ def _close_pair():
 
 
 def _hit_near_kappa():
-    """A generic-kappa binary hit at t = _CHUNK + 2, the first row of the
+    """A generic-kappa binary hit at t = SECOND[0], the first row of the
     second chunk: t**2 * delta_star lies 1.7e-8 (relative) below 2**-1.5,
     while the truncated source puts t**2 * delta~ above it."""
-    t = _CHUNK + 2
+    t = SECOND[0]
     kappa_below = Fraction(353553390593, 10**12)    # < 2**-1.5 = 0.3535533905932...
     for k in range(3 * t // 8, t // 2):
         v = Fraction(k, t) + kappa_below / t**2
@@ -426,9 +436,10 @@ def _hit_near_kappa():
 def _trunc_row(p, t):
     """The second chunk's truncation as _iter_chunks makes it, at row t:
     (P~, g, P~'s table at t, the kernel's certificate for it)."""
+    assert SECOND[0] <= t <= SECOND[1]
     nums, d = p.numerators, p.common_denominator
     p_trunc, a = _kernels.minmax_freqs_exact(nums, d, D_SECOND)
-    g = min(-(-(2 * _CHUNK + 1) * a // d), D_SECOND)
+    g = min(-(-SECOND[1] * a // d), D_SECOND)
     _, f, sure = _kernels.minmax_scan(p_trunc, D_SECOND, t, t, True, g)
     return p_trunc, g, f[0].tolist(), bool(sure[0])
 
@@ -487,7 +498,7 @@ def _screened_sources():
 
 @pytest.mark.parametrize("p", _screened_sources())
 def test_screened_fold_matches_row_by_row_oracle(p):
-    assert not _kernels.fits_int64(p.numerators, p.common_denominator, _CHUNK + 1)
+    assert not _kernels.fits_int64(p.numerators, p.common_denominator, nth_span(2, 0)[1])
     tables = exact_tables(p, FOLD_T_MAX)
     rows = exact_fold(p, FOLD_T_MAX, tables)
     want_recs = [t for t, rec, _ in rows if rec]
@@ -504,7 +515,7 @@ def test_screened_fold_matches_row_by_row_oracle(p):
     assert [(t, rec, beat) for t, _, rec, beat in scanned] == rows
     # every row's A, and every certified table of the truncated chunks
     assert [(t, a) for t, a, *_ in scanned] == [(t, a) for t, _, a in tables[:len(rows)]]
-    certified = [(t, f) for lo, f_chunk in _iter_chunks(p, FOLD_T_MAX)
+    certified = [(t, f) for lo, _, f_chunk in _iter_chunks(p, FOLD_T_MAX)
                  for t, f in enumerate(f_chunk.tolist(), lo)]
     assert certified == [(t, f) for t, f, _ in tables]
     for width in (12, 13):
@@ -520,6 +531,10 @@ def test_screened_cases_exercise_their_rows():
     assert t1 in recs and t2 in recs
     hit, t = _hit_near_kappa()
     assert t in [u for u, _, beat in exact_fold(hit, FOLD_T_MAX) if beat]
+    # each construct is screened on D_SECOND over the chunk SECOND
+    for p in (pair, hit, _near_integer(), _cut_pair()):
+        _, (lo, hi, _, den, eps, _) = itertools.islice(approx._chunks(p, SECOND[1]), 2)
+        assert (lo, hi, den) == (*SECOND, D_SECOND) and eps
 
     # near-integer: the truncated floor of t*p_0 is wrong at T_NEAR, and
     # condition (1) sends the row to the exact rebuild
@@ -576,7 +591,7 @@ def test_hit_rows_agree_with_the_exact_test(m, d):
     rng = np.random.default_rng(61 + m)
     exact, cap, _ = _threshold_tests(m, d)
     lo = 100
-    js = np.sort(rng.choice(_CHUNK, size=200, replace=False))
+    js = np.sort(rng.choice(_FIRST_CHUNK, size=200, replace=False))
     last = cap(lo + int(js[-1]))
     a = [max(int(rng.choice([cap(lo + j), last])) + int(rng.integers(-2, 3)), 0)
          for j in js.tolist()]
@@ -599,7 +614,7 @@ def _hit_sources():
 @pytest.mark.parametrize("p", _hit_sources())
 def test_hits_match_a_plain_per_row_loop(p):
     # 6-digit sources fit int64 on every chunk, 20-digit ones are truncated
-    t_max = _CHUNK + 64
+    t_max = _FIRST_CHUNK + 64
     fits = _kernels.fits_int64(p.numerators, p.common_denominator, t_max)
     assert fits == (p.common_denominator <= 10**6)
     rows = exact_fold(p, t_max)
@@ -654,7 +669,7 @@ def test_record_tables_match_the_exact_reference(p):
 
 def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
     # m = 100 > 64 at 6 digits fits int64, so the scan to 2**16 makes at
-    # most one exact call per _CHUNK rows (a shedding repair; this source
+    # most one exact call per chunk (a shedding repair; this source
     # has none) plus the final table, not one per row
     rng = np.random.default_rng(67)
     delta = rng.integers(-50, 51, 100)
@@ -665,7 +680,7 @@ def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
     monkeypatch.setattr(_kernels, "minmax_freqs_exact",
                         lambda *a: calls.append(a[2]) or exact(*a))
     table = best_table_under_width(p, 16)
-    chunks = -(-((1 << 16) - p.m + 1) // _CHUNK)
+    chunks = len(list(_spans(p.m, 1 << 16, _FIRST_CHUNK)))
     assert len(calls) <= chunks + 1 and calls[-1] == table.t
 
 
@@ -711,7 +726,7 @@ def test_wide_cap_takes_every_row(monkeypatch):
     built = _count_rows(monkeypatch)
     screens = []
     monkeypatch.setattr(_kernels, "gap_screen", lambda *a: screens.append(a))
-    t_max = 3 * _CHUNK
+    t_max = nth_span(p.m, 2)[0] + 64    # three chunks
     res = record_scan(p, t_max)
     assert not screens
     assert sum(built) == t_max - p.m + 1 + len(res.records)
@@ -746,16 +761,17 @@ def test_record_cap_keeps_its_t_eps_term():
 
 
 def test_hit_cap_keeps_its_t_eps_term():
-    # p lies within 3e-7 of (1, 93, 1)/95, so delta_star is the same omega
-    # at every multiple of 95.  t_h = 69635 = 3 + 17 * 4096, the first row
-    # of its chunk, is one, and a hit: t_h * omega lies below 3/4 *
-    # t_h**(-1/3) by a relative 4e-10, less than the truncation error moves
-    # the gap.  p also lies near (471, 43802, 471)/44744, and the records
-    # from t = 40279 on, 95 apart, bring the best delta_star to a sixth of
-    # omega, so the record cap does not reach t_h
-    p = parse_probability_vector(["0.01052643341771198961", "0.97894710662817716317",
-                                  "0.01052645995411084722"])
-    t_h = 69635
+    # t_h = 61443 is the first row of its chunk, and t_h * p lies within
+    # 0.019 of the integers (15249, 14119, 32075): its table is those, and
+    # max_i ||t_h * p_i|| = 0.01900657188 lies below 3/4 * t_h**(-1/3) by a
+    # relative 4e-10, less than the truncation error moves the gap, so t_h
+    # is a hit that only the t*eps term keeps.  The records up to t = 57039
+    # bring the best delta_star to under a quarter of t_h's, so the record
+    # cap does not reach t_h
+    p = parse_probability_vector(["0.24818104896671263564", "0.22979009491343836865",
+                                  "0.52202885611984899571"])
+    t_h = 61443
+    assert nth_span(p.m, 5)[0] == t_h
     gap, lo, den, eps, best_q = _screen_of_last_row(p, t_h)
     assert lo == t_h
     assert gap > approx._gap_cap(t_h, 3, den, 0.0, 0.0, True)
@@ -799,6 +815,66 @@ def test_forced_prefix_records_are_built_when_read():
         recs[1 << 24]
 
 
+# ---- chunk spans ------------------------------------------------------------
+
+@pytest.mark.parametrize("first", [_FIRST_CHUNK, bounds._SEARCH_FIRST_CHUNK])
+@pytest.mark.parametrize("m", [2, 3, 24])
+def test_spans_cover_the_range_in_doubling_chunks(m, first):
+    sizes = [min(first << k, approx._MAX_CHUNK) for k in range(12)]
+    assert sizes[-3] == 1 << 14
+    starts = list(itertools.accumulate(sizes[:-2], initial=m))
+    assert list(_spans(m, m - 1, first)) == []
+    for t_max in sorted({m} | {b + e for b in starts[1:] for e in (-1, 0, 1)}):
+        spans = list(_spans(m, t_max, first))
+        assert spans[0][0] == m and spans[-1][1] == t_max
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in itertools.pairwise(spans))
+        got = [hi - lo + 1 for lo, hi in spans]
+        assert got[:-1] == sizes[:len(got) - 1] and 0 < got[-1] <= sizes[len(got) - 1]
+
+
+def test_chunks_are_sized_by_their_consumer(monkeypatch, capsys):
+    built = _count_rows(monkeypatch)
+    # the divergence search answers t = 21 from its first, 256-row chunk
+    assert cli.main(["plan", "-p", "golden", "-R", "1e-5", "--mode", "opportunistic"]) == 0
+    assert "chosen t = 21," in capsys.readouterr().out
+    assert sum(built) <= 256
+    # the record fold: 4,096 rows, then 8,192, then 16,384 at a time, one
+    # kernel call per chunk and one for the records' tables
+    built.clear()
+    p = ProbabilityVector(random_decimal_probs(np.random.default_rng(89), 5))
+    record_scan(p, 2 * 10**5)
+    assert len(built) <= 14 + 1
+
+
+def _boundary_sources():
+    rng = np.random.default_rng(83)
+    return [pytest.param(ProbabilityVector(random_decimal_probs(rng, 3)), id="m3"),
+            pytest.param(ProbabilityVector(random_decimal_probs(rng, 24)), id="m24"),
+            pytest.param(ProbabilityVector(_digit_probs(rng, 3)), id="m3-20digit")]
+
+
+@pytest.mark.parametrize("p", _boundary_sources())
+def test_folds_match_the_oracle_at_chunk_boundaries(p):
+    # t_max at and around the first rows of the second and third chunks,
+    # 4096 + m and 12288 + m, and widths whose 2**W lies in each chunk
+    m, t_top = p.m, 1 << 14
+    assert [lo for lo, _ in _spans(m, t_top, _FIRST_CHUNK)] == [m, 4096 + m, 12288 + m]
+    tables = exact_tables(p, t_top)
+    generic = exact_fold(p, t_top, tables)
+    golden = exact_fold(p, t_top, tables, KAPPA_GOLDEN)
+    for t_max in (4095 + m, 4096 + m, 4097 + m, 12287 + m, 12288 + m, 12289 + m):
+        rows = [r for r in generic if r[0] <= t_max]
+        res = record_scan(p, t_max)
+        assert res.record_ts == [t for t, rec, _ in rows if rec]
+        assert res.fact_hits == [t for t, _, beat in rows if beat]
+        assert [(t, rec, beat) for t, _, rec, beat in scan_rows(p, t_max)] == rows
+        assert ([(t, rec, beat) for t, _, rec, beat in scan_rows(p, t_max, KAPPA_GOLDEN)]
+                == [r for r in golden if r[0] <= t_max])
+    for width in (12, 13, 14):
+        best_t = [t for t, rec, _ in generic if rec and t <= 1 << width][-1]
+        assert best_table_under_width(p, width).t == best_t
+
+
 # ---- binary records and hits from the continued fraction ---------------------
 
 def scan_reference(p, t_max, kappa):
@@ -806,7 +882,7 @@ def scan_reference(p, t_max, kappa):
     pass (exact_fold) over p's every-row tables from _iter_chunks."""
     nums, d = p.numerators, p.common_denominator
     tables = [(t, tuple(f), max(abs(t * v - x * d) for v, x in zip(nums, f)))
-              for lo, f_chunk in _iter_chunks(p, t_max)
+              for lo, _, f_chunk in _iter_chunks(p, t_max)
               for t, f in enumerate(f_chunk.tolist(), lo)]
     rows = exact_fold(p, t_max, tables, kappa)
     recs = [(t, f, Fraction(a, d * t))
