@@ -48,7 +48,6 @@ from .approx import (  # noqa: F401
     ScanResult,
     best_table_under_width,
     cf_convergents,
-    exhaustive_best,
     record_scan,
     round_min_max,
     scan_rows,
@@ -60,7 +59,6 @@ from .bounds import (  # noqa: F401
     Kappa,
     PrecisionPlan,
     build_bound_report,
-    chi_square_divergence,
     corollary1_width,
     corollary2_width,
     kl_divergence,

@@ -34,10 +34,10 @@ key < d*m < 2**62 under the int64 guard.  Up to _PAIRWISE_MAX_M = 8
 symbols a key's rank comes from comparing every pair of keys; above that
 from a sort of each row's keys, which is faster there.
 
-The exhaustive test oracle has only the big-integer form; the range coder
-runs on Python ints and C-level primitives (bisect, bytearray appends).
-The encoder adds each carry to the bytes it has written (O(len) per stream,
-see :func:`_carry`); decoded symbols view the decoder's own byte buffer.
+The range coder runs on Python ints and C-level primitives (bisect,
+bytearray appends).  The encoder adds each carry to the bytes it has
+written (O(len) per stream, see :func:`_carry`); decoded symbols view the
+decoder's own byte buffer.
 """
 
 from __future__ import annotations
@@ -253,51 +253,6 @@ def _minmax_block(nums, P, d, T, slack):
     sure = (rem.min(axis=0) >= g) & (rem.max(axis=0) <= d - 1 - g) & (cut > 2 * g)
     sure[shed] = False      # (2): the other rows have k >= 0
     return None, f, sure
-
-
-# =============================================================================
-# exhaustive composition search (test oracle)
-# =============================================================================
-
-def exhaustive_min(nums, d: int, t: int):
-    """Minimum-A composition by enumeration, ties to the lexicographically
-    smallest f.  Exact for any operand size.
-
-    Compositions of t into positive parts are visited in lexicographic
-    order and the first minimum wins.  A branch whose running maximum is
-    already >= the best A found so far is cut: no completion of it can be
-    strictly smaller, so the result is that of the full enumeration.
-    """
-    nums = [int(v) for v in nums]
-    m = len(nums)
-    x = [t * v for v in nums]
-    best_a = None
-    best_f = None
-    f = [0] * m
-
-    def rec(i, left, cur_max):
-        nonlocal best_a, best_f
-        if best_a is not None and cur_max >= best_a:
-            return
-        if i == m - 1:
-            f[i] = left
-            e = x[i] - left * d
-            if e < 0:
-                e = -e
-            a = e if e > cur_max else cur_max
-            if best_a is None or a < best_a:
-                best_a = a
-                best_f = tuple(f)
-            return
-        for v in range(1, left - (m - i - 1) + 1):
-            f[i] = v
-            e = x[i] - v * d
-            if e < 0:
-                e = -e
-            rec(i + 1, left - v, e if e > cur_max else cur_max)
-
-    rec(0, t, 0)
-    return best_f, best_a
 
 
 # =============================================================================

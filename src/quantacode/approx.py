@@ -243,20 +243,6 @@ def round_min_max(p: ProbabilityVector, t: int) -> FrequencyTable:
     return FrequencyTable.from_freqs(p, f)
 
 
-def exhaustive_best(p: ProbabilityVector, t: int) -> FrequencyTable:
-    """Brute-force oracle: the delta_star minimizer over every composition
-    of t into m positive parts (ties: lexicographically smallest), found by
-    exact enumeration with a bound that cuts only branches that cannot win.
-    Only for m <= 4 and t <= 64."""
-    if p.m > 4 or t > 64:
-        raise InstanceTooLarge(f"exhaustive search limited to m <= 4, t <= 64; "
-                               f"got m = {p.m}, t = {t}")
-    if t < p.m:
-        raise DenominatorTooSmall(f"t = {t} < m = {p.m}")
-    f, _ = _kernels.exhaustive_min(p.numerators, p.common_denominator, t)
-    return FrequencyTable.from_freqs(p, f)
-
-
 # ---- continued fractions ----------------------------------------------------
 
 def cf_convergents(x: Fraction, max_q: int):
@@ -344,9 +330,6 @@ class ScanResult:
 
     records: Sequence      # RecordEntry in ascending t, read-only (_Records)
     fact_hits: list        # every scanned t whose quality beats the fact constant
-    t_max: int
-    m: int
-    threshold_label: str
 
     @property
     def record_ts(self):
@@ -640,10 +623,8 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
-    m, d = p.m, p.common_denominator
-    label = (f"{m}/{m + 1}" if m > 2
-             else kappa.label if kappa is not None else "generic")
-    if m == 2:
+    d = p.common_denominator
+    if p.m == 2:
         (forced, *runs), hits = _binary_fold(p, t_max, kappa)
         nums = p.numerators
         small = min(nums)
@@ -657,7 +638,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
         for t in itertools.chain.from_iterable(runs):
             f, a = _kernels.minmax_freqs_exact(nums, d, t)
             rest.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
-        return ScanResult(_Records(rest, forced, forced_entry), hits, t_max, m, label)
+        return ScanResult(_Records(rest, forced, forced_entry), hits)
     found, hits = [], []
     for recs, hit_ts in _fold(p, t_max):
         hits.extend(hit_ts)
@@ -670,8 +651,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
         tables = dict(zip(ts, f_rows.tolist()))
     return ScanResult(_Records([RecordEntry(t, tuple(tables[t] if f is None else f),
                                             Fraction(a, d * t))
-                                for t, a, f in found]),
-                      hits, t_max, m, label)
+                                for t, a, f in found]), hits)
 
 
 def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
@@ -720,9 +700,9 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTa
     takes it from the continued fraction at any width; m > 2 scans every t,
     so a width above the coder's _MAX_BITS raises InstanceTooLarge at once.
     """
-    t_hi = 1 << width_bits
-    if t_hi < p.m:
+    if width_bits < register_width(p.m):    # 2**W < m, a negative W included
         raise WidthTooSmall(f"2**{width_bits} < m = {p.m}")
+    t_hi = 1 << width_bits
     if p.m == 2:
         runs, _ = _binary_fold(p, t_hi, hits=False)
         return round_min_max(p, [r for r in runs if r][-1][-1])

@@ -17,9 +17,9 @@ chain of closed-form bounds on it:
   target redundancy R, and record denominators shrink that to roughly a
   m/(m+1) fraction (half, for binary sources) (``corollary1_width`` /
   ``corollary2_width``);
-* the second-order width: D <= chi2 <= delta_star**2 * sum_i
-  1/(p_i - delta_star) guarantees R at about half of corollary 1's width
-  for any source (``second_order_width``).
+* the second-order width: D <= ln(1 + chi2) <= chi2 (chi-square, by
+  Jensen) <= delta_star**2 * sum_i 1/(p_i - delta_star) guarantees R at
+  about half of corollary 1's width for any source (``second_order_width``).
 
 ``plan_precision`` turns the bounds into a concrete (W, t, table) choice and
 verifies the achieved divergence exactly.  All bound values are returned in
@@ -129,25 +129,6 @@ def _kl_dps(p: ProbabilityVector, table: FrequencyTable) -> int:
     log_c = math.log10((math.log(p.m) + math.log(t) + 2) / 2)
     log_ds = math.log10(a) - math.log10(d * t)   # delta_star = a / (d*t)
     return max(DEFAULT_DPS, 15 + math.ceil(max(log_c - 2 * log_ds, 0)))
-
-
-def chi_square_divergence(p: ProbabilityVector, table: FrequencyTable) -> Fraction:
-    """chi2(p || f/t) = sum_i (p_i - q_i)**2 / q_i with q_i = f_i/t, exactly.
-
-    Computed as sum_i p_i * (p_i - q_i) / q_i, the same sum since
-    sum_i q_i = 1.  By Jensen, D(p || q) <= ln(1 + chi2) <= chi2, so it
-    bounds the divergence from above without evaluating a logarithm.
-    """
-    nums, d = p.numerators, p.common_denominator
-    t, f = table.t, table.freqs
-    num_total = 0
-    den_prod = 1
-    for fi in f:
-        den_prod *= fi
-    for i in range(p.m):
-        e = t * nums[i] - f[i] * d
-        num_total += nums[i] * e * (den_prod // f[i])
-    return Fraction(num_total, d * d * den_prod)
 
 
 # ---- closed-form bounds -----------------------------------------------------
@@ -298,11 +279,11 @@ def second_order_width(p: ProbabilityVector, target_r) -> int:
     t = 2**W, round_min_max has delta_star < 2**-W once t * p_min >= 1 (see
     its docstring), and the best table under that width can only have a
     smaller delta_star.  Its q_i = f_i/t are at least p_i - delta_star > 0,
-    so D(p || q) <= ln(1 + chi2) <= chi2 <= delta_star**2 * sum_i
-    1/(p_i - delta_star) (see chi_square_divergence), which increases with
-    delta_star, so it is below the sum above.  Unlike corollary 1's first
-    order m * delta_star / (1 - delta_star/p_min), the bound is second
-    order in delta_star, which about halves the width.
+    so by Jensen D(p || q) <= ln(1 + chi2) <= chi2 = sum_i (p_i - q_i)**2
+    / q_i <= delta_star**2 * sum_i 1/(p_i - delta_star), which increases
+    with delta_star, so it is below the sum above.  Unlike corollary 1's
+    first order m * delta_star / (1 - delta_star/p_min), the bound is
+    second order in delta_star, which about halves the width.
 
     Both conditions only get easier as W grows.  A float estimate seeds W,
     and _second_order_holds moves it to the smallest W it holds at, so it
@@ -313,12 +294,12 @@ def second_order_width(p: ProbabilityVector, target_r) -> int:
     man, exp = r.man_exp                    # R = man * 2**exp, exactly
     nums, d = p.numerators, p.common_denominator
     # sum_i 1/(p_i - 2**-W) > sum_i 1/p_i = S, so 4**W > S/R: seed W there,
-    # with log2(S) summed as floats scaled by the largest 1/p_i
+    # log2(S) in floats scaled by the largest 1/p_i, exp // 2 as an integer
     logs = [math.log2(d) - math.log2(v) for v in nums]
     top = max(logs)
     log_s = top + math.log2(math.fsum(2.0 ** (x - top) for x in logs))
     lo = max(register_width(p.m), (d // min(nums)).bit_length())
-    w = max(lo, math.ceil((log_s - math.log2(man) - exp) / 2))
+    w = max(lo, math.ceil((log_s - math.log2(man) - exp % 2) / 2) - exp // 2)
     while w > lo and _second_order_holds(nums, d, w - 1, man, exp):
         w -= 1
     while not _second_order_holds(nums, d, w, man, exp):
@@ -328,30 +309,38 @@ def second_order_width(p: ProbabilityVector, target_r) -> int:
 
 def _second_order_holds(nums, d: int, w: int, man: int, exp: int) -> bool:
     """2**(-2w) * sum_i 1/(p_i - 2**-w) <= man * 2**exp, exactly, for
-    p_i = nums[i]/d with 2**w * p_min > 1.
+    p_i = nums[i]/d with 2**w * p_min > 1, on integers whose size m, d and
+    man bound, whatever w and exp are.
 
-    With s = 2**w the test reads sum_i y_i <= R * s**2, where
-    y_i = 1/(p_i - 1/s) = d*s/(nums[i]*s - d) >= 1.  Fixed point with
-    k = 64 fraction bits brackets 2**k * sum_i y_i in [lo, lo + m) by m
-    integer divisions, whose quotients have about k + log2(1/p_i) bits
-    whatever w is.  The target 2**k * R * s**2 = man * 2**(exp + 2w + k)
-    decides the test unless it falls inside that bracket; then the sum is
-    taken in Fractions.
+    With s = 2**w and T = R * s**2 the test reads sum_i y_i <= T, y_i =
+    d*s/(nums[i]*s - d).  Fixed point with 64 fraction bits brackets
+    2**64 * sum_i y_i in [lo, lo + m); the target 2**64 * T decides the
+    test unless it falls inside, and then Fractions do.  Past w = bl(m) +
+    (m + 2)*bl(d) + bl(man) (bl: bit length), s > 2*m*d**(m+2)*man is not
+    built: sum_i y_i - S, S = sum_i 1/p_i >= 4, lies in (0, 2*m*d**2/s],
+    below 1/(q * 2**j) for q the denominator of S (it divides
+    prod_i nums[i] < d**m) and 2**j that of any T > S (2**j < man).  A
+    positive T - S is at least that, so there the test is T > S.
     """
-    k = 64
+    m = len(nums)
+    if w > m.bit_length() + (m + 2) * d.bit_length() + man.bit_length():
+        big_s = sum(Fraction(d, v) for v in nums)
+        return _scaled_gt(man * big_s.denominator, exp + 2 * w, big_s.numerator)
     s = 1 << w
-    lo = sum((d * s << k) // (v * s - d) for v in nums)
-    shift = exp + 2 * w + k
-    if shift >= 0:
-        target, lo_s, hi_s = man << shift, lo, lo + len(nums)
-    else:
-        target, lo_s, hi_s = man, lo << -shift, (lo + len(nums)) << -shift
-    if hi_s <= target:
+    lo = sum((d * s << 64) // (v * s - d) for v in nums)
+    shift = exp + 2 * w + 64
+    if not _scaled_gt(lo + m, -shift, man):
         return True
-    if lo_s > target:
+    if _scaled_gt(lo, -shift, man):
         return False
     total = sum(Fraction(d * s, v * s - d) for v in nums)
     return total <= Fraction(man) * Fraction(2) ** (exp + 2 * w)
+
+
+def _scaled_gt(a: int, shift: int, b: int) -> bool:
+    """a * 2**shift > b for a, b >= 1; unequal bit lengths decide it unshifted."""
+    gap = a.bit_length() + shift - b.bit_length()
+    return gap > 0 if gap else a << shift > b if shift >= 0 else a > b << -shift
 
 
 # ---- combined report ----------------------------------------------------------

@@ -44,7 +44,7 @@ class DenominatorTooSmall(InvalidArgument):
 
 
 class InstanceTooLarge(InvalidArgument):
-    """Exhaustive search requested beyond its supported size (m <= 4, t <= 64)."""
+    """A width W > 24 for m > 2 symbols, which would scan every t <= 2**W."""
 
 
 class WidthTooSmall(InvalidArgument):

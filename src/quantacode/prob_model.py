@@ -36,8 +36,6 @@ from .precision import SURROGATE_DIGITS, format_decimal
 PARSE_TOLERANCE = Fraction(1, 10**9)
 MAX_TOTAL = 1 << 24  # the largest table total t the range coder takes
 
-_ONE = Fraction(1)
-
 
 def register_width(t: int) -> int:
     """W = ceil(log2 t) via integer bit length.

@@ -28,6 +28,7 @@ from quantacode.bounds import (
 )
 
 from conftest import random_decimal_probs, strict_rounding_regime
+from oracles import chi_square_divergence, exhaustive_min
 
 FIB = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
        1597, 2584, 4181, 6765]
@@ -70,7 +71,7 @@ def test_criterion_1_error_bound_soundness():
             if prof.ratio >= 1:
                 continue
             checked += 1
-            exact_upper = qc.chi_square_divergence(p, table)
+            exact_upper = chi_square_divergence(p, table)
             exact_bound = lemma1_exact(m, prof.delta_star, p.p_min)
             assert exact_upper <= exact_bound, (p.probs, table.freqs)
             d = qc.kl_divergence(p, table).nats
@@ -135,7 +136,7 @@ def test_criterion_2_fixed_denominator_rounding():
                 # exact-rational spot checks on a stride
                 for t in map(int, tq[:: max(1, len(tq) // 25)]):
                     table = qc.round_min_max(p, t)
-                    assert (qc.chi_square_divergence(p, table)
+                    assert (chi_square_divergence(p, table)
                             <= theorem1_exact(m, t, p.p_min)), (m, t)
             soft_report[m] = (min(fracs), sum(fracs) / len(fracs))
         for m, (lo, mean) in sorted(soft_report.items()):
@@ -260,7 +261,7 @@ def test_criterion_6_oracle_equivalence():
             nums, d = p.numerators, p.common_denominator
             a_arr, _ = K.minmax_scan(nums, d, m, 64)
             for off, t in enumerate(range(m, 65)):
-                _, a_opt = K.exhaustive_min(nums, d, t)
+                _, a_opt = exhaustive_min(nums, d, t)
                 assert int(a_arr[off]) == a_opt, (p.probs, t)
 
 

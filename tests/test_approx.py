@@ -11,13 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from quantacode import (
     DenominatorTooSmall,
-    InstanceTooLarge,
     ProbabilityVector,
     WidthTooSmall,
     best_table_under_width,
     cf_convergents,
     error_profile,
-    exhaustive_best,
     golden_pair,
     golden_surrogate,
     irrational_triple,
@@ -35,6 +33,7 @@ from quantacode.precision import DEFAULT_DPS
 from quantacode.prob_model import PRESETS
 
 from conftest import random_decimal_probs
+from oracles import exhaustive_best
 
 FIBONACCI = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
              1597, 2584, 4181, 6765]
@@ -110,13 +109,6 @@ class TestExhaustiveBest:
     def test_two_symbols_t_two(self):
         p = parse_probability_vector(["0.5", "0.5"])
         assert exhaustive_best(p, 2).freqs == (1, 1)
-
-    def test_size_limits(self):
-        p = ProbabilityVector([Fraction(1, 5)] * 5)
-        with pytest.raises(InstanceTooLarge):
-            exhaustive_best(p, 10)
-        with pytest.raises(InstanceTooLarge):
-            exhaustive_best(parse_probability_vector(["0.7", "0.3"]), 65)
 
     @given(st.integers(2, 4), st.integers(0, 2**32))
     @settings(max_examples=40)

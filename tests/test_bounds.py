@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -19,7 +20,6 @@ from quantacode import (
     ZeroFrequency,
     best_table_under_width,
     build_bound_report,
-    chi_square_divergence,
     corollary1_width,
     corollary2_width,
     error_profile,
@@ -43,6 +43,7 @@ from quantacode.bounds import (
     WidthBound,
     _first_qualifying_t,
     _inexact_rows_miss,
+    _second_order_holds,
     lemma1_exact,
     theorem1_exact,
 )
@@ -50,6 +51,7 @@ from quantacode.precision import to_mpf
 from quantacode.prob_model import MAX_TOTAL
 
 from conftest import random_decimal_probs
+from oracles import chi_square_divergence
 
 
 def table_for(p, freqs):
@@ -315,6 +317,29 @@ class TestSecondOrderWidth:
         assert second_order_bound(half, Fraction(1, 4)) == Fraction(1, 2)
         assert second_order_width(half, mp.mpf(0.5)) == 2
         assert second_order_width(half, mpf_of(2**200 - 1, 2**201, False)) == 3
+
+    def test_exact_on_either_side_of_the_cutoff(self):
+        # past w = bl(m) + (m + 2)*bl(d) + bl(man) the test builds no 2**w
+        # and compares R * 4**w with S = sum_i 1/p_i alone.  Targets on
+        # man's grid next to S, S itself included, must get the defining
+        # sum's answer at every w from the least valid one to past that cutoff
+        seen = set()
+        for probs in (["1/2", "1/4", "1/4"], ["0.7", "0.3"], ["1/3", "1/3", "1/3"]):
+            p = parse_probability_vector(probs)
+            nums, d = p.numerators, p.common_denominator
+            big_s = sum(1 / pi for pi in p.probs)
+            w_lo = (d // min(nums)).bit_length()    # the least w with 2**w * p_min > 1
+            for j in (0, 20, 40):
+                base = math.floor(big_s * 2**j)
+                for man in range(base - 1, base + 3):
+                    cut = (p.m.bit_length() + (p.m + 2) * d.bit_length()
+                           + man.bit_length())
+                    for w in range(w_lo, cut + 3):
+                        want = (second_order_bound(p, Fraction(1, 2**w)) * 4**w
+                                <= Fraction(man, 2**j))
+                        assert _second_order_holds(nums, d, w, man, -j - 2 * w) == want
+                        seen.add((w > cut, want))
+        assert len(seen) == 4
 
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveTarget):

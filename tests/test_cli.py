@@ -176,6 +176,29 @@ class TestPlan:
         assert "W = 26 bits" in err and "--mode opportunistic" in err
 
 
+    @pytest.mark.parametrize("probs, target, mode, want", [
+        ("0.7,0.3", "1e999999999999", "guaranteed", ["chosen t = 2,"]),
+        ("0.7,0.3", "1e-999999999999", "opportunistic",
+         ["chosen t = 10,", "second-order width: 1660964047444"]),
+        ("golden", "1e-999999999999", "guaranteed", None),
+        ("golden", "1e-999999999999", "opportunistic", None),
+        # exp ~ -3.3e30: a seed of W taken in floats would be 2**48 widths off
+        ("0.7,0.3", "1e-" + "1" + "0" * 30, "opportunistic", ["chosen t = 10,"]),
+    ])
+    def test_far_target_is_decided_in_bounded_time(self, capsys, probs, target,
+                                                   mode, want):
+        # the second-order test used to shift by about 3.3e12 bits at
+        # R = 1e999999999999 and build 2**(1.66e12) at R = 1e-999999999999:
+        # both exited 1 with a MemoryError, as did R = 1e-10**30
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "plan", "-p", probs, "-R", target,
+                                "--mode", mode)
+        assert time.perf_counter() - start < 1
+        if want is None:
+            assert code == 3 and not stdout and err
+        else:
+            assert code == 0 and all(line in stdout for line in want), stdout
+
     def test_forced_rows_target_exits_3_before_any_scan(self, capsys, monkeypatch):
         # every t <= 2**24 forces f = 1 on p_min = 1e-8, so D >= 3.18e-8 > R;
         # the plan used to scan all 2**24 rows (5.9 s) before exiting 3

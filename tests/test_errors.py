@@ -18,7 +18,6 @@ from quantacode import (
     decode_framed,
     encode,
     errors,
-    exhaustive_best,
     lemma1_bound,
     parse_probability_vector,
     plan_precision,
@@ -53,6 +52,7 @@ CASES = {
     "plan-divergence": lambda: dataclasses.replace(
         _plan(), verified_divergence=_plan().target_r * 2),
     # W = 9 lies within corollary 1's 10 bits but above the second-order 7
+    "width-negative": lambda: best_table_under_width(_P3, -1),
     "plan-width": lambda: dataclasses.replace(
         _plan(), table=round_min_max(parse_probability_vector(["0.7", "0.3"]), 1 << 9)),
     # one raise of each class, named after it
@@ -61,7 +61,7 @@ CASES = {
     "AlphabetTooSmall": lambda: FrequencyTable((4,), (0,)),
     "DimensionMismatch": lambda: FrequencyTable.from_freqs(_P3, [1, 2]),
     "DenominatorTooSmall": lambda: round_min_max(_P3, 2),
-    "InstanceTooLarge": lambda: exhaustive_best(_P3, 65),
+    "InstanceTooLarge": lambda: best_table_under_width(_P3, 25),
     "WidthTooSmall": lambda: best_table_under_width(_P3, 1),
     "RatioNotLessThanOne": lambda: lemma1_bound(3, Fraction(1, 5), Fraction(1, 10)),
     "PreconditionViolated": lambda: theorem1_bound(3, 2, Fraction(1, 10)),

@@ -2,7 +2,6 @@
 reference wherever the int64 guard admits it, the bounded exhaustive oracle
 must match plain enumeration, and the range coder must round-trip."""
 
-import itertools
 from fractions import Fraction
 from unittest import mock
 
@@ -14,6 +13,7 @@ from quantacode import ProbabilityVector, round_min_max
 from quantacode import _kernels as K
 
 from conftest import random_decimal_probs
+from oracles import _enumerate_min, exhaustive_min
 
 
 def _probs(seed, m, digits=10**6):
@@ -151,22 +151,6 @@ def test_forced_and_shedding_rows_match_exact():
     assert min(seen["shed"], seen["forced"], seen["tie"]) > 100, seen
 
 
-def _enumerate_min(nums, d, t):
-    """Every composition of t into positive parts, in lexicographic order;
-    the first one with the smallest A wins."""
-    m = len(nums)
-    best_f, best_a = None, None
-    for head in itertools.product(range(1, t), repeat=m - 1):
-        last = t - sum(head)
-        if last < 1:
-            continue
-        f = (*head, last)
-        a = max(abs(t * v - fi * d) for v, fi in zip(nums, f))
-        if best_a is None or a < best_a:
-            best_f, best_a = f, a
-    return best_f, best_a
-
-
 class TestExhaustive:
     @given(st.integers(2, 4), st.integers(0, 2**32))
     @settings(max_examples=30)
@@ -176,7 +160,7 @@ class TestExhaustive:
         nums, d = p.numerators, p.common_denominator
         t = int(rng.integers(m, 21))
         f_ref, a_ref = _enumerate_min(nums, d, t)
-        f, a = K.exhaustive_min(nums, d, t)
+        f, a = exhaustive_min(nums, d, t)
         assert a == a_ref and tuple(f) == f_ref
 
     def test_ties_keep_lexicographically_smallest(self):
@@ -185,7 +169,7 @@ class TestExhaustive:
             p = ProbabilityVector([Fraction(1, m)] * m)
             nums, d = p.numerators, p.common_denominator
             for t in range(m, 21):
-                assert K.exhaustive_min(nums, d, t) == _enumerate_min(nums, d, t)
+                assert exhaustive_min(nums, d, t) == _enumerate_min(nums, d, t)
 
     @given(st.integers(2, 4), st.integers(0, 2**32))
     @settings(max_examples=60)
@@ -195,7 +179,7 @@ class TestExhaustive:
         p = ProbabilityVector(random_decimal_probs(rng, m))
         nums, d = p.numerators, p.common_denominator
         t = int(rng.integers(m, 33))
-        _, a_opt = K.exhaustive_min(nums, d, t)
+        _, a_opt = exhaustive_min(nums, d, t)
         _, a_mm = K.minmax_freqs_exact(nums, d, t)
         assert a_mm == a_opt
 

@@ -1,10 +1,12 @@
 """The README's examples run as written: every `quantacode ...` line of its
-"Command line" block exits 0, in order, and its `python` block executes."""
+"Command line" block exits 0, in order, its `python` block executes, and
+every name it lists as a key entry point ships in the package."""
 
 import re
 import shlex
 from pathlib import Path
 
+import quantacode
 from quantacode.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,3 +33,12 @@ def test_python_block_runs():
     scope = {}
     exec(compile(block("## Library", "python"), str(README), "exec"), scope)
     assert (scope["plan"].width_bits, scope["plan"].t) == (5, 21)
+
+
+def test_key_entry_points_ship():
+    # every name the README lists is an attribute of the package, so a name
+    # that leaves the package (a test oracle, say) cannot stay listed
+    text = README.read_text().split("Key entry points:", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", text)
+    assert len(names) == 18
+    assert [n for n in names if not hasattr(quantacode, n)] == []
