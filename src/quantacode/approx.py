@@ -164,8 +164,8 @@ Every row is still taken:
   below 1/4 for t <= 2**24, nor does that of any m >= 13.
 
 `scan_rows` prints every row's exact A, the planner's divergence search
-needs every row's exact table of p (both read _iter_chunks), and the fold
-needs its candidates' exact A.  So their truncated chunks also carry p's
+needs every row's exact table of p (both from _Chunk's kernel passes), and
+the fold its candidates' exact A.  So their truncated chunks also carry p's
 tables, certified on the kernel's table F~ of P~.  Let a be the A of the
 truncation, so |D*p_i - P~_i| <= a/d.  For t <= hi, each scaled value
 t*D*p_i then lies within g = ceil(hi*a/d) of t*P~_i; once D*p_min >= 1,
@@ -354,43 +354,59 @@ def _spans(lo: int, t_max: int, first: int):
         lo, size = hi + 1, min(2 * size, _MAX_CHUNK)
 
 
-def _chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
-    """Yield (lo, hi, P, D, eps, g) for the chunks [lo, hi] of _spans(m,
-    t_max, first): the int64 kernel scans the chunk on the source P/D, and
-    delta_star(p, t) lies within eps of delta_star(P/D, t).  Two kinds of
-    chunk, for any m (see the module docstring):
+class _Chunk:
+    """The chunk [lo, hi] of _spans, which the int64 kernel scans on the
+    source P/D (big_p/den), with |delta_star(p, t) - delta_star(P/D, t)|
+    <= eps and slack g for certifying P~'s tables for p (see the module
+    docstring): P = p's numerators, D = d, eps = 0.0 and g = 0 on a chunk
+    that fits int64, else p's truncation P~/D at D = (2**62 - 1) // hi,
+    with g capped at D, where no row passes, so that 2g stays in int64.
 
-    * fits int64: P = p's numerators, D = d, eps = 0.0, g = 0;
-    * overflows int64: the truncated source P~/D, with D = (2**62 - 1) //
-      hi, P~ p's min-max table at t = D, and eps that table's delta_star,
-      rounded up and widened by a relative 2**-49.  g = ceil(hi*a/d), a
-      that table's A, is the slack with which the kernel certifies P~'s
-      tables for p; it is capped at D, where no row passes, so that 2g
-      stays in int64.
+    Each whole-chunk kernel pass runs once, on first use: a_tilde, A~ of
+    every row on P/D (p's own A where eps = 0), and tables, p's min-max
+    table of every row as an int64 (rows, m) array.
     """
+
+    def __init__(self, p: ProbabilityVector, lo: int, hi: int, big_p, den, eps, g):
+        self.p, self.lo, self.hi, self.big_p, self.den, self.eps, self.g = (
+            p, lo, hi, big_p, den, eps, g)
+        self.ts = np.arange(lo, hi + 1, dtype=np.int64)
+
+    @cached_property
+    def a_tilde(self):
+        return _kernels.minmax_scan(self.big_p, self.den, self.lo, self.hi)[0]
+
+    @cached_property
+    def tables(self):
+        if not self.eps:
+            return _kernels.minmax_scan(self.big_p, self.den, self.lo, self.hi, True)[1]
+        return self.certify(self.ts, _kernels.minmax_scan(
+            self.big_p, self.den, self.lo, self.hi, True, self.g))
+
+    def certify(self, ts, kernel_out):
+        """p's min-max tables at the t of the int64 array ts, rows of this
+        truncated chunk, from the kernel's (None, F~, sure) on P~/D with
+        slack g: F~ where it is sure, minmax_freqs_exact's table elsewhere."""
+        _, f, sure = kernel_out
+        redo = np.flatnonzero(~sure)
+        if redo.size:
+            nums, d = self.p.numerators, self.p.common_denominator
+            f[redo] = [_kernels.minmax_freqs_exact(nums, d, t)[0]
+                       for t in ts[redo].tolist()]
+        return f
+
+
+def _chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
+    """A _Chunk for each span of _spans(m, t_max, first)."""
     nums, d = p.numerators, p.common_denominator
     for lo, hi in _spans(p.m, t_max, first):
         if _kernels.fits_int64(nums, d, hi):
-            yield lo, hi, nums, d, 0.0, 0
+            yield _Chunk(p, lo, hi, nums, d, 0.0, 0)
             continue
         den = _INT64_TOP // hi
         p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
         eps = _float_up(a, d * den) * (1 + 2.0**-49)
-        yield lo, hi, p_trunc, den, eps, min(-(-hi * a // d), den)
-
-
-def _certify(p: ProbabilityVector, ts, kernel_out):
-    """p's min-max tables at the t of the int64 array ts, all in one
-    truncated chunk of _chunks, as an int64 (rows, m) array, from the
-    kernel's (None, F~, sure) on P~/D with that chunk's slack g: F~ where
-    the kernel certifies it for p, minmax_freqs_exact's table elsewhere."""
-    _, f, sure = kernel_out
-    redo = np.flatnonzero(~sure)
-    if redo.size:
-        nums, d = p.numerators, p.common_denominator
-        f[redo] = [_kernels.minmax_freqs_exact(nums, d, t)[0]
-                   for t in ts[redo].tolist()]
-    return f
+        yield _Chunk(p, lo, hi, p_trunc, den, eps, min(-(-hi * a // d), den))
 
 
 def _true_a(p: ProbabilityVector, ts, rows: list) -> list:
@@ -399,20 +415,6 @@ def _true_a(p: ProbabilityVector, ts, rows: list) -> list:
     nums, d = p.numerators, p.common_denominator
     return [max(abs(t * v - x * d) for v, x in zip(nums, row))
             for t, row in zip(ts.tolist(), rows)]
-
-
-def _iter_chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
-    """Yield (lo, A, F) for the chunks of _chunks(p, t_max, first): F[j] is
-    p's min-max table at t = lo + j, an int64 (rows, m) array, on the int64
-    kernel for any m (certified on truncated chunks, see _certify).  A is
-    the kernel's int64 array of those tables' A where the chunk fits int64,
-    and None on a truncated chunk, whose A only _true_a gives."""
-    for lo, hi, big_p, den, eps, g in _chunks(p, t_max, first):
-        if eps:
-            ts = np.arange(lo, hi + 1, dtype=np.int64)
-            yield lo, None, _certify(p, ts, _kernels.minmax_scan(big_p, den, lo, hi, True, g))
-        else:
-            yield lo, *_kernels.minmax_scan(big_p, den, lo, hi, True)
 
 
 def _threshold_tests(m: int, d: int):
@@ -475,7 +477,7 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
     """The record/threshold fold of an m > 2 source over _chunks, whose
     first chunk is 4,096 rows and the later ones 8,192 and then 16,384.
 
-    Yields (recs, hit_ts) per chunk: recs lists the (t, A, f) of its
+    Yields (chunk, recs, hit_ts) per _Chunk: recs lists the (t, A, f) of its
     record denominators and hit_ts its fact-constant hits (empty unless
     `hits`), both in ascending t, with the true A of p; f is p's table at t
     where the fold built it (truncated chunks), else None.  The scan stops
@@ -494,18 +496,16 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
         exact_hit, hit_cap, screen_hit = _threshold_tests(m, d)
     best_a = best_t = None
     best_q = math.inf   # float64 >= the least delta_star so far
-    for lo, hi, big_p, den, eps, g in _chunks(p, t_max):
-        ts = np.arange(lo, hi + 1, dtype=np.int64)
-        t_of = range(lo, hi + 1)    # ts as Python ints
+    for chunk in _chunks(p, t_max):
+        lo, hi, ts, den, eps = chunk.lo, chunk.hi, chunk.ts, chunk.den, chunk.eps
         cap = math.inf
         if best_a is not None:
             cap = max(_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
         if cap < den / 4:   # the convex cap peaks at lo or hi
-            ts = _kernels.gap_screen(big_p, den, ts, int(cap))
-            t_of = ts.tolist()
-            a_rows = _kernels._minmax_rows(big_p, den, ts)[0]   # A~
+            ts = _kernels.gap_screen(chunk.big_p, den, ts, int(cap))
+            a_rows = _kernels._minmax_rows(chunk.big_p, den, ts)[0]   # A~
         else:
-            a_rows = _kernels.minmax_scan(big_p, den, lo, hi)[0]
+            a_rows = chunk.a_tilde
         t_f = ts.astype(np.float64)
         x = a_rows.astype(np.float64) / float(den)   # t * delta~
         q = x / t_f                                  # delta~
@@ -523,9 +523,8 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
         if eps:   # decide each candidate on the true p
             cand = np.union1d(rec_j, hit_j).tolist()
             t_cand = ts[cand]
-            f = _certify(p, t_cand,
-                         _kernels._minmax_rows(big_p, den, t_cand, True, g))
-            rows = f.tolist()
+            rows = chunk.certify(t_cand, _kernels._minmax_rows(
+                chunk.big_p, den, t_cand, True, chunk.g)).tolist()
             tables = dict(zip(cand, rows))
             true_a = dict(zip(cand, _true_a(p, t_cand, rows)))
             rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
@@ -535,7 +534,7 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
             hit_a = a_rows[hit_j]
         recs, end = [], len(ts)
         for j, a in rec_cand:
-            t = t_of[j]
+            t = int(ts[j])
             if best_a is None or a * best_t < best_a * t:
                 best_a, best_t = a, t
                 recs.append((t, a, tables.get(j)))
@@ -548,7 +547,7 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
         if hits and hit_j.size:
             k = int(np.searchsorted(hit_j, end))    # the rows before `end`
             hit_ts = _hit_ts(lo, ts[hit_j[:k]] - lo, hit_a[:k], exact_hit, hit_cap)
-        yield recs, hit_ts
+        yield chunk, recs, hit_ts
         if best_a == 0:
             return
 
@@ -640,7 +639,8 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
             rest.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
         return ScanResult(_Records(rest, forced, forced_entry), hits)
     found, hits = [], []
-    for recs, hit_ts in _fold(p, t_max):
+    for chunk, recs, hit_ts in _fold(p, t_max):
+        del chunk   # hold no chunk's arrays while the fold works on the next
         hits.extend(hit_ts)
         found.extend(recs)
     ts, tables = [t for t, _, f in found if f is None], {}
@@ -661,8 +661,9 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
     (d = p.common_denominator); the quality of RecordEntry is then t*A/d
     for m = 2 and (t * A**m / d**m)**(1/m) otherwise.  Stops after an
     exact table.  The flags are record_scan's, from _binary_fold (m = 2)
-    or _fold, chunk by chunk; A comes with p's tables (_iter_chunks): the
-    kernel's on a chunk that fits int64, _true_a's on a truncated one.
+    or _fold, chunk by chunk.  A comes from the same _Chunk: its a_tilde on
+    a chunk that fits int64, the kernel pass that the fold reads wherever
+    it takes every row; _true_a of its certified tables on a truncated one.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
@@ -673,17 +674,17 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
         def in_span(r, lo, hi):     # the t of the range r in [lo, hi]
             return r[bisect.bisect_left(r, lo):bisect.bisect_right(r, hi)]
 
-        flags = (({t for r in runs for t in in_span(r, lo, hi)}, hit_set)
-                 for lo, hi in _spans(2, t_max, _FIRST_CHUNK))
+        flagged = ((c, {t for r in runs for t in in_span(r, c.lo, c.hi)}, hit_set)
+                   for c in _chunks(p, t_max))
     else:
-        flags = (({t for t, *_ in recs}, set(hit_ts))
-                 for recs, hit_ts in _fold(p, t_max))
-    for (rec_set, hit_set), (lo, a_rows, f) in zip(flags, _iter_chunks(p, t_max)):
-        if a_rows is None:      # a truncated chunk
-            a_rows = _true_a(p, np.arange(lo, lo + len(f), dtype=np.int64), f.tolist())
+        flagged = ((c, {t for t, *_ in recs}, set(hit_ts))
+                   for c, recs, hit_ts in _fold(p, t_max))
+    for chunk, rec_set, hit_set in flagged:
+        if chunk.eps:
+            a_rows = _true_a(p, chunk.ts, chunk.tables.tolist())
         else:
-            a_rows = a_rows.tolist()
-        for t, a in enumerate(a_rows, lo):
+            a_rows = chunk.a_tilde.tolist()
+        for t, a in enumerate(a_rows, chunk.lo):
             yield t, a, t in rec_set, t in hit_set
             if a == 0:
                 return
@@ -697,20 +698,22 @@ def best_table_under_width(p: ProbabilityVector, width_bits: int) -> FrequencyTa
     Ties go to the smallest t.  The guaranteed plan starts from this table;
     when its divergence misses the target, ``bounds.plan_precision`` falls
     back to the smallest t <= 2**width_bits that meets it.  A binary source
-    takes it from the continued fraction at any width; m > 2 scans every t,
-    so a width above the coder's _MAX_BITS raises InstanceTooLarge at once.
+    takes it from the continued fraction, which ends at its exact table
+    t <= d, so W >= bl(d) gives W = bl(d)'s.  m > 2 scans every t, so a
+    width above the coder's _MAX_BITS raises InstanceTooLarge at once.
     """
     if width_bits < register_width(p.m):    # 2**W < m, a negative W included
         raise WidthTooSmall(f"2**{width_bits} < m = {p.m}")
-    t_hi = 1 << width_bits
     if p.m == 2:
+        t_hi = 1 << min(width_bits, p.common_denominator.bit_length())
         runs, _ = _binary_fold(p, t_hi, hits=False)
         return round_min_max(p, [r for r in runs if r][-1][-1])
     if width_bits > _MAX_BITS:
         raise InstanceTooLarge(
             f"W = {width_bits} would scan every t up to 2**{width_bits} of an "
             f"m = {p.m} source; the limit is the coder's {_MAX_BITS} bits")
-    for recs, _ in _fold(p, t_hi, hits=False):
+    for chunk, recs, _ in _fold(p, 1 << width_bits, hits=False):
+        del chunk   # as in record_scan
         if recs:
             best_t = recs[-1][0]
     return round_min_max(p, best_t)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .approx import _MAX_BITS, _iter_chunks, best_table_under_width, round_min_max
+from .approx import _MAX_BITS, _chunks, best_table_under_width, round_min_max
 from .errors import (
     AlphabetNotMary,
     DimensionMismatch,
@@ -460,7 +460,7 @@ class PrecisionPlan:
     width_bits: int = field(init=False)
     t: int = field(init=False)
     table: FrequencyTable
-    verified_divergence: mp.mpf     # nats, recomputed on the final table
+    verified_divergence: mp.mpf     # nats, kl_divergence of the table
     corollary1_width: int
     raw_width_bound: mp.mpf
     second_order_width: int
@@ -523,7 +523,7 @@ _SEARCH_FIRST_CHUNK = 256
 
 
 def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
-    """Smallest t in [m, t_cap] whose kl_divergence is <= r, or None.
+    """(table, D) of the smallest t in [m, t_cap] with kl_divergence <= r, or None.
 
     A float64 estimate screens each row.  Since sum_i p_i = 1,
     D = c + ln t - sum_i p_i ln f_i with c = sum_i p_i ln p_i.  With
@@ -552,8 +552,8 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     r * (1 + 2**-40), two roundings, and at least 2**-1000 so that a
     product that rounds in the subnormal range never exceeds it, is at
     least r * (1 + 2**-42).
-    Each passing row is decided by kl_divergence, the sum plan_precision
-    verifies, in ascending t, so the first accepted t is the answer.
+    Each passing row is decided by kl_divergence, in ascending t, so the
+    first accepted t is the answer; its table and divergence are the plan's.
     """
     pf = np.array([float(x) for x in p.probs])
     c = float(np.dot(pf, np.log(pf)))
@@ -561,8 +561,8 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     log_sum = math.log(p.m) + math.log(t_cap) + 2 + float(r)
     screen = r_wide + (p.m + 20) * 2.0**-53 * log_sum
     pinsker = max(r_wide, 2.0**-1000)
-    for lo, _, f_arr in _iter_chunks(p, t_cap, _SEARCH_FIRST_CHUNK):
-        t_f = np.arange(lo, lo + len(f_arr), dtype=np.float64)
+    for chunk in _chunks(p, t_cap, _SEARCH_FIRST_CHUNK):
+        f_arr, t_f = chunk.tables, chunk.ts.astype(np.float64)
         f_f = np.asarray(f_arr, dtype=np.float64)
         d_float = c + np.log(t_f) - np.log(f_f) @ pf
         cand = np.flatnonzero(~(d_float > screen))
@@ -572,8 +572,9 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
             cand = cand[~(2 * (1 - 2.0**-50) * dev * dev > pinsker)]
         for j in cand:
             table = FrequencyTable.from_freqs(p, f_arr[j])
-            if kl_divergence(p, table).nats <= r:
-                return table.t
+            nats = kl_divergence(p, table).nats
+            if nats <= r:
+                return table, nats
     return None
 
 
@@ -644,17 +645,17 @@ def plan_precision(p: ProbabilityVector, target_r,
     else:
         cap_bits = min(cap_bits, _MAX_BITS)
     if verified is None or not verified <= r:
-        t = None
+        found = None
         if not _inexact_rows_miss(p, r, cap_bits):
-            t = _first_qualifying_t(p, r, 1 << cap_bits)
+            found = _first_qualifying_t(p, r, 1 << cap_bits)
         elif p.common_denominator <= 1 << cap_bits:
-            t = p.common_denominator    # the first table with D = 0
-        if t is None:
+            table = round_min_max(p, p.common_denominator)  # the first with D = 0
+            found = table, kl_divergence(p, table).nats
+        if found is None:
             raise TargetUnachievableWithinScan(
                 f"no denominator up to 2**{cap_bits} reaches "
                 f"{format_decimal(r, 8)} nats"
             )
-        table = round_min_max(p, t)
-        verified = kl_divergence(p, table).nats
+        table, verified = found
 
     return PrecisionPlan(r, table, verified, w1, raw, w2, mode)

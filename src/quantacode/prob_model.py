@@ -18,6 +18,7 @@ irrational.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -34,6 +35,7 @@ from .errors import (
 from .precision import SURROGATE_DIGITS, format_decimal
 
 PARSE_TOLERANCE = Fraction(1, 10**9)
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # Fraction builds 10**|e|
 MAX_TOTAL = 1 << 24  # the largest table total t the range coder takes
 
 
@@ -92,9 +94,10 @@ def parse_probability_vector(spec) -> ProbabilityVector:
     """Parse decimal or fraction strings into an exact ProbabilityVector.
 
     Accepts e.g. ["0.5", "0.5"] or ["7/10", "2/10", "1/10"].  Each entry must
-    be an exact rational strictly inside (0, 1).  If the raw sum differs from
-    1 by less than 1e-9 the entries are renormalized proportionally (exact
-    rational division); a larger discrepancy is an error.
+    be an exact rational strictly inside (0, 1), and an exponent at most the
+    integer-string limit that bounds a plain decimal's digits.  If the raw sum
+    differs from 1 by less than 1e-9 the entries are renormalized
+    proportionally (exact rational division); a larger discrepancy is an error.
     """
     if isinstance(spec, str):
         spec = [s for s in re.split(r"[,\s]+", spec.strip()) if s]
@@ -105,8 +108,13 @@ def parse_probability_vector(spec) -> ProbabilityVector:
         if isinstance(tok, Fraction):
             x = tok
         else:
-            try:
-                x = Fraction(str(tok).strip())
+            text = str(tok).strip()
+            exp = _EXPONENT.search(text)
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            try:    # int() refuses an exponent of more than `limit` digits
+                if exp and int(exp[1]) > limit:
+                    raise ValueError(f"exponent above {limit}")
+                x = Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise NonPositiveProbability(f"cannot parse p[{i}] = {tok!r}: {exc}")
         if not 0 < x < 1:

@@ -27,7 +27,7 @@ from quantacode import (
     silver_surrogate,
 )
 from quantacode import _kernels, approx, bounds, cli
-from quantacode.approx import _FIRST_CHUNK, _hit_ts, _iter_chunks, _spans, _threshold_tests
+from quantacode.approx import _FIRST_CHUNK, _chunks, _hit_ts, _spans, _threshold_tests
 from quantacode.bounds import KAPPA_GENERIC, KAPPA_GOLDEN
 from quantacode.precision import DEFAULT_DPS
 from quantacode.prob_model import PRESETS
@@ -426,7 +426,7 @@ def _hit_near_kappa():
 
 
 def _trunc_row(p, t):
-    """The second chunk's truncation as _iter_chunks makes it, at row t:
+    """The second chunk's truncation as _chunks makes it, at row t:
     (P~, g, P~'s table at t, the kernel's certificate for it)."""
     assert SECOND[0] <= t <= SECOND[1]
     nums, d = p.numerators, p.common_denominator
@@ -507,8 +507,8 @@ def test_screened_fold_matches_row_by_row_oracle(p):
     assert [(t, rec, beat) for t, _, rec, beat in scanned] == rows
     # every row's A, and every certified table of the truncated chunks
     assert [(t, a) for t, a, *_ in scanned] == [(t, a) for t, _, a in tables[:len(rows)]]
-    certified = [(t, f) for lo, _, f_chunk in _iter_chunks(p, FOLD_T_MAX)
-                 for t, f in enumerate(f_chunk.tolist(), lo)]
+    certified = [(t, f) for chunk in _chunks(p, FOLD_T_MAX)
+                 for t, f in enumerate(chunk.tables.tolist(), chunk.lo)]
     assert certified == [(t, f) for t, f, _ in tables]
     for width in (12, 13):
         best = [r for r in res.records if r.t <= 1 << width][-1]
@@ -525,8 +525,8 @@ def test_screened_cases_exercise_their_rows():
     assert t in [u for u, _, beat in exact_fold(hit, FOLD_T_MAX) if beat]
     # each construct is screened on D_SECOND over the chunk SECOND
     for p in (pair, hit, _near_integer(), _cut_pair()):
-        _, (lo, hi, _, den, eps, _) = itertools.islice(approx._chunks(p, SECOND[1]), 2)
-        assert (lo, hi, den) == (*SECOND, D_SECOND) and eps
+        _, chunk = itertools.islice(approx._chunks(p, SECOND[1]), 2)
+        assert (chunk.lo, chunk.hi, chunk.den) == (*SECOND, D_SECOND) and chunk.eps
 
     # near-integer: the truncated floor of t*p_0 is wrong at T_NEAR, and
     # condition (1) sends the row to the exact rebuild
@@ -728,7 +728,8 @@ def _screen_of_last_row(p, t_max):
     """(gap, lo, D, eps, best_q) of t_max's row: its truncated gap
     max_i ||t_max*P~_i||_D on its chunk [lo, t_max] of _chunks, and the
     float best_q of the best record below lo, as _fold holds them."""
-    lo, hi, big_p, den, eps, _ = list(approx._chunks(p, t_max))[-1]
+    chunk = list(approx._chunks(p, t_max))[-1]
+    lo, hi, big_p, den, eps = chunk.lo, chunk.hi, chunk.big_p, chunk.den, chunk.eps
     assert hi == t_max and eps
     best = record_scan(p, lo - 1).records[-1]
     d = p.common_denominator
@@ -838,6 +839,23 @@ def test_chunks_are_sized_by_their_consumer(monkeypatch, capsys):
     assert len(built) <= 14 + 1
 
 
+_V23 = [40000 + 150 * i for i in range(23)]
+M24_SPEC = ",".join(f"{x / 1e6:.6f}" for x in _V23 + [10**6 - sum(_V23)])  # CI's m = 24
+
+
+@pytest.mark.parametrize("spec, t_max, rows", [
+    # m = 24: the fold takes every row of every chunk (test_wide_cap_takes_every_row)
+    (M24_SPEC, 10**4, 9977),
+    # t = 3..4,098: the fold's one 4,096-row chunk, where it takes every row
+    ("0.312407,0.451893,0.235700", 4098, 4096),
+], ids=["m24", "m3"])
+def test_scan_builds_one_kernel_row_per_output_row(monkeypatch, spec, t_max, rows):
+    p = parse_probability_vector(spec)
+    built = _count_rows(monkeypatch)
+    assert sum(1 for _ in scan_rows(p, t_max)) == rows
+    assert sum(built) == rows
+
+
 def _boundary_sources():
     rng = np.random.default_rng(83)
     return [pytest.param(ProbabilityVector(random_decimal_probs(rng, 3)), id="m3"),
@@ -871,11 +889,11 @@ def test_folds_match_the_oracle_at_chunk_boundaries(p):
 
 def scan_reference(p, t_max, kappa):
     """Records (t, freqs, delta_star) and hits of p from a row-by-row exact
-    pass (exact_fold) over p's every-row tables from _iter_chunks."""
+    pass (exact_fold) over p's every-row tables from _chunks."""
     nums, d = p.numerators, p.common_denominator
     tables = [(t, tuple(f), max(abs(t * v - x * d) for v, x in zip(nums, f)))
-              for lo, _, f_chunk in _iter_chunks(p, t_max)
-              for t, f in enumerate(f_chunk.tolist(), lo)]
+              for chunk in _chunks(p, t_max)
+              for t, f in enumerate(chunk.tables.tolist(), chunk.lo)]
     rows = exact_fold(p, t_max, tables, kappa)
     recs = [(t, f, Fraction(a, d * t))
             for (t, f, a), (_, rec, _) in zip(tables, rows) if rec]

@@ -457,7 +457,7 @@ class TestPlanner:
             r = kl_divergence(p, round_min_max(p, t0)).nats
             t = first_t(p, r)
             assert expected in (None, t)
-            assert _first_qualifying_t(p, r, t0) == t
+            assert _first_qualifying_t(p, r, t0)[0].t == t
             assert plan_precision(p, r, mode="opportunistic").t == t
 
     def test_low_precision_screen_keeps_what_kl_divergence_accepts(self):
@@ -475,7 +475,7 @@ class TestPlanner:
         # plans do
         p = ProbabilityVector([Fraction(277979, 500000), Fraction(222021, 500000)])
         r = to_mpf("2.75e-7")
-        ts = [_first_qualifying_t(p, r, 1 << 24)]
+        ts = [_first_qualifying_t(p, r, 1 << 24)[0].t]
         ts += [plan_precision(p, "2.75e-7", mode=mode).t
                for mode in ("opportunistic", "guaranteed")]
         for t in ts:
@@ -580,12 +580,12 @@ class TestPlanner:
         k = kl_divergence(p, FrequencyTable.from_freqs(p, (1, 4095))).nats
         reach = k * (1 + mp.mpf("1e-9"))
         plan = plan_precision(p, reach, mode="opportunistic")
-        assert plan.t == _first_qualifying_t(p, reach, 1 << 12) == 4096
+        assert plan.t == _first_qualifying_t(p, reach, 1 << 12)[0].t == 4096
 
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(B, "_iter_chunks", no_scan)
+        monkeypatch.setattr(B, "_chunks", no_scan)
         with pytest.raises(TargetUnachievableWithinScan, match=r"2\*\*12"):
             plan_precision(p, k * (1 - mp.mpf("1e-9")), mode="opportunistic")
 

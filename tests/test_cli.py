@@ -63,6 +63,26 @@ class TestApproximate:
         assert code == 2 and stdout == ""
         assert "W = 40" in err and "24" in err
 
+    @pytest.mark.parametrize("argv, want", [
+        # a binary source's best table up to any W >= bl(d) is its exact one
+        (["approximate", "-p", "0.7,0.3", "-W", "1000000000000"],
+         "denominator t = 10,"),
+        (["approximate", "-p", "golden", "-W", "1000000000000"],
+         f"denominator t = {2 * 10**60},"),
+        (["approximate", "-p", "0.7,0.2,0.1", "-W", "1000000000000"], None),
+        # Fraction("1e-10000000") builds 10**10000000, about 16 s
+        (["plan", "-p", "1e-10000000,0.5", "-R", "1e-3"], None),
+    ], ids=["binary", "golden", "ternary", "exponent"])
+    def test_huge_width_or_exponent_is_decided_at_once(self, capsys, argv, want):
+        # each width case used to build 2**W first and exit 1 on a MemoryError
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        if want is None:
+            assert code == 2 and not stdout and err
+        else:
+            assert code == 0 and want in stdout
+
     def test_invalid_denominator_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "approximate", "-p", "0.7,0.3", "-t", "1",
                            "-o", str(tmp_path / "x"))
@@ -207,7 +227,7 @@ class TestPlan:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(B, "_iter_chunks", no_scan)
+        monkeypatch.setattr(B, "_chunks", no_scan)
         start = time.perf_counter()
         code, stdout, err = run(capsys, "plan", "-p", "0.00000001,0.99999999",
                                 "-R", "1e-9", "--mode", "opportunistic")
@@ -254,7 +274,7 @@ class TestPlan:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(B, "_iter_chunks", no_scan)
+        monkeypatch.setattr(B, "_chunks", no_scan)
         out = tmp_path / "plan.csv"
         start = time.perf_counter()
         code, stdout, err = run(capsys, "plan", "-p", probs, "-R", "1e-2000000",

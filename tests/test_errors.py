@@ -2,6 +2,7 @@
 ValueError, so `except ValueError` callers keep working."""
 
 import dataclasses
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from quantacode import (
     decode_framed,
     encode,
     errors,
+    golden_pair,
     lemma1_bound,
     parse_probability_vector,
     plan_precision,
@@ -62,6 +64,8 @@ CASES = {
     "DimensionMismatch": lambda: FrequencyTable.from_freqs(_P3, [1, 2]),
     "DenominatorTooSmall": lambda: round_min_max(_P3, 2),
     "InstanceTooLarge": lambda: best_table_under_width(_P3, 25),
+    # refused before any 2**W is built
+    "width-huge": lambda: best_table_under_width(_P3, 10**12),
     "WidthTooSmall": lambda: best_table_under_width(_P3, 1),
     "RatioNotLessThanOne": lambda: lemma1_bound(3, Fraction(1, 5), Fraction(1, 10)),
     "PreconditionViolated": lambda: theorem1_bound(3, 2, Fraction(1, 10)),
@@ -90,3 +94,26 @@ def test_every_bad_input_class_has_a_case():
     classes = {name for name, cls in vars(errors).items()
                if isinstance(cls, type) and issubclass(cls, errors.InvalidArgument)}
     assert classes == {case for case in CASES if case[0].isupper()}
+
+
+def test_huge_binary_width_gives_the_exact_table():
+    # the continued fraction ends at the exact table t = d, so no 2**W is built
+    pair = parse_probability_vector(["0.7", "0.3"])
+    assert best_table_under_width(pair, 10**12).t == 10
+    golden = golden_pair()
+    table = best_table_under_width(golden, 10**12)
+    assert table.t == golden.common_denominator
+    assert table.freqs == tuple(golden.numerators)
+
+
+def test_huge_exponent_is_refused_at_once():
+    # Fraction("1e-10000000") builds 10**10000000 (about 16 s) before the
+    # sum check; the exponent is refused as the plain decimal's digits are
+    start = time.perf_counter()
+    with pytest.raises(errors.NonPositiveProbability, match="exponent"):
+        parse_probability_vector(["1e-10000000", "0.5"])
+    assert time.perf_counter() - start < 1
+    # Python's default integer-string limit is 4,300 digits
+    assert parse_probability_vector(["1e-4300", "0.5", "0.5"]).m == 3
+    with pytest.raises(errors.NonPositiveProbability, match="exponent above 4300"):
+        parse_probability_vector(["1e-4301", "0.5", "0.5"])
