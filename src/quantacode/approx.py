@@ -44,7 +44,7 @@ rational x.  The best table of t has f_min >= 1 and delta_star =
   ascending t; the best so far is always a record, so the candidates give
   the same records as a sweep of every t.
 * Hits.  A hit has |x - f_min/t| < kappa/t**2 < 1/(2t**2), since kappa**2
-  < 1/4 (bounds.Kappa refuses more), so by Legendre's theorem f_min/t =
+  < 1/4 (Kappa refuses more), so by Legendre's theorem f_min/t =
   c/q in lowest terms is a convergent, with c >= 1, and t = K*q.  There
   t*||t*x|| = K**2 * q*|theta|, with theta = q*x - c, while K*|theta| <
   1/2; so a hit at K*q makes every smaller multiple of q a hit, and each
@@ -127,40 +127,34 @@ that more rows, up to every row, are candidates.
 
 Before the kernel builds any table, the fold drops most rows by a cheaper
 lower bound (_kernels.gap_screen).  Write ||x||_D for the distance from x
-to the nearest multiple of D.  For any integers f_i, |t*P_i - f_i*D| >=
-||t*P_i||_D, so the gap max_i ||t*P_i||_D is at most the A of every table
-at t: gap/D <= t*delta_star(P/D, t), Dirichlet's simultaneous-approximation
+to the nearest multiple of D.  For any integers f_i, |t*P_i - f_i*d| >=
+||t*P_i||_d, so the gap max_i ||t*P_i||_d is at most the A of every table
+at t: gap/d <= t*delta_star(p, t), Dirichlet's simultaneous-approximation
 quantity max_i ||t*p_i|| (Cassels, An Introduction to Diophantine
-Approximation, 1957).  The distance from x to the nearest integer is
-1-Lipschitz in x, so on a truncated chunk ||t*P~_i||_D / D lies within
-t*eps of ||t*p_i||_d / d; hence gap/D <= t*delta_star(p, t) + t*eps on
-every chunk.  So
-
-* a record t has delta_star(t) below the best delta_b confirmed in the
-  earlier chunks, and gap < D*t*(delta_b + eps);
-* a hit has t*(t*delta_star)**m < (m/(m+1))**m, i.e. t*delta_star <
-  m/(m+1) * t**(-1/m), and gap < D*(m/(m+1) * t**(-1/m) + t*eps).
-
-The cap theta(t) is the larger of the two bounds (the record bound alone
-when the scan wants no hits), with best_q >= delta_b for delta_b and each
-widened by its prescreen slack (_gap_cap), which covers a few units of
-2**-53 of float error in each.  Both bounds are convex in t, so theta is,
-and on any chunk [lo, hi] it peaks at lo or hi: the chunk's cap is the
-larger of those two, floored, since the gap is an integer.  gap_screen
-keeps the rows whose gap is at most that cap, symbol by symbol on the
-rows still in; only those reach the kernel and the prescreen above.
-Every record and every hit is kept, and the kept rows are decided as
-before: a record beats every earlier row, and the best of those is
+Approximation, 1957).  A truncated chunk screens P~/D: each t*P~_i lies
+within t*a/d <= g of t*D*p_i (a and g as below), and ||x||_D is
+1-Lipschitz in x, so its gap is at most (D*A + t*a)/d; an integer, so at
+most D*A // d + g, as floor(x + y) <= floor(x) + ceil(y).  After a
+confirmed best record (best_a, best_t), a record t in a chunk [lo, hi]
+has A < t*best_a/best_t <= hi*best_a/best_t, and a hit has
+A <= B(t) <= B(lo).  So the chunk's cap (_gap_cap), exact in integers, is
+the larger of D*hi*best_a // (d*best_t) and D*B(lo) // d (the record part
+alone when the scan wants no hits), plus g: on a chunk that fits int64
+(D = d, g = 0), the larger of hi*best_a // best_t and B(lo).
+gap_screen keeps the rows whose gap is at most that cap, symbol by symbol
+on the rows still in; only those reach the kernel and the prescreen
+above.  Every record and every hit is kept, and the kept rows are decided
+as before: a record beats every earlier row, and the best of those is
 itself a record, so the survivors' running best is the scan's.  The
 output is that of the full scan.
 
 Every row is still taken:
 
 * in the first chunk, where nothing is confirmed yet;
-* in a chunk whose cap reaches D/4 at lo or hi, where the convex theta
-  peaks.  Each symbol's pass keeps about 2*theta/D of the rows, at most
-  half of them below D/4; above that the passes cost more than they
-  save.  The hit bound 24/25 * t**(-1/24) >= 0.48 of m = 24 never drops
+* in a chunk whose cap reaches D/4, a g capped at D included.  Each
+  symbol's pass keeps about 2*cap/D of the rows, at most half of them
+  below D/4; above that the passes cost more than they save.  The hit
+  bound B(t)/d, about 24/25 * t**(-1/24) >= 0.48 for m = 24, never drops
   below 1/4 for t <= 2**24, nor does that of any m >= 13.
 
 `scan_rows` prints every row's exact A, the planner's divergence search
@@ -274,6 +268,28 @@ def cf_convergents(x: Fraction, max_q: int):
 
 
 # ---- record scans -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kappa:
+    """Binary approximation constant; square is exact (1/5 or 1/8)."""
+
+    label: str
+    square: Fraction
+
+    def __post_init__(self):
+        # the binary record scan finds every hit by Legendre's theorem,
+        # which needs t**2 * delta_star < 1/2
+        if not 0 < self.square < Fraction(1, 4):
+            raise InvalidArgument(f"kappa**2 = {self.square} must lie in (0, 1/4)")
+
+    def value(self) -> mp.mpf:
+        with mp.workdps(DEFAULT_DPS):
+            return mp.sqrt(mp.mpf(self.square.numerator) / self.square.denominator)
+
+
+KAPPA_GOLDEN = Kappa("golden", Fraction(1, 5))
+KAPPA_GENERIC = Kappa("generic", Fraction(1, 8))
+
 
 @dataclass(frozen=True)
 class RecordEntry:
@@ -460,17 +476,14 @@ def _hit_ts(lo: int, js, a, exact, cap) -> list:
     return (js[ok] + lo).tolist()
 
 
-def _gap_cap(t: int, m: int, den: int, eps: float, best_q: float, hits: bool) -> float:
-    """D * theta(t), theta the larger of the record bound t*(best_q + eps)
-    and, with `hits`, the m-ary hit bound m/(m+1) * t**(-1/m) + t*eps, each
-    widened like its prescreen bound: at least the largest
-    max_i ||t*P_i||_D that a record or hit at t can have, for a chunk of
-    truncation error eps after a confirmed best delta_star <= best_q (see
-    the module docstring).  Convex in t, so on a chunk it peaks at an end."""
-    cap = t * (best_q + eps) * (1 + _SLACK)
-    if hits:
-        cap = max(cap, (m / (m + 1) * t ** (-1 / m) + t * eps) * (1 + m * _SLACK))
-    return den * cap
+def _gap_cap(chunk: _Chunk, d: int, best_a: int, best_t: int, hit_cap) -> int:
+    """The largest gap max_i ||t*P_i||_D of a record or, with hit_cap
+    (_threshold_tests' cap), a hit in the chunk after the best record
+    (best_a, best_t), exact in integers (see the module docstring)."""
+    cap = chunk.den * chunk.hi * best_a // (d * best_t)
+    if hit_cap is not None:
+        cap = max(cap, chunk.den * hit_cap(chunk.lo) // d)
+    return cap + chunk.g
 
 
 def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
@@ -492,17 +505,18 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
     _hit_ts.
     """
     m, d = p.m, p.common_denominator
+    hit_cap = None
     if hits:
         exact_hit, hit_cap, screen_hit = _threshold_tests(m, d)
     best_a = best_t = None
     best_q = math.inf   # float64 >= the least delta_star so far
     for chunk in _chunks(p, t_max):
-        lo, hi, ts, den, eps = chunk.lo, chunk.hi, chunk.ts, chunk.den, chunk.eps
-        cap = math.inf
+        lo, ts, den, eps = chunk.lo, chunk.ts, chunk.den, chunk.eps
+        cap = den       # nothing confirmed yet: the chunk takes every row
         if best_a is not None:
-            cap = max(_gap_cap(t, m, den, eps, best_q, hits) for t in (lo, hi))
-        if cap < den / 4:   # the convex cap peaks at lo or hi
-            ts = _kernels.gap_screen(chunk.big_p, den, ts, int(cap))
+            cap = _gap_cap(chunk, d, best_a, best_t, hit_cap)
+        if 4 * cap < den:
+            ts = _kernels.gap_screen(chunk.big_p, den, ts, cap)
             a_rows = _kernels._minmax_rows(chunk.big_p, den, ts)[0]   # A~
         else:
             a_rows = chunk.a_tilde
@@ -552,7 +566,8 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
             return
 
 
-def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True):
+def _binary_fold(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC,
+                 hits: bool = True):
     """(runs, hit_ts) of a binary source up to t_max, from the continued
     fraction of x = p_min = P/d (see the module docstring).
 
@@ -560,8 +575,8 @@ def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True
     prefix range(2, t0 + 1), where A = d - t*P, then each convergent
     denominator that is a record and each suffix of intermediate
     denominators that are, ending at an exact table.  hit_ts lists the
-    hits of t**2 * delta_star < kappa (default generic 2**-1.5; empty
-    unless `hits`) in ascending t, all below the exact table.
+    hits of t**2 * delta_star < kappa (empty unless `hits`) in ascending
+    t, all below the exact table.
     """
     big_p, d = min(p.numerators), p.common_denominator
 
@@ -595,8 +610,7 @@ def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True
             best = (a_of(cands[-1]), cands[-1])
     hit_ts = set()
     if hits:
-        kappa_square = kappa.square if kappa is not None else Fraction(1, 8)
-        k_den, rhs = kappa_square.denominator, kappa_square.numerator * d * d
+        k_den, rhs = kappa.square.denominator, kappa.square.numerator * d * d
         for q in qs[1:]:
             for t in range(q, t_max + 1, q):
                 a = a_of(t)     # a hit: A > 0 and t**2 * delta_star < kappa
@@ -606,38 +620,33 @@ def _binary_fold(p: ProbabilityVector, t_max: int, kappa=None, hits: bool = True
     return runs, sorted(hit_ts)
 
 
-def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
+def record_scan(p: ProbabilityVector, t_max: int,
+                kappa: Kappa = KAPPA_GENERIC) -> ScanResult:
     """Scan t in [m, t_max]; collect record denominators and fact-constant hits.
 
     A record is a t whose delta_star is strictly below every smaller t's.
     Exact representation (delta_star = 0) is the final record: the entry is
     emitted with quality 0 and the scan stops.  `fact_hits` lists every
     scanned t (record or not) whose quality beats m/(m+1) for m > 2, or the
-    binary constant kappa (default generic 2**-1.5; pass
-    ``bounds.KAPPA_GOLDEN`` for golden-equivalent sources).  Binary sources
-    take their candidates from the continued fraction (_binary_fold), every
-    other source from the chunked scan (_fold).  The records are a
-    read-only sequence; a binary source's forced prefix (t < 1/p_min) is
-    built entry by entry as it is read.
+    binary constant kappa (pass KAPPA_GOLDEN for golden-equivalent
+    sources).  Binary sources take their candidates from the continued
+    fraction (_binary_fold), every other source from the chunked scan
+    (_fold).  The records are a read-only sequence; a binary source's
+    tables come from minmax_freqs_exact, its forced prefix (t < 1/p_min)
+    entry by entry as it is read.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
     d = p.common_denominator
     if p.m == 2:
         (forced, *runs), hits = _binary_fold(p, t_max, kappa)
-        nums = p.numerators
-        small = min(nums)
-        first = nums[0] == small
 
-        def forced_entry(t):
-            return RecordEntry(t, (1, t - 1) if first else (t - 1, 1),
-                               Fraction(d - t * small, d * t))
+        def entry(t):
+            f, a = _kernels.minmax_freqs_exact(p.numerators, d, t)
+            return RecordEntry(t, tuple(f), Fraction(a, d * t))
 
-        rest = []
-        for t in itertools.chain.from_iterable(runs):
-            f, a = _kernels.minmax_freqs_exact(nums, d, t)
-            rest.append(RecordEntry(t, tuple(f), Fraction(a, d * t)))
-        return ScanResult(_Records(rest, forced, forced_entry), hits)
+        rest = [entry(t) for t in itertools.chain.from_iterable(runs)]
+        return ScanResult(_Records(rest, forced, entry), hits)
     found, hits = [], []
     for chunk, recs, hit_ts in _fold(p, t_max):
         del chunk   # hold no chunk's arrays while the fold works on the next
@@ -654,7 +663,7 @@ def record_scan(p: ProbabilityVector, t_max: int, kappa=None) -> ScanResult:
                                 for t, a, f in found]), hits)
 
 
-def scan_rows(p: ProbabilityVector, t_max: int, kappa=None):
+def scan_rows(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC):
     """Per-denominator scan rows for CSV export.
 
     Yields (t, A, is_record, beats_fact) with delta_star = A/(d*t) exact

@@ -37,6 +37,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
+from .approx import KAPPA_GENERIC, KAPPA_GOLDEN, Kappa  # noqa: F401  (re-exported)
 from .approx import _MAX_BITS, _chunks, best_table_under_width, round_min_max
 from .errors import (
     AlphabetNotMary,
@@ -57,30 +58,6 @@ from .prob_model import (
     memory_cost,
     register_width,
 )
-
-
-# ---- kappa ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Kappa:
-    """Binary approximation constant; square is exact (1/5 or 1/8)."""
-
-    label: str
-    square: Fraction
-
-    def __post_init__(self):
-        # the binary record scan finds every hit by Legendre's theorem,
-        # which needs t**2 * delta_star < 1/2
-        if not 0 < self.square < Fraction(1, 4):
-            raise InvalidArgument(f"kappa**2 = {self.square} must lie in (0, 1/4)")
-
-    def value(self) -> mp.mpf:
-        with mp.workdps(DEFAULT_DPS):
-            return mp.sqrt(mp.mpf(self.square.numerator) / self.square.denominator)
-
-
-KAPPA_GOLDEN = Kappa("golden", Fraction(1, 5))
-KAPPA_GENERIC = Kappa("generic", Fraction(1, 8))
 
 
 # ---- divergence -------------------------------------------------------------
@@ -147,7 +124,7 @@ def lemma1_exact(m: int, delta_star: Fraction, p_min: Fraction) -> Fraction:
     """m * delta_star / (1 - delta_star/p_min), exact."""
     if delta_star >= p_min:
         raise RatioNotLessThanOne(
-            f"delta_star/p_min = {delta_star}/{p_min} must be < 1"
+            f"delta_star/p_min = {format_decimal(delta_star / p_min, 12)} must be < 1"
         )
     return m * delta_star * p_min / (p_min - delta_star)
 
@@ -160,7 +137,8 @@ def lemma1_bound(m: int, delta_star: Fraction, p_min: Fraction) -> mp.mpf:
 def theorem1_exact(m: int, t: int, p_min: Fraction) -> Fraction:
     """(m/(2t)) / (1 - 1/(2 t p_min)), exact; needs 2 t p_min > 1."""
     if 2 * t * p_min <= 1:
-        raise PreconditionViolated(f"need 2*t*p_min > 1, got t = {t}, p_min = {p_min}")
+        raise PreconditionViolated(f"need 2*t*p_min > 1, got t = {t}, "
+                                   f"p_min = {format_decimal(p_min, 12)}")
     return Fraction(m) * p_min / (2 * t * p_min - 1)
 
 
@@ -178,7 +156,8 @@ def theorem2_bound_mary(m: int, t: int, p_min: Fraction) -> mp.mpf:
     # t**(1+1/m) * p_min > 1  <=>  t**(m+1) * p_min**m > 1, exactly
     if t ** (m + 1) * p_min.numerator**m <= p_min.denominator**m:
         raise PreconditionViolated(
-            f"need t**(1+1/m)*p_min > 1, got t = {t}, p_min = {p_min}"
+            f"need t**(1+1/m)*p_min > 1, got t = {t}, "
+            f"p_min = {format_decimal(p_min, 12)}"
         )
     # = m * p_min / (y - 1) with y = t**(1+1/m) * p_min, written without
     # cancellation: y - 1 = (y**m - 1) / sum_{j<m} y**j, y**m exact
@@ -198,7 +177,8 @@ def theorem2_bound_binary(t: int, p_min: Fraction, kappa: Kappa) -> mp.mpf:
     rhs = p_min.denominator**2 * kappa.square.numerator
     if lhs <= rhs:
         raise PreconditionViolated(
-            f"need t**2 * p_min > kappa, got t = {t}, p_min = {p_min}"
+            f"need t**2 * p_min > kappa, got t = {t}, "
+            f"p_min = {format_decimal(p_min, 12)}"
         )
     # = 2 kappa p_min / (t**2 p_min - kappa), written without cancellation:
     # t**2 p_min - kappa = ((t**2 p_min)**2 - kappa**2) / (t**2 p_min + kappa)

@@ -156,7 +156,10 @@ def sample_symbols(p: ProbabilityVector, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     cum = np.cumsum(np.array([float(x) for x in p.probs]))
     cum[-1] = 1.0
-    syms = np.empty(n, dtype=np.int64)
+    try:
+        syms = np.empty(n, dtype=np.int64)
+    except (MemoryError, ValueError) as exc:   # numpy refuses the array
+        raise InvalidArgument(f"cannot hold n = {n} symbols: {exc}") from exc
     for i in range(0, n, _kernels._CHUNK):   # one stream, drawn in slices
         u = rng.random(min(n - i, _kernels._CHUNK))
         syms[i:i + u.size] = np.searchsorted(cum, u, side="right")

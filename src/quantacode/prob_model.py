@@ -286,36 +286,36 @@ def _scaled_isqrt(k: int, digits: int) -> Fraction:
     return Fraction(isqrt(k * n * n), n)
 
 
-def golden_surrogate(digits: int = SURROGATE_DIGITS) -> Fraction:
-    """Rational stand-in for (sqrt(5) - 1) / 2 accurate to `digits` digits."""
-    return (_scaled_isqrt(5, digits) - 1) / 2
+def golden_surrogate() -> Fraction:
+    """Rational stand-in for (sqrt(5) - 1) / 2 to SURROGATE_DIGITS digits."""
+    return (_scaled_isqrt(5, SURROGATE_DIGITS) - 1) / 2
 
 
-def silver_surrogate(digits: int = SURROGATE_DIGITS) -> Fraction:
-    """Rational stand-in for sqrt(2) - 1 accurate to `digits` digits."""
-    return _scaled_isqrt(2, digits) - 1
+def silver_surrogate() -> Fraction:
+    """Rational stand-in for sqrt(2) - 1 to SURROGATE_DIGITS digits."""
+    return _scaled_isqrt(2, SURROGATE_DIGITS) - 1
 
 
-def golden_pair(digits: int = SURROGATE_DIGITS) -> ProbabilityVector:
+def golden_pair() -> ProbabilityVector:
     """Binary source (psi, 1 - psi) with psi the golden-ratio conjugate."""
-    g = golden_surrogate(digits)
+    g = golden_surrogate()
     return ProbabilityVector([g, 1 - g])
 
 
-def silver_pair(digits: int = SURROGATE_DIGITS) -> ProbabilityVector:
+def silver_pair() -> ProbabilityVector:
     """Binary source (sqrt(2) - 1, 2 - sqrt(2))."""
-    s = silver_surrogate(digits)
+    s = silver_surrogate()
     return ProbabilityVector([s, 1 - s])
 
 
-def irrational_triple(digits: int = SURROGATE_DIGITS) -> ProbabilityVector:
+def irrational_triple() -> ProbabilityVector:
     """Ternary irrational source (sqrt(2) - 1, sqrt(3) - sqrt(2), 2 - sqrt(3)).
 
-    The three surrogates share the denominator 10**digits and sum exactly
-    to 1 by construction.
+    The three surrogates share the denominator 10**SURROGATE_DIGITS and
+    sum exactly to 1 by construction.
     """
-    r2 = _scaled_isqrt(2, digits)
-    r3 = _scaled_isqrt(3, digits)
+    r2 = _scaled_isqrt(2, SURROGATE_DIGITS)
+    r3 = _scaled_isqrt(3, SURROGATE_DIGITS)
     return ProbabilityVector([r2 - 1, r3 - r2, 2 - r3])
 
 

@@ -725,31 +725,32 @@ def test_wide_cap_takes_every_row(monkeypatch):
 
 
 def _screen_of_last_row(p, t_max):
-    """(gap, lo, D, eps, best_q) of t_max's row: its truncated gap
-    max_i ||t_max*P~_i||_D on its chunk [lo, t_max] of _chunks, and the
-    float best_q of the best record below lo, as _fold holds them."""
+    """(gap, chunk, cap) of t_max's row: its truncated gap
+    max_i ||t_max*P~_i||_D on its chunk [lo, t_max] of _chunks, that chunk,
+    and the chunk's integer gap cap with hits after the best record below
+    lo, as _fold takes them."""
     chunk = list(approx._chunks(p, t_max))[-1]
-    lo, hi, big_p, den, eps = chunk.lo, chunk.hi, chunk.big_p, chunk.den, chunk.eps
-    assert hi == t_max and eps
-    best = record_scan(p, lo - 1).records[-1]
+    big_p, den = chunk.big_p, chunk.den
+    assert chunk.hi == t_max and chunk.eps
+    best = record_scan(p, chunk.lo - 1).records[-1]
     d = p.common_denominator
-    best_q = approx._float_up(int(best.delta_star * d * best.t), d * best.t)
+    hit_cap = approx._threshold_tests(p.m, d)[1]
+    cap = approx._gap_cap(chunk, d, int(best.delta_star * d * best.t), best.t, hit_cap)
     gap = max(min(t_max * v % den, den - t_max * v % den) for v in big_p)
-    return gap, lo, den, eps, best_q
+    return gap, chunk, cap
 
 
 def test_record_cap_keeps_its_t_eps_term():
     # p lies within 2e-7 of (1, 5, 1)/7 and of (12860, 64299, 12860)/90019:
     # delta_star is u + eta at t = 7 and u - eta at t = 90019, u = 1/(7 *
     # 90019), eta = 2.5e-17.  That record beats t = 7 by far less than the
-    # truncation error, so its truncated gap lies above the record cap
-    # without the t*eps term, and above the hit cap
+    # truncation error, so its truncated gap lies above both the record
+    # and the hit part of the cap, and only the chunk's g keeps it
     p = parse_probability_vector(["0.14285793634042337094", "0.71428412731915323312",
                                   "0.14285793634042339594"])
     t_max = 90019
-    gap, lo, den, eps, best_q = _screen_of_last_row(p, t_max)
-    assert gap > approx._gap_cap(t_max, 3, den, 0.0, best_q, False)
-    assert gap > approx._gap_cap(lo, 3, den, eps, 0.0, True)
+    gap, chunk, cap = _screen_of_last_row(p, t_max)
+    assert cap - chunk.g < gap <= cap
     assert record_scan(p, t_max).record_ts[-2:] == [7, t_max]
 
 
@@ -758,17 +759,16 @@ def test_hit_cap_keeps_its_t_eps_term():
     # 0.019 of the integers (15249, 14119, 32075): its table is those, and
     # max_i ||t_h * p_i|| = 0.01900657188 lies below 3/4 * t_h**(-1/3) by a
     # relative 4e-10, less than the truncation error moves the gap, so t_h
-    # is a hit that only the t*eps term keeps.  The records up to t = 57039
+    # is a hit that only the chunk's g keeps.  The records up to t = 57039
     # bring the best delta_star to under a quarter of t_h's, so the record
-    # cap does not reach t_h
+    # part of the cap does not reach t_h either
     p = parse_probability_vector(["0.24818104896671263564", "0.22979009491343836865",
                                   "0.52202885611984899571"])
     t_h = 61443
     assert nth_span(p.m, 5)[0] == t_h
-    gap, lo, den, eps, best_q = _screen_of_last_row(p, t_h)
-    assert lo == t_h
-    assert gap > approx._gap_cap(t_h, 3, den, 0.0, 0.0, True)
-    assert gap > approx._gap_cap(t_h, 3, den, eps, best_q, False)
+    gap, chunk, cap = _screen_of_last_row(p, t_h)
+    assert chunk.lo == t_h
+    assert cap - chunk.g < gap <= cap
     assert t_h in record_scan(p, t_h).fact_hits
 
 
@@ -795,10 +795,9 @@ def test_forced_prefix_records_are_built_when_read():
     assert time.perf_counter() - start < 0.1
     recs = res.records
     assert len(recs) == (1 << 24) - 1       # every t in [2, 2**24] is forced
-    d = p.common_denominator
-    for r in (recs[0], recs[12345], recs[-1]):
-        f, a = _kernels.minmax_freqs_exact(p.numerators, d, r.t)
-        assert (r.freqs, r.delta_star) == (tuple(f), Fraction(a, d * r.t))
+    d, small = p.common_denominator, p.numerators[0]
+    for r in (recs[0], recs[12345], recs[-1]):      # f_min = 1: delta_star = 1/t - p_min
+        assert (r.freqs, r.delta_star) == ((1, r.t - 1), Fraction(d - r.t * small, d * r.t))
     assert [r.t for r in recs[-3:]] == [(1 << 24) - 2, (1 << 24) - 1, 1 << 24]
     assert recs[2:5] == [recs[2], recs[3], recs[4]] == list(itertools.islice(recs, 2, 5))
     small = record_scan(p, 300)

@@ -376,6 +376,21 @@ class TestBoundReport:
         rep = build_bound_report(p, round_min_max(p, 4))
         assert len(rep.csv_row().split(",")) == len(rep.CSV_HEADER.split(","))
 
+    def test_huge_denominator_bounds_raise_their_own_errors(self):
+        # p_min's denominator has 4,301 digits, past the limit of str() on
+        # an int: each bound's message must still be built
+        p = parse_probability_vector("1e-4300,0.5,0.5")
+        rep = build_bound_report(p, round_min_max(p, 12))
+        assert rep.lemma1 is None and rep.theorem1 is None and rep.theorem2 is None
+        pm = p.p_min
+        with pytest.raises(RatioNotLessThanOne, match="4.16666666667e"):
+            lemma1_exact(3, Fraction(1, 24), pm)
+        for bound, args in [(theorem1_exact, (3, 12, pm)),
+                            (theorem2_bound_mary, (3, 12, pm)),
+                            (theorem2_bound_binary, (12, pm, KAPPA_GENERIC))]:
+            with pytest.raises(PreconditionViolated, match="p_min = 1.00000000000e-4300"):
+                bound(*args)
+
 
 class TestPlanner:
     def test_exact_source_returns_exact_table(self):

@@ -9,16 +9,19 @@ import pytest
 
 from quantacode import (
     KAPPA_GENERIC,
+    DenominatorTooSmall,
     ProbabilityVector,
     QuantacodeError,
     corollary1_width,
     corollary2_width,
     encode,
     encode_framed,
+    golden_pair,
     parse_probability_vector,
     plan_precision,
     round_min_max,
     sample_symbols,
+    scan_rows,
     __version__,
 )
 from quantacode import cli
@@ -140,6 +143,12 @@ class TestScan:
             assert code == 0
             bodies.append(out.read_text())
         assert bodies[0] == bodies[1]
+
+    def test_t_max_below_m_exits_2(self, capsys):
+        with pytest.raises(DenominatorTooSmall):
+            next(scan_rows(golden_pair(), 1))
+        code, stdout, err = run(capsys, "scan", "-p", "golden", "--t-max", "1")
+        assert code == 2 and not stdout and "t_max = 1 < m = 2" in err
 
 
 class TestPlan:
@@ -422,6 +431,34 @@ class TestSimulate:
         row = lines[2].split(",")
         assert int(row[0]) == 100000
         assert abs(float(row[5]) - 0.1187) < 0.02
+
+    def test_table_file(self, tmp_path, capsys):
+        table = tmp_path / "t.txt"
+        assert run(capsys, "approximate", "-p", "0.7,0.3", "-t", "10",
+                   "-o", str(table))[0] == 0
+        outs = []
+        for argv in (["--table", str(table)], ["-t", "10"]):
+            out = tmp_path / "sim.csv"
+            code, _, _ = run(capsys, "simulate", "-p", "0.7,0.3", *argv,
+                             "-n", "1000", "-o", str(out))
+            assert code == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
+    def test_table_of_another_alphabet_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "t3.txt"
+        assert run(capsys, "approximate", "-p", "0.7,0.2,0.1", "-t", "10",
+                   "-o", str(table))[0] == 0
+        code, _, err = run(capsys, "simulate", "-p", "0.7,0.3", "--table", str(table))
+        assert code == 2 and "table has 3 symbols, source has 2" in err
+
+    def test_unallocatable_n_exits_2(self, capsys):
+        # 2**62 int64 symbols are past numpy's size limit, so the array is
+        # refused without any allocation; a smaller n that does not fit in
+        # memory takes the same path, through MemoryError
+        code, stdout, err = run(capsys, "simulate", "-p", "0.7,0.3", "-t", "10",
+                                "-n", str(2**62))
+        assert code == 2 and not stdout and f"n = {2**62}" in err
 
     @pytest.mark.parametrize("argv", [
         ["plan", "-p", "0.7,0.3", "-R", "1e-6", "--precision", "60"],

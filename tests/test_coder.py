@@ -117,6 +117,18 @@ class TestValidation:
             decode(b"", -1, table)
         assert isinstance(exc.value, ValueError)
 
+    def test_unallocatable_sample_is_invalid_argument(self, monkeypatch):
+        p = parse_probability_vector(["0.7", "0.3"])
+        with pytest.raises(InvalidArgument, match=f"n = {2**62}"):
+            sample_symbols(p, 2**62, 0)     # past numpy's size limit: no allocation
+
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(InvalidArgument, match="n = 1000 "):
+            sample_symbols(p, 1000, 0)
+
     def test_rate_needs_a_symbol(self):
         p, table = uniform_table(2)
         with pytest.raises(InvalidArgument):
@@ -149,6 +161,8 @@ class TestFraming:
         blob = encode_framed([0, 1], table)
         with pytest.raises(CorruptStream):
             decode_framed(blob[:10])
+        with pytest.raises(CorruptStream, match="truncated in header"):
+            decode_framed(blob[:16])     # the magic, and a table cut short
 
     @staticmethod
     def forged(n):
