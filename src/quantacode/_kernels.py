@@ -157,7 +157,7 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
     symbols.  Only shedding rows (k < 0) call the exact reference, and only
     without `slack`.
 
-    `slack` = g with 0 <= g <= d returns (None, F, sure) instead: the
+    `slack` = g >= 0 returns (None, F, sure) instead: the
     tables without A, and a bool array.  sure[j] certifies that row
     t = t_lo + j's table is, tie-breaks included, the min-max table at t of
     every source q whose scaled values t*q_i*d lie within g of t*nums_i.
@@ -169,7 +169,8 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
         more than 2g (q rounds up the same bigs, whatever the tie-breaks);
     the `approx` module docstring gives the argument.  A row that is not
     sure is meant to be rebuilt from the true source, so a shedding row is
-    left unrepaired there and its F is void.
+    left unrepaired there and its F is void.  A g of d/2 or more
+    certifies no row; it is taken as d, which keeps 2g in int64.
 
     Premise: m <= t_lo, as in every scan, which starts at t = m.  Then
     key < d*m <= d*t_hi < 2**62 under the int64 guard, whatever m is.
@@ -243,7 +244,7 @@ def _minmax_block(nums, P, d, T, slack):
                 f[:, row], _ = minmax_freqs_exact(nums, d, int(T[row]))
     if slack is None:
         return np.abs(x - f * d).max(axis=0), f, None
-    g = slack
+    g = min(slack, d)
     up = f > n
     # (3) the least rounded-up remainder among the bigs minus the largest
     # floored one; the sentinels pass a row where either side is empty

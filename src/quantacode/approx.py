@@ -78,8 +78,8 @@ chunks pay less often: a 2*10**5 record scan takes 14 chunks, not 49 of
 4,096.  The planner's divergence search (bounds._first_qualifying_t)
 stops at its first success, often at a small t, so it starts at 256
 rows.  A chunk only groups the rows screened together; every rule below
-holds on any chunk, with D, eps and g taken from that chunk's own hi,
-so no output depends on the chunk lengths.
+holds on any chunk, with D and g taken from that chunk's own hi, so no
+output depends on the chunk lengths.
 
 `record_scan`, `best_table_under_width` and `scan_rows` take every record
 and hit from one place per alphabet kind: _binary_fold for m = 2, the
@@ -87,43 +87,40 @@ chunked fold _fold for m > 2.  The fold needs only records and hits, so a
 float64 prescreen *excludes* rows, and every remaining candidate is decided
 by the integer tests above on the true p, in ascending t: no result rests
 on a float or on a truncated source.  (A gap screen, below, first drops
-most rows before any table is built.)  The screen reads delta~ =
-A~/(D*t) from the int64 kernel, with |delta_star - delta~| <= eps:
+most rows before any table is built.)  The int64 kernel scans each chunk
+[lo, hi] on a source P/D with an integer slack g: on p itself (D = d,
+g = 0) where the chunk fits int64, else on its truncation P~/D, with
+D = (2**62 - 1) // hi, P~ the min-max table of p at t = D (sum P~ = D,
+and every intermediate fits int64), a that table's A and g =
+ceil(hi*a/d).  Such a chunk has D < d, so P~/D != p, a > 0 and g >= 1.
 
-* a chunk that fits int64 is scanned on p itself: D = d, eps = 0;
-* a chunk [lo, hi] of a source that overflows int64 is scanned on
-  p~ = P~/D, with D = (2**62 - 1) // hi and P~ the min-max table of p at
-  t = D (largest-remainder rounding, so sum P~ = D and every intermediate
-  fits int64).  eps = max_i |p_i - P~_i/D| < 1/D, about hi * 2**-62, is
-  computed exactly and rounded up to a float, then widened by a relative
-  2**-49.  delta_star(p, t) is a minimum over the tables f of t of
-  max_i |p_i - f_i/t|, a maximum of 1-Lipschitz functions of p, so it is
-  1-Lipschitz in the sup norm: |delta_star(p, t) - delta_star(p~, t)| <= eps.
+Truncation lemma.  For t <= hi, |t*D*P_i - t*P~_i*d| <= t*a <= d*g: each
+t*D*p_i lies within g of t*P~_i.  So a table of t whose A is A on p and
+A~ on P~/D has |d*A~ - D*A| <= t*a, and putting each source's min-max
+table on the other gives the same for their own A and A~:
+A~ - g <= D*A/d <= A~ + g.  As delta_star < 1, a < D*d and A~ < D*t, so
+g <= hi*D < 2**62 and A~ + g fits int64; once D*p_min >= 1, a/d =
+D*delta_star(p, D) < 1 and g <= hi.  The lemma has three uses: the
+prescreen, the gap cap's + g and the certificate of P~'s tables.
 
-A row t is a record candidate when delta~_t - eps lies below both the
-confirmed best delta_star (rounded up) and delta~_s + eps for every earlier
-row s of its chunk, and a fact-constant candidate when the quality at
-max(delta~_t - eps, 0) passes the bound t * (t*delta)**m < (m/(m+1))**m.
-The record bound is widened by a relative 1e-9, the hit bound by m * 1e-9.
-A true record has delta~_t - eps <= delta_star_t < delta_star_s <=
-delta~_s + eps, and a true hit passes at delta_star_t >= delta~_t - eps
-since the quality grows with delta; so the absolute eps keeps both
-candidates in exact arithmetic, and the relative slack covers the float64
-rounding.  Each float quantity carries a relative error of a few units of
-2**-53 per operation: about 4 for delta~ (A~, D and two divisions) and for
-the running-minimum side, under 5e-16, and about 4m + 8 for
-t * (t*delta)**m, since the m-th power multiplies the error of its base by
-m: under 2e-15 * m, far below m * 1e-9 for every m.  The differences delta~ - eps and
-t*delta~ - t*eps can cancel: where eps exceeds a third of delta~, the
-2**-49 widening of eps outweighs the float error of delta~, and elsewhere
-the difference keeps a relative error of a few units.  A~/D >= 2**-62 never
-underflows; only the m-th power can, far below the bound, and then the row
-stays a candidate.  An exact table (delta_star = 0) has delta~ <= eps, so
-it is always a record candidate, and once confirmed it ends the scan.
-
-The screen pays while eps is far below the records' delta_star, i.e. while
-t**(2 + 1/m) is far below 2**62 (t well below 10**8 for m = 3); beyond
-that more rows, up to every row, are candidates.
+The prescreen divides the lemma by D*t: delta_star_t lies between
+q_low = (A~ - g)/(D*t) and q_high = (A~ + g)/(D*t), and t*delta_star_t is
+at least x = max(A~ - g, 0)/D.  A row t is a record candidate when q_low
+is at most both the confirmed best delta_star and the q_high of every
+earlier row of its chunk, and a fact-constant candidate when
+t * x**m < (m/(m+1))**m; in exact arithmetic every record and every hit
+is one.  The record bound is widened by a relative 1e-9, the hit bound
+by m * 1e-9, which covers the float64 rounding: A~ - g and A~ + g are
+exact integers, so q_low, q_high, x and the best delta_star carry a few
+units of 2**-53, and t * x**m, whose m-th power multiplies the error of
+its base by m, about 2m + 4: under 2e-15 * m.  q_low is 0 or at least
+about 2**-62 in size, so while the best delta_star is smaller (its float
+even 0), a record has q_low <= 0 and stays a candidate; so does a row
+whose x**m underflows.  An exact table has A~ <= g, so it is always a
+record candidate, and once confirmed it ends the scan.  The screen pays
+while g/(D*t), under hi**2 * 2**-62 / t, is far below the records'
+delta_star, i.e. while t**(2 + 1/m) is far below 2**62 (t well below
+10**8 for m = 3); beyond that more rows, up to every row, are candidates.
 
 Before the kernel builds any table, the fold drops most rows by a cheaper
 lower bound (_kernels.gap_screen).  Write ||x||_D for the distance from x
@@ -131,10 +128,10 @@ to the nearest multiple of D.  For any integers f_i, |t*P_i - f_i*d| >=
 ||t*P_i||_d, so the gap max_i ||t*P_i||_d is at most the A of every table
 at t: gap/d <= t*delta_star(p, t), Dirichlet's simultaneous-approximation
 quantity max_i ||t*p_i|| (Cassels, An Introduction to Diophantine
-Approximation, 1957).  A truncated chunk screens P~/D: each t*P~_i lies
-within t*a/d <= g of t*D*p_i (a and g as below), and ||x||_D is
-1-Lipschitz in x, so its gap is at most (D*A + t*a)/d; an integer, so at
-most D*A // d + g, as floor(x + y) <= floor(x) + ceil(y).  After a
+Approximation, 1957).  A truncated chunk screens P~/D: by the lemma each
+t*P~_i lies within t*a/d <= g of t*D*p_i, and ||x||_D is 1-Lipschitz in
+x, so its gap is at most (D*A + t*a)/d; an integer, so at most
+D*A // d + g, as floor(x + y) <= floor(x) + ceil(y).  After a
 confirmed best record (best_a, best_t), a record t in a chunk [lo, hi]
 has A < t*best_a/best_t <= hi*best_a/best_t, and a hit has
 A <= B(t) <= B(lo).  So the chunk's cap (_gap_cap), exact in integers, is
@@ -151,23 +148,21 @@ output is that of the full scan.
 Every row is still taken:
 
 * in the first chunk, where nothing is confirmed yet;
-* in a chunk whose cap reaches D/4, a g capped at D included.  Each
+* in a chunk whose cap reaches D/4, as it does wherever g >= D/4.  Each
   symbol's pass keeps about 2*cap/D of the rows, at most half of them
   below D/4; above that the passes cost more than they save.  The hit
   bound B(t)/d, about 24/25 * t**(-1/24) >= 0.48 for m = 24, never drops
   below 1/4 for t <= 2**24, nor does that of any m >= 13.
 
-`scan_rows` prints every row's exact A, the planner's divergence search
-needs every row's exact table of p (both from _Chunk's kernel passes), and
-the fold its candidates' exact A.  So their truncated chunks also carry p's
-tables, certified on the kernel's table F~ of P~.  Let a be the A of the
-truncation, so |D*p_i - P~_i| <= a/d.  For t <= hi, each scaled value
-t*D*p_i then lies within g = ceil(hi*a/d) of t*P~_i; once D*p_min >= 1,
-a/d = D*delta_star(p, D) < 1, so g <= hi.  Write n_i and rem_i for the quotient
-and remainder of t*P~_i by D.  The smalls are the i with n_i = 0, the bigs
-the others, and k = t - sum_i n_i - #smalls is the number of round-ups left
-after forcing the smalls to 1.  F~'s row at t is p's min-max table,
-tie-breaks included, when
+An m > 2 `scan_rows` prints every row's exact A, the planner's divergence
+search needs every row's exact table of p (both from _Chunk's kernel
+passes), and the fold its candidates' exact A.  So their truncated chunks
+also carry p's tables, certified on the kernel's table F~ of P~: by the
+lemma each scaled value t*D*p_i lies within g of t*P~_i.  Write n_i and rem_i for
+the quotient and remainder of t*P~_i by D.  The smalls are the i with
+n_i = 0, the bigs the others, and k = t - sum_i n_i - #smalls is the
+number of round-ups left after forcing the smalls to 1.  F~'s row at t
+is p's min-max table, tie-breaks included, when
 
 1. g <= rem_i < D - g for every i.  Then t*D*p_i lies in
    [n_i*D, (n_i + 1)*D), so the floors of t*p_i are the n_i.  So p has the
@@ -198,7 +193,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from fractions import Fraction
 
 import mpmath as mp
@@ -352,13 +347,6 @@ class ScanResult:
         return [r.t for r in self.records]
 
 
-def _float_up(n: int, q: int) -> float:
-    """The least float >= n/q, for n >= 0 and q > 0."""
-    x = n / q
-    num, den = x.as_integer_ratio()
-    return math.nextafter(x, math.inf) if num * q < n * den else x
-
-
 def _spans(lo: int, t_max: int, first: int):
     """Consecutive spans (lo, hi) covering [lo, t_max] exactly: the first
     has `first` rows, and each next one twice as many as the one before,
@@ -372,20 +360,19 @@ def _spans(lo: int, t_max: int, first: int):
 
 class _Chunk:
     """The chunk [lo, hi] of _spans, which the int64 kernel scans on the
-    source P/D (big_p/den), with |delta_star(p, t) - delta_star(P/D, t)|
-    <= eps and slack g for certifying P~'s tables for p (see the module
-    docstring): P = p's numerators, D = d, eps = 0.0 and g = 0 on a chunk
-    that fits int64, else p's truncation P~/D at D = (2**62 - 1) // hi,
-    with g capped at D, where no row passes, so that 2g stays in int64.
+    source P/D (big_p/den) with integer slack g (module docstring): P =
+    p's numerators, D = d and g = 0 on a chunk that fits int64, else p's
+    truncation P~/D at D = (2**62 - 1) // hi and g = ceil(hi*a/d), a the
+    truncation's A, so that every row has |d*A~ - D*A| <= d*g.
 
     Each whole-chunk kernel pass runs once, on first use: a_tilde, A~ of
-    every row on P/D (p's own A where eps = 0), and tables, p's min-max
+    every row on P/D (p's own A where g = 0), and tables, p's min-max
     table of every row as an int64 (rows, m) array.
     """
 
-    def __init__(self, p: ProbabilityVector, lo: int, hi: int, big_p, den, eps, g):
-        self.p, self.lo, self.hi, self.big_p, self.den, self.eps, self.g = (
-            p, lo, hi, big_p, den, eps, g)
+    def __init__(self, p: ProbabilityVector, lo: int, hi: int, big_p, den, g):
+        self.p, self.lo, self.hi, self.big_p, self.den, self.g = (
+            p, lo, hi, big_p, den, g)
         self.ts = np.arange(lo, hi + 1, dtype=np.int64)
 
     @cached_property
@@ -394,7 +381,7 @@ class _Chunk:
 
     @cached_property
     def tables(self):
-        if not self.eps:
+        if not self.g:
             return _kernels.minmax_scan(self.big_p, self.den, self.lo, self.hi, True)[1]
         return self.certify(self.ts, _kernels.minmax_scan(
             self.big_p, self.den, self.lo, self.hi, True, self.g))
@@ -417,12 +404,11 @@ def _chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
     nums, d = p.numerators, p.common_denominator
     for lo, hi in _spans(p.m, t_max, first):
         if _kernels.fits_int64(nums, d, hi):
-            yield _Chunk(p, lo, hi, nums, d, 0.0, 0)
+            yield _Chunk(p, lo, hi, nums, d, 0)
             continue
         den = _INT64_TOP // hi
         p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
-        eps = _float_up(a, d * den) * (1 + 2.0**-49)
-        yield _Chunk(p, lo, hi, p_trunc, den, eps, min(-(-hi * a // d), den))
+        yield _Chunk(p, lo, hi, p_trunc, den, -(-hi * a // d))
 
 
 def _true_a(p: ProbabilityVector, ts, rows: list) -> list:
@@ -442,9 +428,10 @@ def _threshold_tests(m: int, d: int):
     a that passes at t, so for a >= 0, exact(t, a) holds exactly when
     a <= cap(t): a**m <= (m**m * d**m - 1) // (t * (m+1)**m), i.e. a is
     at most the floor m-th root of the right side, non-increasing in t.
-    screen(t, x), on float64 arrays with x = t * delta (A/d on an exact
-    chunk), is the same inequality widened by a relative m * _SLACK (see
-    the module docstring): it is true wherever exact(t, a) is.
+    screen(t, x), on an int64 array of t and a float64 array of
+    x <= t * delta_star (A/d on a chunk that fits int64), is the same
+    inequality widened by a relative m * _SLACK (see the module
+    docstring): it is true wherever exact(t, a) is.
     """
     lhs_c, rhs = (m + 1) ** m, m**m * d**m
     bound = float(Fraction(m, m + 1) ** m) * (1 + m * _SLACK)
@@ -499,19 +486,18 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
     Each chunk after the first whose gap cap stays below D/4 first keeps
     only the rows that gap_screen passes (see the module docstring).  The
     kernel then gives the kept rows' A~; a float64 prescreen, widened by
-    the chunk's eps, excludes the rows that cannot be records or hits, and
-    only the remaining candidates are decided exactly (on truncated chunks
-    on their true A, from p's certified tables).  Hits are decided by
-    _hit_ts.
+    the chunk's slack g, excludes the rows that cannot be records or hits,
+    and only the remaining candidates are decided exactly (on truncated
+    chunks on their true A, from p's certified tables).  Hits are decided
+    by _hit_ts.
     """
     m, d = p.m, p.common_denominator
     hit_cap = None
     if hits:
         exact_hit, hit_cap, screen_hit = _threshold_tests(m, d)
     best_a = best_t = None
-    best_q = math.inf   # float64 >= the least delta_star so far
     for chunk in _chunks(p, t_max):
-        lo, ts, den, eps = chunk.lo, chunk.ts, chunk.den, chunk.eps
+        lo, ts, den, g = chunk.lo, chunk.ts, chunk.den, chunk.g
         cap = den       # nothing confirmed yet: the chunk takes every row
         if best_a is not None:
             cap = _gap_cap(chunk, d, best_a, best_t, hit_cap)
@@ -520,25 +506,22 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
             a_rows = _kernels._minmax_rows(chunk.big_p, den, ts)[0]   # A~
         else:
             a_rows = chunk.a_tilde
-        t_f = ts.astype(np.float64)
-        x = a_rows.astype(np.float64) / float(den)   # t * delta~
-        q = x / t_f                                  # delta~
-        q_low = q_high = q
-        if eps:   # truncated chunk; at eps = 0 these are the identity
-            q_low, q_high = q - eps, q + eps
-            x = np.maximum(x - t_f * eps, 0.0)      # t * max(delta~ - eps, 0)
+        # t * delta_star lies between (A~ - g)/D and (A~ + g)/D (the lemma)
+        x_low, x_high = ((a_rows + s) / den for s in (-g, g))
+        q_low, q_high = x_low / ts, x_high / ts
+        best_q = math.inf if best_a is None else best_a / (d * best_t)
         prev = np.minimum.accumulate(np.concatenate(([best_q], q_high[:-1])))
-        rec_j = np.flatnonzero(q_low < prev * (1 + _SLACK))
+        rec_j = np.flatnonzero(q_low <= prev * (1 + _SLACK))
         hit_j = rec_j[:0]
         if hits:
             with np.errstate(over="ignore", under="ignore"):
-                hit_j = np.flatnonzero(screen_hit(t_f, x))
+                hit_j = np.flatnonzero(screen_hit(ts, np.maximum(x_low, 0.0)))
         tables = {}     # j: p's table at t = ts[j], where the fold built it
-        if eps:   # decide each candidate on the true p
+        if g:     # decide each candidate on the true p
             cand = np.union1d(rec_j, hit_j).tolist()
             t_cand = ts[cand]
             rows = chunk.certify(t_cand, _kernels._minmax_rows(
-                chunk.big_p, den, t_cand, True, chunk.g)).tolist()
+                chunk.big_p, den, t_cand, True, g)).tolist()
             tables = dict(zip(cand, rows))
             true_a = dict(zip(cand, _true_a(p, t_cand, rows)))
             rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
@@ -555,8 +538,6 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
                 if a == 0:
                     end = j + 1
                     break
-        if recs:
-            best_q = _float_up(best_a, d * best_t)
         hit_ts = []
         if hits and hit_j.size:
             k = int(np.searchsorted(hit_j, end))    # the rows before `end`
@@ -564,6 +545,13 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
         yield chunk, recs, hit_ts
         if best_a == 0:
             return
+
+
+def _binary_a(big_p: int, d: int, t: int) -> int:
+    """A at t of the binary source with p_min = big_p/d: f_min = 1 where
+    t*p_min < 1, else the nearest integer to t*p_min (module docstring)."""
+    r = t * big_p
+    return d - r if r < d else min(r % d, d - r % d)
 
 
 def _binary_fold(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC,
@@ -579,10 +567,7 @@ def _binary_fold(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC,
     t, all below the exact table.
     """
     big_p, d = min(p.numerators), p.common_denominator
-
-    def a_of(t):    # A at t: f_min = 1 where t*x < 1, else the nearest integer
-        r = t * big_p
-        return d - r if r < d else min(r % d, d - r % d)
+    a_of = partial(_binary_a, big_p, d)
 
     def beats(t):   # delta_star(t) below the best so far
         return best is None or a_of(t) * best[1] < best[0] * t
@@ -670,31 +655,33 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC):
     (d = p.common_denominator); the quality of RecordEntry is then t*A/d
     for m = 2 and (t * A**m / d**m)**(1/m) otherwise.  Stops after an
     exact table.  The flags are record_scan's, from _binary_fold (m = 2)
-    or _fold, chunk by chunk.  A comes from the same _Chunk: its a_tilde on
-    a chunk that fits int64, the kernel pass that the fold reads wherever
-    it takes every row; _true_a of its certified tables on a truncated one.
+    or _fold, chunk by chunk.  A binary row's A is the closed form
+    _binary_a that _binary_fold decides with, so a binary scan builds no
+    table.  Every other row's A comes from the fold's _Chunk: its a_tilde
+    on a chunk that fits int64, the kernel pass that the fold reads
+    wherever it takes every row; _true_a of its certified tables on a
+    truncated one.
     """
     if t_max < p.m:
         raise DenominatorTooSmall(f"t_max = {t_max} < m = {p.m}")
     if p.m == 2:
-        runs, hit_ts = _binary_fold(p, t_max, kappa)
-        hit_set = set(hit_ts)
-
-        def in_span(r, lo, hi):     # the t of the range r in [lo, hi]
-            return r[bisect.bisect_left(r, lo):bisect.bisect_right(r, hi)]
-
-        flagged = ((c, {t for r in runs for t in in_span(r, c.lo, c.hi)}, hit_set)
-                   for c in _chunks(p, t_max))
-    else:
-        flagged = ((c, {t for t, *_ in recs}, set(hit_ts))
-                   for c, recs, hit_ts in _fold(p, t_max))
-    for chunk, rec_set, hit_set in flagged:
-        if chunk.eps:
+        (forced, *runs), hit_ts = _binary_fold(p, t_max, kappa)
+        recs, hits = set(itertools.chain.from_iterable(runs)), set(hit_ts)
+        a_of = partial(_binary_a, min(p.numerators), p.common_denominator)
+        for t in range(2, t_max + 1):
+            a = a_of(t)
+            yield t, a, t in forced or t in recs, t in hits
+            if a == 0:
+                return
+        return
+    for chunk, recs, hit_ts in _fold(p, t_max):
+        recs, hits = {t for t, *_ in recs}, set(hit_ts)
+        if chunk.g:
             a_rows = _true_a(p, chunk.ts, chunk.tables.tolist())
         else:
             a_rows = chunk.a_tilde.tolist()
         for t, a in enumerate(a_rows, chunk.lo):
-            yield t, a, t in rec_set, t in hit_set
+            yield t, a, t in recs, t in hits
             if a == 0:
                 return
 

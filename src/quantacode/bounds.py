@@ -50,7 +50,7 @@ from .errors import (
     TargetUnachievableWithinScan,
     ZeroFrequency,
 )
-from .precision import DEFAULT_DPS, format_decimal, to_mpf
+from .precision import DEFAULT_DPS, format_decimal, format_exact, to_mpf
 from .prob_model import (
     FrequencyTable,
     ProbabilityVector,
@@ -355,8 +355,7 @@ class BoundReport:
         lines = [
             f"alphabet m = {self.m}, denominator t = {self.t}, "
             f"register width W = {register_width(self.t)}",
-            f"delta_star = {self.delta_star} "
-            f"({format_decimal(self.delta_star, 12)}), "
+            f"delta_star = {format_exact(self.delta_star, 12, '{x} ({dec})')}, "
             f"delta_star/p_min = {format_decimal(self.ratio, 12)}",
             f"divergence: {format_decimal(self.divergence_nats, 12)} nats/sym = "
             f"{format_decimal(self.divergence_bits, 12)} bits/sym",

@@ -153,6 +153,8 @@ def entropy_bits(p: ProbabilityVector) -> mp.mpf:
 
 def sample_symbols(p: ProbabilityVector, n: int, seed: int) -> np.ndarray:
     """n iid draws from p, seeded and platform-stable (PCG64 + searchsorted)."""
+    if n < 0:
+        raise InvalidArgument(f"n must be >= 0, got {n}")
     rng = np.random.default_rng(seed)
     cum = np.cumsum(np.array([float(x) for x in p.probs]))
     cum[-1] = 1.0

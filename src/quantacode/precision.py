@@ -122,3 +122,14 @@ def format_decimal(x, sig: int = 30) -> str:
     dps = max(DEFAULT_DPS, sig + 10)
     with mp.workdps(dps):
         return mp.nstr(to_mpf(x, dps), sig, strip_zeros=False)
+
+
+def format_exact(x: Fraction, sig: int, layout: str) -> str:
+    """`layout` filled with x's numerator n, denominator d, x and dec, its
+    format_decimal to sig digits; dec alone where n or d has more digits
+    than str() writes (Python's int-to-str limit, 4,300 by default)."""
+    dec = format_decimal(x, sig)
+    try:
+        return layout.format(n=x.numerator, d=x.denominator, x=x, dec=dec)
+    except ValueError:      # "Exceeds the limit ... for integer string conversion"
+        return dec

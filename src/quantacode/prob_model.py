@@ -32,7 +32,7 @@ from .errors import (
     SumOutOfTolerance,
     ZeroFrequency,
 )
-from .precision import SURROGATE_DIGITS, format_decimal
+from .precision import SURROGATE_DIGITS, format_exact
 
 PARSE_TOLERANCE = Fraction(1, 10**9)
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")  # Fraction builds 10**|e|
@@ -218,14 +218,12 @@ class FrequencyTable:
         When the maximum error of the source this table was built for is
         known, it is recorded on a comment line as an exact fraction plus a
         30-significant-digit decimal (an exact finite decimal only exists
-        when the denominator divides a power of ten).
+        when the denominator divides a power of ten); by the decimal alone
+        when the fraction has too many digits for str().
         """
         lines = ["# quantacode frequency table"]
         if delta_star is not None:
-            dec = format_decimal(delta_star, 30)
-            lines.append(
-                f"# delta_star {delta_star.numerator}/{delta_star.denominator} {dec}"
-            )
+            lines.append(f"# delta_star {format_exact(delta_star, 30, '{n}/{d} {dec}')}")
         lines.append(f"{self.m} {self.t} {self.width_bits}")
         for sym, s in zip(self.order, self.inclusive_sums()):
             lines.append(f"{sym} {self.freqs[sym]} {s}")

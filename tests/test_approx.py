@@ -388,22 +388,22 @@ D_SECOND = ((1 << 62) - 1) // SECOND[1]
 
 def _close_pair():
     """Records t1 = 5006 < t2 = 6837, both in the second chunk, whose
-    delta_star differ by less than that chunk's eps, with the truncation
-    moving them the wrong way.
+    delta_star differ by less than that chunk's truncation moves p, and
+    in the wrong direction.
 
     1583/5006 < 2162/6837 are Farey neighbours; x sits just above their
-    midpoint `mid`: with g = mid - x~ (g*D = 0.228), x~ on the D grid and
-    eps = x - x~ = 1.2*g, delta_star(t1) - delta_star(t2) = 2*(x - mid) =
-    0.4*g < eps, while the truncated delta~(t2) - delta~(t1) = 2*g >= eps.
+    midpoint `mid`: with h = mid - x~ (h*D = 0.228), x~ on the D grid and
+    x - x~ = 1.2*h, delta_star(t1) - delta_star(t2) = 2*(x - mid) =
+    0.4*h < x - x~, while the truncated delta~(t2) - delta~(t1) = 2*h.
     """
     t1, k1, t2, k2 = 5006, 1583, 6837, 2162
     assert SECOND[0] <= t1 < t2 <= SECOND[1]
     assert k2 * t1 - k1 * t2 == 1
     mid = (Fraction(k1, t1) + Fraction(k2, t2)) / 2
     x_grid = Fraction(int(mid * D_SECOND), D_SECOND)
-    g = mid - x_grid
-    assert Fraction(1, 5) < g * D_SECOND < Fraction(1, 4)
-    x = x_grid + Fraction(6, 5) * g
+    h = mid - x_grid
+    assert Fraction(1, 5) < h * D_SECOND < Fraction(1, 4)
+    x = x_grid + Fraction(6, 5) * h
     return ProbabilityVector([x, 1 - x]), (t1, t2)
 
 
@@ -416,11 +416,11 @@ def _hit_near_kappa():
     for k in range(3 * t // 8, t // 2):
         v = Fraction(k, t) + kappa_below / t**2
         # x sits (c + 0.2)/D < 1/(2D) below x_grid, the D-grid point above
-        # v, so P~/D = x_grid and delta~ = delta_star + eps
+        # v, so P~/D = x_grid and delta~ = delta_star + (x_grid - x)
         x_grid = Fraction(math.ceil(v * D_SECOND), D_SECOND)
         c = (x_grid - v) * D_SECOND
         if math.gcd(k, t) == 1 and Fraction(1, 10) <= c <= Fraction(1, 4):
-            x = x_grid - (c + Fraction(1, 5)) / D_SECOND     # eps = (c + 0.2)/D
+            x = x_grid - (c + Fraction(1, 5)) / D_SECOND     # x_grid - x = (c + 0.2)/D
             return ProbabilityVector([x, 1 - x]), t
     raise AssertionError("no k found")
 
@@ -431,7 +431,7 @@ def _trunc_row(p, t):
     assert SECOND[0] <= t <= SECOND[1]
     nums, d = p.numerators, p.common_denominator
     p_trunc, a = _kernels.minmax_freqs_exact(nums, d, D_SECOND)
-    g = min(-(-SECOND[1] * a // d), D_SECOND)
+    g = -(-SECOND[1] * a // d)
     _, f, sure = _kernels.minmax_scan(p_trunc, D_SECOND, t, t, True, g)
     return p_trunc, g, f[0].tolist(), bool(sure[0])
 
@@ -474,7 +474,7 @@ def _screened_sources():
            pytest.param(irrational_triple(), id="triple")]
     out += [pytest.param(ProbabilityVector(_digit_probs(rng, m)), id=f"m{m}-20digit")
             for m in (2, 3, 4, 6, 8, 24, 64, 65, 128)]
-    # delta_star(3k) = 1e-40, far below eps, at every multiple of 3: a
+    # delta_star(3k) = 1e-40, far below g/(D*t), at every multiple of 3: a
     # record at t = 3, then exact ties, each a hit; on the first chunk
     # P~/D is 1/3 itself, so the kernel reports A~ = 0 there
     third = Fraction(1, 3) + Fraction(1, 10**40)
@@ -526,7 +526,7 @@ def test_screened_cases_exercise_their_rows():
     # each construct is screened on D_SECOND over the chunk SECOND
     for p in (pair, hit, _near_integer(), _cut_pair()):
         _, chunk = itertools.islice(approx._chunks(p, SECOND[1]), 2)
-        assert (chunk.lo, chunk.hi, chunk.den) == (*SECOND, D_SECOND) and chunk.eps
+        assert (chunk.lo, chunk.hi, chunk.den) == (*SECOND, D_SECOND) and chunk.g
 
     # near-integer: the truncated floor of t*p_0 is wrong at T_NEAR, and
     # condition (1) sends the row to the exact rebuild
@@ -545,6 +545,35 @@ def test_screened_cases_exercise_their_rows():
     assert f_trunc != f_true
     rem = [T_NEAR * v % D_SECOND for v in p_trunc]
     assert all(g <= v < D_SECOND - g for v in rem) and not sure
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_truncation_lemma_bounds_every_row(seed):
+    """The module docstring's truncation lemma, in integers, at every row
+    of a truncated chunk: |d*A~ - D*A| <= t*a <= d*g, with A~ the kernel's
+    A on P~/D, A p's own from minmax_freqs_exact, a the truncation's A and
+    g the chunk's slack."""
+    rng = np.random.default_rng([seed, 83])
+    m, digits = int(rng.integers(2, 7)), int(rng.integers(20, 41))
+    p = ProbabilityVector(_digit_probs(rng, m, digits))
+    nums, d = p.numerators, p.common_denominator
+    for chunk in _chunks(p, SECOND[1]):
+        den = chunk.den
+        p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
+        assert chunk.big_p == p_trunc and den < d and chunk.g >= 1
+        for t, a_tilde in enumerate(chunk.a_tilde.tolist(), chunk.lo):
+            _, a_true = _kernels.minmax_freqs_exact(nums, d, t)
+            assert abs(d * a_tilde - den * a_true) <= t * a <= d * chunk.g
+
+
+def test_slack_past_the_denominator_certifies_no_row():
+    # a chunk's g stays below 2**62 but may exceed D; the kernel then
+    # takes it as D, keeping 2g in int64, and certifies no row
+    p = ProbabilityVector(_digit_probs(np.random.default_rng(89), 4))
+    chunk = next(_chunks(p, 5000))
+    _, _, sure = _kernels.minmax_scan(chunk.big_p, chunk.den, chunk.lo, chunk.hi,
+                                      True, (1 << 62) - 1)
+    assert not sure.any()
 
 
 # ---- exact hit caps and batched record tables --------------------------------
@@ -731,7 +760,7 @@ def _screen_of_last_row(p, t_max):
     lo, as _fold takes them."""
     chunk = list(approx._chunks(p, t_max))[-1]
     big_p, den = chunk.big_p, chunk.den
-    assert chunk.hi == t_max and chunk.eps
+    assert chunk.hi == t_max and chunk.g
     best = record_scan(p, chunk.lo - 1).records[-1]
     d = p.common_denominator
     hit_cap = approx._threshold_tests(p.m, d)[1]

@@ -86,6 +86,17 @@ class TestApproximate:
         else:
             assert code == 0 and want in stdout
 
+    def test_huge_denominator_reports_delta_star_as_a_decimal(self, tmp_path, capsys):
+        # delta_star's denominator has more than 4,300 digits, past what
+        # str() writes: the table comment and the report give its decimal
+        out = tmp_path / "t.txt"
+        code, stdout, _ = run(capsys, "approximate", "-p", "1e-4300,0.5,0.5",
+                              "-W", "12", "-o", str(out))
+        assert code == 0
+        assert out.read_text().splitlines()[1] == (
+            "# delta_star 0.000244140625000000000000000000000")
+        assert "delta_star = 0.000244140625000, " in stdout
+
     def test_invalid_denominator_exit_code(self, capsys, tmp_path):
         code, _, err = run(capsys, "approximate", "-p", "0.7,0.3", "-t", "1",
                            "-o", str(tmp_path / "x"))

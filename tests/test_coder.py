@@ -117,6 +117,12 @@ class TestValidation:
             decode(b"", -1, table)
         assert isinstance(exc.value, ValueError)
 
+    def test_negative_sample_count_rejected(self):
+        p = parse_probability_vector(["0.7", "0.3"])
+        with pytest.raises(InvalidArgument, match="n must be >= 0, got -1"):
+            sample_symbols(p, -1, 0)
+        assert sample_symbols(p, 0, 0).size == 0
+
     def test_unallocatable_sample_is_invalid_argument(self, monkeypatch):
         p = parse_probability_vector(["0.7", "0.3"])
         with pytest.raises(InvalidArgument, match=f"n = {2**62}"):

@@ -16,7 +16,13 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from quantacode.precision import _iroot, decimal_ratio, decimal_root, format_decimal
+from quantacode.precision import (
+    _iroot,
+    decimal_ratio,
+    decimal_root,
+    format_decimal,
+    format_exact,
+)
 
 
 def nstr(x, sig=30):
@@ -122,6 +128,14 @@ def test_format_decimal_routes_rationals_exactly():
     assert format_decimal(7, 12) == "7.00000000000"
     with mp.workdps(50):
         assert format_decimal(mp.mpf(1) / 3, 12) == "0.333333333333"
+
+
+def test_format_exact_writes_the_decimal_alone_past_the_str_limit():
+    assert format_exact(Fraction(1, 7), 5, "{n}/{d} {dec}") == "1/7 0.14286"
+    assert format_exact(Fraction(0), 12, "{x} ({dec})") == "0 (0.0)"
+    # 10**4400 has more digits than str() of an int writes by default
+    assert format_exact(Fraction(3, 10**4400), 4, "{x} ({dec})") == "3.000e-4400"
+    assert format_exact(1 + Fraction(1, 10**4400), 4, "{n}/{d} {dec}") == "1.000"
 
 
 def test_iroot_square_matches_isqrt():
