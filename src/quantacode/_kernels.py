@@ -20,10 +20,12 @@ tables for every source within a given distance of its input, which lets
 a truncated stand-in for a source that overflows int64 give that source's
 exact tables (see :func:`minmax_scan`).
 
-:func:`gap_screen` keeps the t of an array at which every t*p_i lies
+:func:`gap_screen` keeps the t of a range at which every t*p_i lies
 within one cap of an integer.  That distance bounds every table's
 error from below, so `approx` drops the rows that cannot be records or
-hits before the min-max kernel builds any table.
+hits before the min-max kernel builds any table.  The first symbol's
+rows come from :func:`gap_window`, which strides the range along a
+convergent denominator of p_1 and builds no array of the range's length.
 
 The int64 kernel works symbol-major: its arrays are (m, rows), so each
 reduction over the symbols runs along axis 0, across whole rows of the
@@ -43,6 +45,7 @@ decoder's own byte buffer.
 from __future__ import annotations
 
 import heapq
+import math
 from array import array
 from bisect import bisect_right
 
@@ -204,20 +207,75 @@ def _minmax_rows(nums, d: int, T, want_freqs: bool = False, slack: int | None = 
     return None, f, np.concatenate(sure)
 
 
-def gap_screen(nums, d: int, T, cap: int):
-    """The t of the int64 array T with every ||t*nums_i||_d <= cap, in order.
+def gap_window(a: int, d: int, w: int, lo: int, hi: int):
+    """The t in [lo, hi] with ||t*a||_d <= w, as an ascending int64 array.
 
     ||x||_d = min(x mod d, d - x mod d) is the distance from x to the
-    nearest multiple of d: for any integer f, |x - f*d| >= ||x||_d, so
-    max_i ||t*nums_i||_d is a lower bound on every table's A at t.  cap is
-    one integer for every row; each symbol's pass keeps only the rows still
-    in, so the later passes run on the survivors.  Premise: every t*nums_i
-    fits int64, as :func:`fits_int64` asserts.
+    nearest multiple of d, and ||t*a||_d <= w exactly when y(t) =
+    (t*a + w) mod d <= 2w: every t passes once 2w + 1 >= d.  Otherwise
+    the L = hi - lo + 1 rows are taken in q strides lo + c + k*q, q the
+    largest convergent denominator of a/d with q <= sqrt(L).  Then q*a
+    lies within e < d/q' of a multiple of d, q' > sqrt(L) the next
+    denominator (or e = 0 where a/d ends at q); where q*a lies below that
+    multiple, d - a, with the same ||t*(d - a)||_d, replaces a, so that
+    q*a = e mod d.  Along a stride y therefore grows by e per step: as an
+    integer, y_0 + k*e, and the stride's hits are the k with y_0 + k*e in
+    [j*d, j*d + 2w] for some j >= 0, one k-interval with closed-form ends
+    per j.  A stride of K steps meets at most K*e // d + 2 of them, so all
+    strides together meet fewer than L/q' + 2q < 3*sqrt(L): the
+    structure behind the three-distance theorem (Sos 1958).  The work is
+    O(sqrt(L)) plus the hits and their sort, and no array of length L is
+    built.  Premise: hi*d and hi*a fit int64, as :func:`fits_int64`
+    asserts.
     """
-    for v in nums:
+    if 2 * w + 1 >= d:
+        return np.arange(lo, hi + 1, dtype=np.int64)
+    n = hi - lo + 1
+    root = math.isqrt(n)
+    q_prev, q, e_prev, e, flip = 0, 1, d, a % d, False
+    while e:    # Euclid on (d, a): e_k = |q_k*a - p_k*d|, alternating in sign
+        c = e_prev // e
+        if c * q + q_prev > root:
+            break
+        q_prev, q, e_prev, e, flip = q, c * q + q_prev, e, e_prev - c * e, not flip
+    if flip:    # q*a = p*d - e: stride with d - a, whose q*(d - a) = (q - p)*d + e
+        a = d - a % d
+    s = np.arange(lo, lo + q, dtype=np.int64)             # stride starts
+    last = (hi - s) // q                                  # each stride's last k
+    jmax = (n - 1) // q * e // d + 2 if e else 1
+    u = (s * a + w) % d - np.arange(0, jmax * d, d, dtype=np.int64)[:, None]
+    if e:   # y_0 - j*d + k*e in [0, 2w], k in [0, last]
+        k_lo = np.maximum(-(u // e), 0)
+        k_hi = np.minimum((2 * w - u) // e, last)
+    else:   # y is constant along a stride
+        k_lo = np.zeros_like(u)
+        k_hi = np.where(u <= 2 * w, last, -1)
+    size = np.maximum(k_hi - k_lo + 1, 0).ravel()
+    ends = size.cumsum()
+    start = (s + q * k_lo).ravel() - q * (ends - size)
+    out = np.repeat(start, size)
+    out += np.arange(0, out.size * q, q, dtype=np.int64)
+    out.sort()
+    return out
+
+
+def gap_screen(nums, d: int, lo: int, hi: int, cap: int):
+    """(T, first): T the t in [lo, hi] with every ||t*nums_i||_d <= cap,
+    ascending int64, and first the number of t that the first symbol keeps.
+
+    For any integer f, |x - f*d| >= ||x||_d, so max_i ||t*nums_i||_d is a
+    lower bound on every table's A at t.  cap is one integer for every
+    row.  The first symbol's rows come from :func:`gap_window`; each other
+    symbol's pass keeps only the rows still in, so it runs on the
+    survivors.  Premise: every t*nums_i and hi*d fit int64, as
+    :func:`fits_int64` asserts.
+    """
+    T = gap_window(int(nums[0]), d, cap, lo, hi)
+    first = len(T)
+    for v in nums[1:]:
         r = T * int(v) % d
         T = T[np.minimum(r, d - r) <= cap]
-    return T
+    return T, first
 
 
 def _minmax_block(nums, P, d, T, slack):

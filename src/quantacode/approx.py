@@ -66,20 +66,28 @@ every row for large m, where almost every row is a hit.  Only the
 candidates above that cap take the A**m test; this holds on a chunk of
 any length, and a longer one only sends more rows to that test.
 
-Every scan takes t in consecutive chunks [lo, hi] (_spans): the first
-has `first` rows and each next one twice as many, up to _MAX_CHUNK =
-16,384, whose int64 array of t (128 KiB) stays at glibc's mmap
-threshold, as _kernels._BLOCK does.  The fold below, `scan_rows` and
-`best_table_under_width` start at first = 4,096 rows: the fold confirms
-nothing in its first chunk, so it builds all of that chunk's tables at
-any length, and after it each chunk pays a fixed cost (Python work,
-about 30 numpy calls, the gap cap and gap_screen's passes) that longer
-chunks pay less often: a 2*10**5 record scan takes 14 chunks, not 49 of
-4,096.  The planner's divergence search (bounds._first_qualifying_t)
-stops at its first success, often at a small t, so it starts at 256
-rows.  A chunk only groups the rows screened together; every rule below
-holds on any chunk, with D and g taken from that chunk's own hi, so no
-output depends on the chunk lengths.
+Every scan takes t in consecutive chunks [lo, hi]: the first has `first`
+rows and each next one twice as many, up to _MAX_CHUNK = 16,384 for a
+chunk whose every row is built (_spans), whose int64 array of t
+(128 KiB) stays at glibc's mmap threshold, as _kernels._BLOCK does.  The
+fold below, `scan_rows` and `best_table_under_width` start at first =
+4,096 rows: the fold confirms nothing in its first chunk, so it builds
+all of that chunk's tables at any length, and after it each chunk pays a
+fixed cost (Python work, about 30 numpy calls, the gap cap and the gap
+screen's window) that longer chunks pay less often.  A chunk that the
+fold screens (below) builds no array of its own length, only of its
+survivors, so after a screened chunk whose first symbol kept at most
+_MAX_CHUNK // 2 rows the next one keeps doubling past _MAX_CHUNK: every
+int64 array still holds about _MAX_CHUNK entries or fewer, and a
+2*10**5 record scan of a 6-digit m = 3 source takes 6 chunks instead of
+14.  A chunk that the fold takes whole is cut back to _MAX_CHUNK rows.
+`scan_rows` builds every row anyway, so its fold screens nothing and
+takes the chunks of _spans.  The planner's divergence search
+(bounds._first_qualifying_t) stops at its first success, often at a
+small t, so it starts at 256 rows.  A chunk only groups the rows
+screened together; every rule below holds on any chunk, with D and g
+taken from that chunk's own hi, so no output depends on the chunk
+lengths.
 
 `record_scan`, `best_table_under_width` and `scan_rows` take every record
 and hit from one place per alphabet kind: _binary_fold for m = 2, the
@@ -145,14 +153,24 @@ as before: a record beats every earlier row, and the best of those is
 itself a record, so the survivors' running best is the scan's.  The
 output is that of the full scan.
 
+The first symbol's survivors come from _kernels.gap_window, which
+strides the chunk along a convergent denominator of P_1/D and costs
+O(sqrt(rows) + survivors); each other symbol's pass runs on the rows
+still in.  A pass keeps about (2*cap + 1)/D of the rows it sees, so all m
+passes together keep about s = min(1, (2*cap + 1)/D)**m of the chunk:
+the expected survivor share.  The screen then costs the window, the
+passes and the kernel on a share s of the rows, against the kernel on
+every row.  Measured on 16,384-row chunks for m = 3 to 24, that is
+0.4-0.75 times the kernel's cost at s = 0.2 to 0.35 and 0.8-1.1 times at
+s = 0.5 to 0.65, and the rest of the fold's work also falls with the
+rows kept, so the fold screens where s < _SCREEN_SHARE = 1/2.
 Every row is still taken:
 
 * in the first chunk, where nothing is confirmed yet;
-* in a chunk whose cap reaches D/4, as it does wherever g >= D/4.  Each
-  symbol's pass keeps about 2*cap/D of the rows, at most half of them
-  below D/4; above that the passes cost more than they save.  The hit
-  bound B(t)/d, about 24/25 * t**(-1/24) >= 0.48 for m = 24, never drops
-  below 1/4 for t <= 2**24, nor does that of any m >= 13.
+* in a chunk whose s reaches 1/2.  With hits, the cap is at least
+  D*B(lo)/d, about D*(m/(m+1)) * lo**(-1/m), so s is at least about
+  (2m/(m+1))**m / lo: the scans with hits take every row up to lo of
+  about 6 * 10**3 for m = 13 and 1.3 * 10**7 for m = 24.
 
 An m > 2 `scan_rows` prints every row's exact A, the planner's divergence
 search needs every row's exact table of p (both from _Chunk's kernel
@@ -211,6 +229,7 @@ from .prob_model import MAX_TOTAL, FrequencyTable, ProbabilityVector, register_w
 
 _FIRST_CHUNK = 4096    # first chunk of the fold, scan_rows and best_table_under_width
 _MAX_CHUNK = 1 << 14   # 16,384 int64 rows, 128 KiB: glibc's mmap threshold
+_SCREEN_SHARE = 0.5    # the fold screens a chunk expected to keep less than this share
 _SLACK = 1e-9  # relative widening of every float64 prescreen bound
 _INT64_TOP = (1 << 62) - 1  # hi * D on a truncated chunk stays at most this
 _MAX_BITS = register_width(MAX_TOTAL)   # 24, the widest table the coder takes
@@ -359,21 +378,32 @@ def _spans(lo: int, t_max: int, first: int):
 
 
 class _Chunk:
-    """The chunk [lo, hi] of _spans, which the int64 kernel scans on the
+    """The chunk [lo, hi] of a scan, which the int64 kernel scans on the
     source P/D (big_p/den) with integer slack g (module docstring): P =
     p's numerators, D = d and g = 0 on a chunk that fits int64, else p's
     truncation P~/D at D = (2**62 - 1) // hi and g = ceil(hi*a/d), a the
     truncation's A, so that every row has |d*A~ - D*A| <= d*g.
 
-    Each whole-chunk kernel pass runs once, on first use: a_tilde, A~ of
-    every row on P/D (p's own A where g = 0), and tables, p's min-max
-    table of every row as an int64 (rows, m) array.
+    Each whole-chunk array is built once, on first use: ts, the int64
+    array of the chunk's t, and its kernel passes a_tilde, A~ of every row
+    on P/D (p's own A where g = 0), and tables, p's min-max table of every
+    row as an int64 (rows, m) array.  A chunk that the fold screens builds
+    none of them.
     """
 
-    def __init__(self, p: ProbabilityVector, lo: int, hi: int, big_p, den, g):
-        self.p, self.lo, self.hi, self.big_p, self.den, self.g = (
-            p, lo, hi, big_p, den, g)
-        self.ts = np.arange(lo, hi + 1, dtype=np.int64)
+    def __init__(self, p: ProbabilityVector, lo: int, hi: int):
+        nums, d = p.numerators, p.common_denominator
+        self.p, self.lo, self.hi = p, lo, hi
+        if _kernels.fits_int64(nums, d, hi):
+            self.big_p, self.den, self.g = nums, d, 0
+        else:
+            self.den = _INT64_TOP // hi
+            self.big_p, a = _kernels.minmax_freqs_exact(nums, d, self.den)
+            self.g = -(-hi * a // d)
+
+    @cached_property
+    def ts(self):
+        return np.arange(self.lo, self.hi + 1, dtype=np.int64)
 
     @cached_property
     def a_tilde(self):
@@ -401,14 +431,8 @@ class _Chunk:
 
 def _chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
     """A _Chunk for each span of _spans(m, t_max, first)."""
-    nums, d = p.numerators, p.common_denominator
     for lo, hi in _spans(p.m, t_max, first):
-        if _kernels.fits_int64(nums, d, hi):
-            yield _Chunk(p, lo, hi, nums, d, 0)
-            continue
-        den = _INT64_TOP // hi
-        p_trunc, a = _kernels.minmax_freqs_exact(nums, d, den)
-        yield _Chunk(p, lo, hi, p_trunc, den, -(-hi * a // d))
+        yield _Chunk(p, lo, hi)
 
 
 def _true_a(p: ProbabilityVector, ts, rows: list) -> list:
@@ -473,9 +497,13 @@ def _gap_cap(chunk: _Chunk, d: int, best_a: int, best_t: int, hit_cap) -> int:
     return cap + chunk.g
 
 
-def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
-    """The record/threshold fold of an m > 2 source over _chunks, whose
-    first chunk is 4,096 rows and the later ones 8,192 and then 16,384.
+def _fold(p: ProbabilityVector, t_max: int, hits: bool = True, whole: bool = False):
+    """The record/threshold fold of an m > 2 source, chunk by chunk (see
+    the module docstring): the first chunk has 4,096 rows and each next
+    one twice as many, up to _MAX_CHUNK rows unless the chunk before was
+    screened and its first symbol kept at most _MAX_CHUNK // 2 rows.  With
+    `whole` every chunk takes every row, and the chunks are those of
+    _spans: scan_rows reads each row's A from them.
 
     Yields (chunk, recs, hit_ts) per _Chunk: recs lists the (t, A, f) of its
     record denominators and hit_ts its fact-constant hits (empty unless
@@ -483,32 +511,40 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
     where the fold built it (truncated chunks), else None.  The scan stops
     at the first exact table (A = 0), the final record.
 
-    Each chunk after the first whose gap cap stays below D/4 first keeps
-    only the rows that gap_screen passes (see the module docstring).  The
-    kernel then gives the kept rows' A~; a float64 prescreen, widened by
-    the chunk's slack g, excludes the rows that cannot be records or hits,
-    and only the remaining candidates are decided exactly (on truncated
-    chunks on their true A, from p's certified tables).  Hits are decided
-    by _hit_ts.
+    Each chunk after the first whose expected survivor share
+    min(1, (2*cap + 1)/D)**m is below _SCREEN_SHARE keeps only the rows
+    that gap_screen passes; a chunk taken whole is first cut back to
+    _MAX_CHUNK rows.  The kernel then gives the kept rows' A~; a float64
+    prescreen, widened by the chunk's slack g, excludes the rows that
+    cannot be records or hits, and only the remaining candidates are
+    decided exactly (on truncated chunks on their true A, from p's
+    certified tables).  Hits are decided by _hit_ts.
     """
     m, d = p.m, p.common_denominator
     hit_cap = None
     if hits:
         exact_hit, hit_cap, screen_hit = _threshold_tests(m, d)
     best_a = best_t = None
-    for chunk in _chunks(p, t_max):
-        lo, ts, den, g = chunk.lo, chunk.ts, chunk.den, chunk.g
-        cap = den       # nothing confirmed yet: the chunk takes every row
-        if best_a is not None:
+    lo, size = m, _FIRST_CHUNK
+    while lo <= t_max:
+        chunk = _Chunk(p, lo, min(lo + size - 1, t_max))
+        den, g = chunk.den, chunk.g
+        screen = False      # nothing confirmed yet: the chunk takes every row
+        if best_a is not None and not whole:
             cap = _gap_cap(chunk, d, best_a, best_t, hit_cap)
-        if 4 * cap < den:
-            ts = _kernels.gap_screen(chunk.big_p, den, ts, cap)
+            screen = min((2 * cap + 1) / den, 1.0) ** m < _SCREEN_SHARE
+        if not screen and size > _MAX_CHUNK:
+            size = _MAX_CHUNK       # a chunk taken whole has at most _MAX_CHUNK rows
+            continue
+        if screen:
+            ts, first = _kernels.gap_screen(chunk.big_p, den, lo, chunk.hi, cap)
             a_rows = _kernels._minmax_rows(chunk.big_p, den, ts)[0]   # A~
         else:
-            a_rows = chunk.a_tilde
+            ts, a_rows = chunk.ts, chunk.a_tilde
         # t * delta_star lies between (A~ - g)/D and (A~ + g)/D (the lemma)
-        x_low, x_high = ((a_rows + s) / den for s in (-g, g))
-        q_low, q_high = x_low / ts, x_high / ts
+        x_low = (a_rows - g) / den
+        q_low = x_low / ts
+        q_high = (a_rows + g) / den / ts if g else q_low
         best_q = math.inf if best_a is None else best_a / (d * best_t)
         prev = np.minimum.accumulate(np.concatenate(([best_q], q_high[:-1])))
         rec_j = np.flatnonzero(q_low <= prev * (1 + _SLACK))
@@ -542,9 +578,12 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True):
         if hits and hit_j.size:
             k = int(np.searchsorted(hit_j, end))    # the rows before `end`
             hit_ts = _hit_ts(lo, ts[hit_j[:k]] - lo, hit_a[:k], exact_hit, hit_cap)
+        del x_low, q_low, q_high, prev     # hold no row-sized floats across the yield
         yield chunk, recs, hit_ts
         if best_a == 0:
             return
+        grow = screen and first <= _MAX_CHUNK // 2
+        lo, size = chunk.hi + 1, 2 * size if grow else min(2 * size, _MAX_CHUNK)
 
 
 def _binary_a(big_p: int, d: int, t: int) -> int:
@@ -674,7 +713,7 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC):
             if a == 0:
                 return
         return
-    for chunk, recs, hit_ts in _fold(p, t_max):
+    for chunk, recs, hit_ts in _fold(p, t_max, whole=True):
         recs, hits = {t for t, *_ in recs}, set(hit_ts)
         if chunk.g:
             a_rows = _true_a(p, chunk.ts, chunk.tables.tolist())

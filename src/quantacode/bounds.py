@@ -517,8 +517,15 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     D <= r / (1 - 1e-13) < r * (1 + 2**-42), and an estimate below
         r * (1 + 2**-40) + (m + 20)*u*(ln m + ln t_cap + 2 + r),
     whose spare terms also cover |estimate| and the rounding of r and of
-    the screen itself.  A p_i that underflows to 0 makes the estimate NaN,
-    and NaN rows pass too.
+    the screen itself.  That argument needs each float(p_i) within a
+    relative u of p_i, which fails where float(p_i) is 0 or subnormal,
+    below 2**-1022.  So c is summed over the nonzero floats only, and each
+    such tiny p_i widens the screen by 2**-1000: p_i and its float are both
+    at most 2**-1022 (rounding is monotone), where x*|ln x| < 2**-1012, so
+    their c terms differ by under 2**-1011; |p_i - float(p_i)| * ln f_i <=
+    2**-1075 * 24 ln 2, as t_cap <= 2**24; and each product of such a
+    float rounds by under 2**-1064.  Each moves the estimate by under
+    2**-1010.
 
     The absolute part is about 5e-14 at t_cap = 2**24, so for a far
     smaller r nearly every row would pass.  A second screen therefore drops
@@ -535,10 +542,12 @@ def _first_qualifying_t(p: ProbabilityVector, r: mp.mpf, t_cap: int):
     first accepted t is the answer; its table and divergence are the plan's.
     """
     pf = np.array([float(x) for x in p.probs])
-    c = float(np.dot(pf, np.log(pf)))
+    pos = pf[pf > 0]
+    c = float(np.dot(pos, np.log(pos)))
     r_wide = float(r) * (1 + 2.0**-40)
     log_sum = math.log(p.m) + math.log(t_cap) + 2 + float(r)
-    screen = r_wide + (p.m + 20) * 2.0**-53 * log_sum
+    tiny = np.count_nonzero(pf < 2.0**-1022)    # 0 or subnormal
+    screen = r_wide + (p.m + 20) * 2.0**-53 * log_sum + tiny * 2.0**-1000
     pinsker = max(r_wide, 2.0**-1000)
     for chunk in _chunks(p, t_cap, _SEARCH_FIRST_CHUNK):
         f_arr, t_f = chunk.tables, chunk.ts.astype(np.float64)

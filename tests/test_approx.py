@@ -309,6 +309,44 @@ def exact_fold(p, t_max, tables=None, kappa=None):
     return rows
 
 
+# the second chunk of an m = 3 fold, [4099, 12290]: the fold confirms its
+# first records in the first chunk, so it may screen this one
+SECOND3 = nth_span(3, 1)
+
+
+def _near_tie_m3():
+    """(p, t2): an m = 3 source that fits int64, whose record t2 = 12,298,
+    in the third chunk of its fold, undercuts the record t = 7 by 2e-8,
+    relative.
+
+    The table (1757, 8784, 1757) of t2 = 7*1757 - 1 lies at (1, -2, 1)*u
+    from (1, 5, 1)/7, u = 1/(7*t2).  p = (1/7 + e, 5/7 - 2e, 1/7 + e) with
+    e = u*(1 + 1e-8)/2 has delta_star u*(1 + 1e-8) at t = 7 and
+    u*(1 - 1e-8) at t2, both from symbol 1.  (A t2 in SECOND3 would leave
+    t = 7's cap too wide to screen that chunk.)"""
+    t2 = 7 * 1757 - 1
+    e = Fraction(1, 7 * t2) * (1 + Fraction(1, 10**8)) / 2
+    return ProbabilityVector([Fraction(1, 7) + e, Fraction(5, 7) - 2 * e,
+                              Fraction(1, 7) + e]), t2
+
+
+def _near_bound_m3():
+    """(p, t): an m = 3 source that fits int64 with a hit at t = 17**3 =
+    4,913, in SECOND3, whose t**(4/3) * delta_star = 3/4 * (1 - 1e-8) beats
+    the bound 3/4 by 1e-8, relative.
+
+    p = f/t + delta*(1, -1, 0), f a table of t from a seeded draw and
+    delta = 3/4 * (1 - 1e-8) / 17**4: t*delta < 1/2, so f is p's table at
+    t and delta_star = delta."""
+    t = 17**3
+    rng = np.random.default_rng(3)
+    a = int(rng.integers(1, t // 2))
+    b = int(rng.integers(1, t - a))
+    delta = Fraction(3, 4) * (1 - Fraction(1, 10**8)) / 17**4
+    return ProbabilityVector([Fraction(a, t) + delta, Fraction(b, t) - delta,
+                              Fraction(t - a - b, t)]), t
+
+
 def _fold_sources():
     rng = np.random.default_rng(31)
     out = [pytest.param(ProbabilityVector(random_decimal_probs(rng, m)), id=f"m{m}")
@@ -339,6 +377,9 @@ def _fold_sources():
         pytest.param(ProbabilityVector([edge, 1 - edge]), id="near-bound"),
         # (A/d)**64 underflows float64 at every t = 100k, each an exact hit
         pytest.param(ProbabilityVector(spikes), id="underflow"),
+        # the m = 3 near-tie and near-bound, which reach the fold
+        pytest.param(_near_tie_m3()[0], id="near-tie-m3"),
+        pytest.param(_near_bound_m3()[0], id="near-bound-m3"),
     ]
     return out
 
@@ -405,6 +446,56 @@ def _close_pair():
     assert Fraction(1, 5) < h * D_SECOND < Fraction(1, 4)
     x = x_grid + Fraction(6, 5) * h
     return ProbabilityVector([x, 1 - x]), (t1, t2)
+
+
+D_SECOND3 = ((1 << 62) - 1) // SECOND3[1]
+
+
+def _delta(probs, t, f):
+    """max_i |probs_i - f_i/t|, in Fractions."""
+    return max(abs(x - Fraction(v, t)) for x, v in zip(probs, f))
+
+
+def _close_pair_m3():
+    """(p, (t1, t2)): the m = 3 counterpart of _close_pair.  Records
+    t1 < t2, both in SECOND3, whose delta_star differ by less than that
+    chunk's truncation P~/D_SECOND3 moves p, and in the wrong direction.
+
+    For coprime t1 < t2 from a seeded draw, a2 = t1**-1 mod t2 and
+    a1 = (a2*t1 - 1)/t2, the tables f1 = (a1, t1 - 3*a1, 2*a1) of t1 and
+    f2 = (a2, t2 - 3*a2, 2*a2) of t2 lie at (1, -3, 2)/(t1*t2) from each
+    other.  At their midpoint p0 both have delta_star 1.5/(t1*t2), from
+    symbol 1.  p = p0 + (0, -eta, eta) gives t2 the smaller one, by 2*eta,
+    with 2*eta just below w, the amount by which the truncation of p0
+    moves p0_1 up; the truncation of p keeps t1 the smaller one.  The
+    draw is repeated until both hold.  That both are records, with none
+    between them, is checked by test_m3_cases_exercise_the_fold.
+    """
+    rng = np.random.default_rng(7)
+    while True:
+        t1, t2 = sorted(rng.integers(SECOND3[0], SECOND3[1] + 1, 2).tolist())
+        if math.gcd(t1, t2) != 1:
+            continue
+        a2 = pow(t1, -1, t2)
+        a1 = (a2 * t1 - 1) // t2
+        f1, f2 = (a1, t1 - 3 * a1, 2 * a1), (a2, t2 - 3 * a2, 2 * a2)
+        if min(f1 + f2) < 1:
+            continue
+        p0 = [Fraction(v, t1) + Fraction(s, 2 * t1 * t2) for v, s in zip(f1, (1, -3, 2))]
+        q0 = ProbabilityVector(p0)
+        big_p, _ = _kernels.minmax_freqs_exact(q0.numerators, q0.common_denominator,
+                                               D_SECOND3)
+        eta = Fraction(math.floor((Fraction(big_p[1], D_SECOND3) - p0[1]) * 10**40),
+                       2 * 10**40)
+        if eta <= 0:
+            continue
+        p = ProbabilityVector([p0[0], p0[1] - eta, p0[2] + eta])
+        big_p, _ = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator,
+                                               D_SECOND3)
+        trunc = [Fraction(v, D_SECOND3) for v in big_p]
+        if _delta(trunc, t1, f1) < _delta(trunc, t2, f2):
+            assert _delta(p.probs, t1, f1) - _delta(p.probs, t2, f2) == 2 * eta
+            return p, (t1, t2)
 
 
 def _hit_near_kappa():
@@ -481,6 +572,8 @@ def _screened_sources():
     out.append(pytest.param(ProbabilityVector([third, 1 - third]), id="near-exact"))
     pair, _ = _close_pair()
     out.append(pytest.param(pair, id="close-pair"))
+    pair, _ = _close_pair_m3()
+    out.append(pytest.param(pair, id="close-pair-m3"))
     hit, _ = _hit_near_kappa()
     out.append(pytest.param(hit, id="hit-near-kappa"))
     out.append(pytest.param(_near_integer(), id="near-integer"))
@@ -545,6 +638,52 @@ def test_screened_cases_exercise_their_rows():
     assert f_trunc != f_true
     rem = [T_NEAR * v % D_SECOND for v in p_trunc]
     assert all(g <= v < D_SECOND - g for v in rem) and not sure
+
+
+def test_m3_cases_exercise_the_fold(monkeypatch):
+    """The m = 3 near-tie, near-bound and close-pair sources reach _fold,
+    which screens the chunks of their rows and keeps them: the records and
+    hits that the binary constructs test on the continued fraction, on the
+    fold."""
+    tie, t_tie = _near_tie_m3()
+    bound, t_hit = _near_bound_m3()
+    pair, (t1, t2) = _close_pair_m3()
+    folds, kept = [], {}
+    fold, screen = approx._fold, _kernels.gap_screen
+
+    def spy(nums, d, lo, hi, cap):
+        ts, first = screen(nums, d, lo, hi, cap)
+        kept[lo, hi] = ts.tolist()
+        return ts, first
+
+    monkeypatch.setattr(approx, "_fold", lambda *a, **k: folds.append(a[0]) or fold(*a, **k))
+    monkeypatch.setattr(_kernels, "gap_screen", spy)
+    # each case: consecutive records or a hit, and the rows to keep
+    for p, recs, hits, rows_kept in [(tie, [7, t_tie], [], [t_tie]),
+                                     (bound, [], [t_hit], [t_hit]),
+                                     (pair, [t1, t2], [], [t1, t2])]:
+        folds.clear()
+        kept.clear()
+        rows = exact_fold(p, FOLD_T_MAX)
+        want_recs = [t for t, rec, _ in rows if rec]
+        want_hits = [t for t, _, beat in rows if beat]
+        assert any(want_recs[i:i + len(recs)] == recs for i in range(len(want_recs)))
+        assert set(hits) <= set(want_hits)
+        res = record_scan(p, FOLD_T_MAX)
+        assert folds == [p]
+        assert (res.record_ts, res.fact_hits) == (want_recs, want_hits)
+        for t in rows_kept:
+            assert [t in ts for (lo, hi), ts in kept.items() if lo <= t <= hi] == [True]
+    # near-tie: 2e-8 relative; near-bound: 1e-8 relative below 3/4
+    d_tie = [Fraction(A, tie.common_denominator * t) for t, A in
+             ((t, _kernels.minmax_freqs_exact(tie.numerators, tie.common_denominator, t)[1])
+              for t in (7, t_tie))]
+    assert d_tie[1] / d_tie[0] == (1 - Fraction(1, 10**8)) / (1 + Fraction(1, 10**8))
+    _, a = _kernels.minmax_freqs_exact(bound.numerators, bound.common_denominator, t_hit)
+    assert Fraction(a, bound.common_denominator) == Fraction(3, 4) * (1 - Fraction(1, 10**8)) / 17
+    # close pair: P~/D of SECOND3 is the fold's truncation there
+    chunk = next(itertools.islice(_chunks(pair, SECOND3[1]), 1, None))
+    assert (chunk.lo, chunk.hi, chunk.den) == (*SECOND3, D_SECOND3) and chunk.g
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -710,8 +849,9 @@ def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
 @given(st.integers(3, 12), st.sampled_from([6, 20, 33]), st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_gap_screened_fold_matches_row_by_row_oracle(m, digits, seed):
-    # three chunks: the second and third are screened wherever their caps
-    # stay below D/4; 6-digit sources fit int64, 20 and 33 digits do not
+    # three chunks: the second and third are screened wherever their
+    # expected survivor share is below approx._SCREEN_SHARE; 6-digit
+    # sources fit int64, 20 and 33 digits do not
     p = ProbabilityVector(_digit_probs(np.random.default_rng(seed), m, digits))
     rows = exact_fold(p, FOLD_T_MAX)
     res = record_scan(p, FOLD_T_MAX)
@@ -733,6 +873,23 @@ def _count_rows(monkeypatch):
     return built
 
 
+@pytest.mark.parametrize("digits", [6, 20])
+def test_grown_chunks_match_the_row_by_row_oracle(digits):
+    # m = 3 folds to 70,000: after screened chunks that kept few rows the
+    # chunks grow past _MAX_CHUNK, and their records and hits are still
+    # those of every row
+    p = ProbabilityVector(_digit_probs(np.random.default_rng(71), 3, digits))
+    t_max = 70000
+    spans = [(c.lo, c.hi) for c, *_ in approx._fold(p, t_max)]
+    assert max(hi - lo + 1 for lo, hi in spans) > approx._MAX_CHUNK
+    rows = exact_fold(p, t_max)
+    res = record_scan(p, t_max)
+    assert res.record_ts == [t for t, rec, _ in rows if rec]
+    assert res.fact_hits == [t for t, _, beat in rows if beat]
+    best = [r for r in res.records if r.t <= 1 << 16][-1]
+    assert best_table_under_width(p, 16).t == best.t
+
+
 def test_gap_screen_prunes_most_rows(monkeypatch):
     p = ProbabilityVector(random_decimal_probs(np.random.default_rng(71), 3))
     built = _count_rows(monkeypatch)
@@ -741,8 +898,10 @@ def test_gap_screen_prunes_most_rows(monkeypatch):
 
 
 def test_wide_cap_takes_every_row(monkeypatch):
-    # m = 24: the hit bound 24/25 * t**(-1/24) stays above 1/4 for every
-    # t <= 2**24, where the screen would cost more than it saves
+    # m = 24: with hits the cap is about D * 24/25 * lo**(-1/24), so the
+    # expected survivor share min(1, (2*cap + 1)/D)**24 stays above 1/2,
+    # where the screen would cost more than it saves, up to lo of about
+    # 2 * (48/25)**24 = 1.3e7
     p = ProbabilityVector(random_decimal_probs(np.random.default_rng(73), 24))
     built = _count_rows(monkeypatch)
     screens = []
@@ -755,16 +914,17 @@ def test_wide_cap_takes_every_row(monkeypatch):
 
 def _screen_of_last_row(p, t_max):
     """(gap, chunk, cap) of t_max's row: its truncated gap
-    max_i ||t_max*P~_i||_D on its chunk [lo, t_max] of _chunks, that chunk,
-    and the chunk's integer gap cap with hits after the best record below
-    lo, as _fold takes them."""
-    chunk = list(approx._chunks(p, t_max))[-1]
+    max_i ||t_max*P~_i||_D on the fold's last chunk [lo, t_max], that
+    chunk, and the chunk's integer gap cap with hits after the best record
+    below lo, as _fold takes them; the fold screens that chunk."""
+    chunk = list(approx._fold(p, t_max))[-1][0]
     big_p, den = chunk.big_p, chunk.den
     assert chunk.hi == t_max and chunk.g
     best = record_scan(p, chunk.lo - 1).records[-1]
     d = p.common_denominator
     hit_cap = approx._threshold_tests(p.m, d)[1]
     cap = approx._gap_cap(chunk, d, int(best.delta_star * d * best.t), best.t, hit_cap)
+    assert ((2 * cap + 1) / den) ** p.m < approx._SCREEN_SHARE
     gap = max(min(t_max * v % den, den - t_max * v % den) for v in big_p)
     return gap, chunk, cap
 
@@ -794,7 +954,9 @@ def test_hit_cap_keeps_its_t_eps_term():
     p = parse_probability_vector(["0.24818104896671263564", "0.22979009491343836865",
                                   "0.52202885611984899571"])
     t_h = 61443
-    assert nth_span(p.m, 5)[0] == t_h
+    # the fold's chunks of 4,096, 8,192, 16,384 and, after a screened
+    # chunk with few survivors, 32,768 rows
+    assert [c.lo for c, *_ in approx._fold(p, t_h)] == [3, 4099, 12291, 28675, t_h]
     gap, chunk, cap = _screen_of_last_row(p, t_h)
     assert chunk.lo == t_h
     assert cap - chunk.g < gap <= cap
@@ -859,12 +1021,92 @@ def test_chunks_are_sized_by_their_consumer(monkeypatch, capsys):
     assert cli.main(["plan", "-p", "golden", "-R", "1e-5", "--mode", "opportunistic"]) == 0
     assert "chosen t = 21," in capsys.readouterr().out
     assert sum(built) <= 256
-    # the record fold: 4,096 rows, then 8,192, then 16,384 at a time, one
-    # kernel call per chunk and one for the records' tables
+    # the record fold: 4,096 rows, then 8,192 and so on, past 16,384 after
+    # a screened chunk that kept few rows: 9 chunks, where 16,384-row
+    # chunks would take 14, one kernel call per chunk and one for the
+    # records' tables
     built.clear()
     p = ProbabilityVector(random_decimal_probs(np.random.default_rng(89), 5))
     record_scan(p, 2 * 10**5)
-    assert len(built) <= 14 + 1
+    assert len(built) <= 9 + 1
+
+
+def test_fold_chunks_double_past_the_cap_after_sparse_screens(monkeypatch):
+    # each fold chunk doubles the one before while the chunk before was
+    # screened and its first symbol kept at most _MAX_CHUNK // 2 rows, and
+    # else stops at _MAX_CHUNK; a chunk that would grow past _MAX_CHUNK but
+    # is not screened is cut back to it.  scan_rows' fold screens nothing
+    # and takes the chunks of _spans
+    big, t_max = approx._MAX_CHUNK, 2 * 10**5
+    screened, first_kept = {}, []
+    screen = _kernels.gap_screen
+
+    def spy(nums, d, lo, hi, cap):
+        ts, first = screen(nums, d, lo, hi, cap)
+        screened[lo] = first
+        return ts, first_kept[0] if first_kept else first
+
+    def sizes_follow_the_rule(p):
+        """(grew, cut): whether a chunk grew past big, or was cut back."""
+        screened.clear()
+        spans = [(c.lo, c.hi) for c, *_ in approx._fold(p, t_max)]
+        assert spans[0] == (p.m, p.m + _FIRST_CHUNK - 1) and spans[-1][1] == t_max
+        assert all(hi + 1 == lo for (_, hi), (lo, _) in itertools.pairwise(spans))
+        grew = cut = False
+        for (lo0, hi0), (lo, hi) in itertools.pairwise(spans):
+            double, size = 2 * (hi0 - lo0 + 1), hi - lo + 1
+            first = first_kept[0] if first_kept else screened.get(lo0)
+            if lo0 in screened and first <= big // 2:
+                assert size in (double, big, t_max - lo + 1)
+                grew |= size > big
+                cut |= size == big < double
+                assert size <= big or lo in screened
+            else:
+                assert size == min(double, big, t_max - lo + 1)
+        return grew, cut
+
+    monkeypatch.setattr(_kernels, "gap_screen", spy)
+    rng = np.random.default_rng(89)
+    grew = False
+    for m in (3, 4, 5, 6):
+        p = ProbabilityVector(random_decimal_probs(rng, m))
+        grew |= sizes_follow_the_rule(p)[0]
+        screened.clear()
+        whole = [(c.lo, c.hi) for c, *_ in approx._fold(p, t_max, whole=True)]
+        assert whole == list(_spans(m, t_max, _FIRST_CHUNK)) and not screened
+    assert grew
+    # a cut back: with the first symbol's count taken as 0, this m = 13
+    # source's chunks double until the cap leaves too many survivors
+    first_kept.append(0)
+    p = ProbabilityVector(random_decimal_probs(np.random.default_rng(1), 13))
+    assert sizes_follow_the_rule(p) == (True, True)
+
+
+# a 20-digit m = 24 source, the one of the CI's wide-alphabet width search
+_R24 = random.Random(24)
+_V24 = [_R24.randrange(10**18, 7 * 10**18) for _ in range(23)]
+WIDE_SPEC = ",".join(f"0.{x:020d}" for x in _V24 + [10**20 - sum(_V24)])
+
+
+def test_wide_alphabet_width_search_screens_its_chunks(monkeypatch):
+    # with no hits the cap is the record part alone, so the fold screens
+    # this search's chunks: tables for under 10**5 of its 4.2e6 rows, not
+    # every row, and no array of t that reaches the kernel or leaves the
+    # window holds more than 2 * _MAX_CHUNK entries
+    built = _count_rows(monkeypatch)
+    window = _kernels.gap_window
+    kept = []
+
+    def spy(*args):
+        ts = window(*args)
+        kept.append(len(ts))
+        return ts
+
+    monkeypatch.setattr(_kernels, "gap_window", spy)
+    table = best_table_under_width(parse_probability_vector(WIDE_SPEC), 22)
+    assert table.t == 4173290
+    assert sum(built) < 10**5 and kept
+    assert max(built + kept) <= 2 * approx._MAX_CHUNK
 
 
 _V23 = [40000 + 150 * i for i in range(23)]
@@ -876,7 +1118,10 @@ M24_SPEC = ",".join(f"{x / 1e6:.6f}" for x in _V23 + [10**6 - sum(_V23)])  # CI'
     (M24_SPEC, 10**4, 9977),
     # t = 3..4,098: the fold's one 4,096-row chunk, where it takes every row
     ("0.312407,0.451893,0.235700", 4098, 4096),
-], ids=["m24", "m3"])
+    # the CI's m = 3 scan: its fold screens no chunk, so no row is built
+    # twice (a screened fold built 146 survivors of 15,902 rows on top)
+    ("0.312407,0.451893,0.235700", 20000, 19998),
+], ids=["m24", "m3", "m3-to-20000"])
 def test_scan_builds_one_kernel_row_per_output_row(monkeypatch, spec, t_max, rows):
     p = parse_probability_vector(spec)
     built = _count_rows(monkeypatch)

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -393,6 +394,26 @@ class TestBoundReport:
 
 
 class TestPlanner:
+    def test_underflowing_probability_keeps_the_screen(self, monkeypatch):
+        # float(1e-4300) is 0: the float estimate takes c from the nonzero
+        # floats and widens its screen by 2**-1000 for the dropped term,
+        # with no numpy warning, instead of sending every row, NaN, to
+        # kl_divergence (958 calls and about 1.5 s for t = 1001)
+        import quantacode.bounds as B
+
+        calls = []
+        kl = B.kl_divergence
+        monkeypatch.setattr(B, "kl_divergence", lambda *a: calls.append(1) or kl(*a))
+        p = parse_probability_vector("1e-4300,0.5,0.5")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            plan = plan_precision(p, "1e-3", mode="opportunistic")
+            elapsed = time.perf_counter() - start
+        assert plan.t == 1001 and plan.verified_divergence <= plan.target_r
+        assert len(calls) <= 10
+        assert elapsed < 0.5
+
     def test_exact_source_returns_exact_table(self):
         p = parse_probability_vector(["0.7", "0.3"])
         plan = plan_precision(p, "1e-9", mode="opportunistic")

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantacode import ProbabilityVector, round_min_max
 from quantacode import _kernels as K
@@ -213,32 +213,72 @@ def test_fits_int64_guard():
 
 @st.composite
 def _gap_cases(draw):
-    """(nums, d, T, cap): a source over d that fits int64 up to T's last t,
-    ascending distinct t >= m, and one cap from 0 up to past d/2."""
+    """(nums, d, lo, hi, cap): a source over d that fits int64 up to hi, a
+    span [lo, hi] with m <= lo, and one cap from 0 up to past d/2."""
     m = draw(st.integers(2, 12))
     d = draw(st.sampled_from([10**6, 10**9, 2**31 - 1, 10**12]))
     cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=m - 1, max_size=m - 1)))
     nums = [b - a for a, b in zip([0, *cuts], [*cuts, d])]
-    ts = sorted(draw(st.sets(st.integers(m, 10**5), min_size=1, max_size=60)))
-    return nums, d, ts, draw(st.integers(0, d // 2 + 1))
+    lo = draw(st.integers(m, 10**5))
+    return nums, d, lo, lo + draw(st.integers(0, 200)), draw(st.integers(0, d // 2 + 1))
+
+
+def _gap(nums, d, t):
+    """max_i of the distance from t*nums_i to a multiple of d."""
+    return max(min(t * v % d, d - t * v % d) for v in nums)
 
 
 @given(_gap_cases())
 @settings(max_examples=150, deadline=None)
 def test_gap_screen_matches_brute_force(case):
-    nums, d, ts, cap = case
-    assert K.fits_int64(nums, d, ts[-1])
-
-    def gap(t):     # max_i of the distance from t*nums_i to a multiple of d
-        return max(min(t * v % d, d - t * v % d) for v in nums)
-
-    got = K.gap_screen(nums, d, np.array(ts, dtype=np.int64), cap)
-    assert got.tolist() == [t for t in ts if gap(t) <= cap]
+    nums, d, lo, hi, cap = case
+    assert K.fits_int64(nums, d, hi)
+    ts = range(lo, hi + 1)
+    got, first = K.gap_screen(nums, d, lo, hi, cap)
+    assert got.tolist() == [t for t in ts if _gap(nums, d, t) <= cap]
+    assert first == sum(_gap(nums[:1], d, t) <= cap for t in ts)
     want = [K.minmax_freqs_exact(nums, d, t) for t in ts]
     for t, (_, a) in zip(ts, want):     # the gap bounds every table's A
-        assert gap(t) <= a
+        assert _gap(nums, d, t) <= a
     # the kernel on the scattered rows that are left, possibly none
     a, f = K._minmax_rows(nums, d, got, True)
     kept = [w for t, w in zip(ts, want) if t in set(got.tolist())]
     assert f.tolist() == [row for row, _ in kept]
     assert a.tolist() == [v for _, v in kept]
+
+
+@st.composite
+def _window_cases(draw):
+    """(a, d, w, lo, hi) with hi*d < 2**62: d from 2 to 50, decimal, or
+    the truncated chunks' (2**62 - 1) // hi; a = 0 and w = 0 among the
+    draws, w up to past d/2 (every row passes once 2w >= d - 1), and spans
+    of 1 to 2**17 rows."""
+    lo = draw(st.integers(1, 10**6))
+    hi = lo + draw(st.one_of(st.integers(0, 64), st.integers(0, (1 << 17) - 1)))
+    d = draw(st.one_of(st.integers(2, 50), st.sampled_from([10**6, 2**31 - 1]),
+                       st.just(((1 << 62) - 1) // hi)))
+    a = draw(st.one_of(st.just(0), st.integers(0, d - 1)))
+    w = draw(st.one_of(st.just(0), st.integers(0, max(d >> 12, 1)),
+                       st.integers(0, d // 2 + 1)))
+    return a, d, w, lo, hi
+
+
+_TRUNC = ((1 << 62) - 1) // (1 << 18)   # a truncated chunk's D at hi = 2**18
+
+
+@given(_window_cases())
+@example((0, 7, 1, 10, 20))                         # a = 0
+@example((3, 50, 0, 1, 1))                          # w = 0, one row
+@example((13, 27, 13, 5, 300))                      # 2w = d - 1: every row
+@example((12, 26, 12, 5, 300))                      # 2w + 2 = d: one residue out
+@example((10**6 - 1, 10**6, 3, 1, 1 << 17))          # a = -1 mod d, 2**17 rows
+@example((123456789, _TRUNC, 5000, 1 << 17, (1 << 18) - 1))   # truncated D
+@settings(max_examples=400, deadline=None)
+def test_gap_window_matches_brute_force(case):
+    a, d, w, lo, hi = case
+    assert hi * d < 1 << 62
+    ts = np.arange(lo, hi + 1, dtype=np.int64)
+    r = ts * a % d
+    got = K.gap_window(a, d, w, lo, hi)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ts[np.minimum(r, d - r) <= w])
