@@ -6,19 +6,19 @@ The min-max apportionment has two implementations:
   t (:func:`_minmax_rows` over any array of t), for any alphabet size,
   where every intermediate provably fits (see :func:`fits_int64`);
 * :func:`minmax_freqs_exact`, a pure-Python big-integer reference for one
-  t and the semantic ground truth: it builds single tables, repairs the
-  kernel's shedding rows, confirms scan candidates and is the test oracle,
-  but never scans a range.
+  t and the semantic ground truth: it builds single tables, rebuilds the
+  kernel's shedding rows and the stand-in rows it cannot certify, confirms
+  scan candidates and is the test oracle, but never scans a range.
 
 Both implement the same construction: floor t*p_i, round up the largest
 remainders, force f_i = 1 where t*p_i < 1, and when the forced ones exceed
 the available round-ups, shed units from floored symbols by waterfilling
 the resulting errors.  The output minimizes max_i |t*p_i - f_i| subject to
 sum f_i = t, f_i >= 1.  The int64 kernel handles forced rows in numpy too;
-only shedding rows call the exact reference.  It can also certify its
-tables for every source within a given distance of its input, which lets
-a truncated stand-in for a source that overflows int64 give that source's
-exact tables (see :func:`minmax_scan`).
+only shedding rows call the exact reference.  Given a source that
+overflows int64, it scans a truncated stand-in and returns that source's
+own tables: a certificate vouches for most stand-in rows, and the exact
+reference rebuilds the rest (see :func:`minmax_scan`).
 
 :func:`gap_screen` keeps the t of a range at which every t*p_i lies
 within one cap of an integer.  That distance bounds every table's
@@ -142,7 +142,7 @@ def _round_ups(key, k):
 
 
 def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
-                slack: int | None = None):
+                exact: tuple | None = None):
     """delta_star numerators A_t (and optionally freqs) for every t in [t_lo, t_hi].
 
     Returns (A, F) as int64 arrays, F as (rows, m).  Raises InvalidArgument
@@ -157,23 +157,28 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
     :func:`_round_ups`).  Rows where some t*p_i < 1 forces f_i = 1 are fixed
     the same way: the smalls take rem = -1, so key >= -m, and the k =
     r - #smalls round-ups left go to the largest remainders of the other
-    symbols.  Only shedding rows (k < 0) call the exact reference, and only
-    without `slack`.
+    symbols.  Only shedding rows (k < 0) call the exact reference.
 
-    `slack` = g >= 0 returns (None, F, sure) instead: the
-    tables without A, and a bool array.  sure[j] certifies that row
-    t = t_lo + j's table is, tie-breaks included, the min-max table at t of
-    every source q whose scaled values t*q_i*d lie within g of t*nums_i.
-    With rem_i = t*nums_i mod d, the smalls the i with t*nums_i < d and the
-    bigs the others, a row is sure when
-    (1) g <= rem_i < d - g for every i (q has the same floors and smalls),
-    (2) it does not shed, and
+    `exact` = (nums_q, d_q, g) makes nums/d a stand-in for the source
+    q = nums_q/d_q, with an integer slack g >= 0 such that every scaled
+    value t*q_i*d lies within g of t*nums_i for t <= t_hi.  The result is
+    then (None, F), F the min-max tables of q, tie-breaks included.  A row
+    of the stand-in's table is q's when
+    (1) g <= rem_i < d - g for every i.  Then t*q_i*d lies in
+        [n_i*d, (n_i + 1)*d), so the floors of t*q_i are the n_i: q has the
+        same smalls and the same k, and its remainders t*q_i*d - n_i*d lie
+        within g of the rem_i;
+    (2) k >= 0, so the row does not shed (on q either, by 1); and
     (3) every rounded-up big's remainder exceeds every floored big's by
-        more than 2g (q rounds up the same bigs, whatever the tie-breaks);
-    the `approx` module docstring gives the argument.  A row that is not
-    sure is meant to be rebuilt from the true source, so a shedding row is
-    left unrepaired there and its F is void.  A g of d/2 or more
-    certifies no row; it is taken as d, which keeps 2g in int64.
+        more than 2g.  Then q's k largest remainders among the bigs belong
+        to the same symbols, whatever the tie-breaks.
+    The construction (floors, smalls forced to 1, round-ups to the k
+    largest remainders among the bigs) then makes the same choices on q,
+    so the row is q's table.  The kernel checks the three conditions on
+    the n, rem and table it already has, and every other row, shedding
+    rows included, is rebuilt by :func:`minmax_freqs_exact` on q.  A g of
+    d/2 or more certifies no row; it is taken as d, which keeps 2g in
+    int64.
 
     Premise: m <= t_lo, as in every scan, which starts at t = m.  Then
     key < d*m <= d*t_hi < 2**62 under the int64 guard, whatever m is.
@@ -183,10 +188,10 @@ def minmax_scan(nums, d: int, t_lo: int, t_hi: int, want_freqs: bool = False,
         raise InvalidArgument(f"int64 scan overflows at d = {d}, t = {t_hi}")
     assert len(nums) <= t_lo, (len(nums), t_lo)
     return _minmax_rows(nums, d, np.arange(t_lo, t_hi + 1, dtype=np.int64),
-                        want_freqs, slack)
+                        want_freqs, exact)
 
 
-def _minmax_rows(nums, d: int, T, want_freqs: bool = False, slack: int | None = None):
+def _minmax_rows(nums, d: int, T, want_freqs: bool = False, exact: tuple | None = None):
     """:func:`minmax_scan` at the t of the ascending int64 array T, with
     m <= T[0] and every t*nums_i and t*d in int64 (unchecked).
 
@@ -198,13 +203,11 @@ def _minmax_rows(nums, d: int, T, want_freqs: bool = False, slack: int | None = 
     nums = [int(v) for v in nums]
     P = np.asarray(nums, dtype=np.int64)
     step = max(_BLOCK // P.shape[0], 1)
-    parts = [_minmax_block(nums, P, d, T[i:i + step], slack)
+    parts = [_minmax_block(nums, P, d, T[i:i + step], exact)
              for i in range(0, max(len(T), 1), step)]   # one block when T is empty
-    a, f, sure = zip(*parts)
+    a, f = zip(*parts)
     f = np.concatenate([b.T for b in f]) if want_freqs else None
-    if slack is None:
-        return np.concatenate(a), f
-    return None, f, np.concatenate(sure)
+    return (None if exact else np.concatenate(a)), f
 
 
 def gap_window(a: int, d: int, w: int, lo: int, hi: int):
@@ -278,9 +281,9 @@ def gap_screen(nums, d: int, lo: int, hi: int, cap: int):
     return T, first
 
 
-def _minmax_block(nums, P, d, T, slack):
-    """One block of :func:`_minmax_rows`: (A or None, F as (m, rows),
-    sure or None)."""
+def _minmax_block(nums, P, d, T, exact):
+    """One block of :func:`_minmax_rows`: (A, or None given `exact`, and
+    F as (m, rows))."""
     m = P.shape[0]
     tie = np.arange(m - 1, -1, -1, dtype=np.int64)[:, None]
     x = P[:, None] * T[None, :]
@@ -289,29 +292,29 @@ def _minmax_block(nums, P, d, T, slack):
     r = T - n.sum(axis=0)
     f = n + _round_ups(rem * m + tie, r)
     bad = np.flatnonzero((f == 0).any(axis=0))
-    shed = bad[:0]
+    redo = bad[:0]
     if bad.size:
         n_b = n[:, bad]
         small = n_b == 0
         k = r[bad] - small.sum(axis=0)
         key = np.where(small, -1, rem[:, bad]) * m + tie
         f[:, bad] = n_b + small + _round_ups(key, k)
-        shed = bad[k < 0]
-        if slack is None:
-            for row in shed.tolist():
-                f[:, row], _ = minmax_freqs_exact(nums, d, int(T[row]))
-    if slack is None:
-        return np.abs(x - f * d).max(axis=0), f, None
-    g = min(slack, d)
-    up = f > n
-    # (3) the least rounded-up remainder among the bigs minus the largest
-    # floored one; the sentinels pass a row where either side is empty
-    cut = (np.where(up & (n > 0), rem, d + 2 * g).min(axis=0)
-           - np.where(up, -2 * g - 1, rem).max(axis=0))
-    # (1) g <= rem_i <= d - 1 - g for every i
-    sure = (rem.min(axis=0) >= g) & (rem.max(axis=0) <= d - 1 - g) & (cut > 2 * g)
-    sure[shed] = False      # (2): the other rows have k >= 0
-    return None, f, sure
+        redo = bad[k < 0]       # the shedding rows
+    src = nums, d
+    if exact:
+        g = min(exact[2], d)
+        up = f > n
+        # (3) the least rounded-up remainder among the bigs minus the largest
+        # floored one; the sentinels pass a row where either side is empty
+        cut = (np.where(up & (n > 0), rem, d + 2 * g).min(axis=0)
+               - np.where(up, -2 * g - 1, rem).max(axis=0))
+        # (1) g <= rem_i <= d - 1 - g for every i
+        sure = (rem.min(axis=0) >= g) & (rem.max(axis=0) <= d - 1 - g) & (cut > 2 * g)
+        sure[redo] = False      # (2)
+        src, redo = exact[:2], np.flatnonzero(~sure)
+    for row in redo.tolist():
+        f[:, row], _ = minmax_freqs_exact(*src, int(T[row]))
+    return (None if exact else np.abs(x - f * d).max(axis=0)), f
 
 
 # =============================================================================

@@ -174,34 +174,18 @@ Every row is still taken:
 
 An m > 2 `scan_rows` prints every row's exact A, the planner's divergence
 search needs every row's exact table of p (both from _Chunk's kernel
-passes), and the fold its candidates' exact A.  So their truncated chunks
-also carry p's tables, certified on the kernel's table F~ of P~: by the
-lemma each scaled value t*D*p_i lies within g of t*P~_i.  Write n_i and rem_i for
-the quotient and remainder of t*P~_i by D.  The smalls are the i with
-n_i = 0, the bigs the others, and k = t - sum_i n_i - #smalls is the
-number of round-ups left after forcing the smalls to 1.  F~'s row at t
-is p's min-max table, tie-breaks included, when
-
-1. g <= rem_i < D - g for every i.  Then t*D*p_i lies in
-   [n_i*D, (n_i + 1)*D), so the floors of t*p_i are the n_i.  So p has the
-   same smalls and the same k, and its remainders t*D*p_i - n_i*D lie
-   within g of the rem_i.
-2. k >= 0, so the row does not shed (on p either, by 1).
-3. If 0 < k < #bigs, the k-th and (k+1)-th largest remainders among the
-   bigs differ by more than 2g.  Then p's k largest remainders among the
-   bigs belong to the same symbols, whatever the tie-breaks.
-
-The construction (floors, smalls forced to 1, round-ups to the k largest
-remainders among the bigs) then makes the same choices on p as on P~, so
-F~'s row is p's table.  The kernel checks the three conditions on the n,
-rem and table it already has.  A row that fails one is rebuilt by
-minmax_freqs_exact on p.  g/D is about hi**2 * 2**-62 (about 2**-14 at
-hi = 2**24, for a chunk of any length), so such rows are rare while
-hi**2 is far below 2**62.  `scan_rows` for every row, and the
-fold for its candidates, then take the exact A = max_i |t*P_i - F_i*d| from
-the table in Python integers.  So the int64 kernel scans every chunk, for
-any m; minmax_freqs_exact only builds single tables and rebuilds the rows
-the certificate leaves.
+passes), and the fold its candidates' exact A.  So a truncated chunk
+passes p and g to the kernel with P~/D (_Chunk.exact): by the lemma each
+scaled value t*D*p_i lies within g of t*P~_i, and the kernel returns p's
+own tables, certified on P~'s row by row and rebuilt by
+minmax_freqs_exact on p where its certificate fails (the three conditions
+and why they suffice: _kernels.minmax_scan).  g/D is about
+hi**2 * 2**-62 (about 2**-14 at hi = 2**24, for a chunk of any length),
+so such rows are rare while hi**2 is far below 2**62.  `scan_rows` for
+every row, and the fold for its candidates, then take the exact
+A = max_i |t*P_i - F_i*d| from the table in Python integers.  So the
+int64 kernel scans every chunk, for any m; minmax_freqs_exact only builds
+single tables and rebuilds the rows the certificate leaves.
 """
 
 from __future__ import annotations
@@ -382,7 +366,8 @@ class _Chunk:
     source P/D (big_p/den) with integer slack g (module docstring): P =
     p's numerators, D = d and g = 0 on a chunk that fits int64, else p's
     truncation P~/D at D = (2**62 - 1) // hi and g = ceil(hi*a/d), a the
-    truncation's A, so that every row has |d*A~ - D*A| <= d*g.
+    truncation's A, so that every row has |d*A~ - D*A| <= d*g.  `exact`
+    is the kernel's (p's numerators, d, g) on a truncated chunk, else None.
 
     Each whole-chunk array is built once, on first use: ts, the int64
     array of the chunk's t, and its kernel passes a_tilde, A~ of every row
@@ -393,13 +378,14 @@ class _Chunk:
 
     def __init__(self, p: ProbabilityVector, lo: int, hi: int):
         nums, d = p.numerators, p.common_denominator
-        self.p, self.lo, self.hi = p, lo, hi
+        self.lo, self.hi = lo, hi
         if _kernels.fits_int64(nums, d, hi):
-            self.big_p, self.den, self.g = nums, d, 0
+            self.big_p, self.den, self.g, self.exact = nums, d, 0, None
         else:
             self.den = _INT64_TOP // hi
             self.big_p, a = _kernels.minmax_freqs_exact(nums, d, self.den)
             self.g = -(-hi * a // d)
+            self.exact = nums, d, self.g
 
     @cached_property
     def ts(self):
@@ -411,22 +397,8 @@ class _Chunk:
 
     @cached_property
     def tables(self):
-        if not self.g:
-            return _kernels.minmax_scan(self.big_p, self.den, self.lo, self.hi, True)[1]
-        return self.certify(self.ts, _kernels.minmax_scan(
-            self.big_p, self.den, self.lo, self.hi, True, self.g))
-
-    def certify(self, ts, kernel_out):
-        """p's min-max tables at the t of the int64 array ts, rows of this
-        truncated chunk, from the kernel's (None, F~, sure) on P~/D with
-        slack g: F~ where it is sure, minmax_freqs_exact's table elsewhere."""
-        _, f, sure = kernel_out
-        redo = np.flatnonzero(~sure)
-        if redo.size:
-            nums, d = self.p.numerators, self.p.common_denominator
-            f[redo] = [_kernels.minmax_freqs_exact(nums, d, t)[0]
-                       for t in ts[redo].tolist()]
-        return f
+        return _kernels.minmax_scan(self.big_p, self.den, self.lo, self.hi, True,
+                                    self.exact)[1]
 
 
 def _chunks(p: ProbabilityVector, t_max: int, first: int = _FIRST_CHUNK):
@@ -517,8 +489,8 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True, whole: bool = Fal
     _MAX_CHUNK rows.  The kernel then gives the kept rows' A~; a float64
     prescreen, widened by the chunk's slack g, excludes the rows that
     cannot be records or hits, and only the remaining candidates are
-    decided exactly (on truncated chunks on their true A, from p's
-    certified tables).  Hits are decided by _hit_ts.
+    decided exactly (on truncated chunks on their true A, from the
+    tables of p that the kernel returns).  Hits are decided by _hit_ts.
     """
     m, d = p.m, p.common_denominator
     hit_cap = None
@@ -556,8 +528,8 @@ def _fold(p: ProbabilityVector, t_max: int, hits: bool = True, whole: bool = Fal
         if g:     # decide each candidate on the true p
             cand = np.union1d(rec_j, hit_j).tolist()
             t_cand = ts[cand]
-            rows = chunk.certify(t_cand, _kernels._minmax_rows(
-                chunk.big_p, den, t_cand, True, g)).tolist()
+            rows = _kernels._minmax_rows(chunk.big_p, den, t_cand, True,
+                                         chunk.exact)[1].tolist()
             tables = dict(zip(cand, rows))
             true_a = dict(zip(cand, _true_a(p, t_cand, rows)))
             rec_cand = [(j, true_a[j]) for j in rec_j.tolist()]
@@ -698,7 +670,7 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC):
     _binary_a that _binary_fold decides with, so a binary scan builds no
     table.  Every other row's A comes from the fold's _Chunk: its a_tilde
     on a chunk that fits int64, the kernel pass that the fold reads
-    wherever it takes every row; _true_a of its certified tables on a
+    wherever it takes every row; _true_a of its tables of p on a
     truncated one.
     """
     if t_max < p.m:
@@ -723,6 +695,7 @@ def scan_rows(p: ProbabilityVector, t_max: int, kappa: Kappa = KAPPA_GENERIC):
             yield t, a, t in recs, t in hits
             if a == 0:
                 return
+        del chunk, a_rows   # as in record_scan
 
 
 # ---- width-constrained search -----------------------------------------------

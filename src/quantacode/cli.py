@@ -11,6 +11,8 @@ the library derives every one from the inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import sys
 import traceback
 
@@ -91,22 +93,27 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    """Write each CSV row as scan_rows yields it.  Its first row is taken
+    before the output opens, so an error raised there writes nothing."""
     p = _probs(args.probs)
     kappa = _kappa(args.kappa)
     m, d = p.m, p.common_denominator
     d_m = d**m
-    lines = [_csv_comment(),
-             "t,delta_star_decimal,quality_decimal,is_record,beats_fact_constant"]
+    rows = scan_rows(p, args.t_max, kappa=kappa)
+    rows = itertools.chain([next(rows)], rows)
     records, hits = [], 0
-    for t, a, is_rec, beats in scan_rows(p, args.t_max, kappa=kappa):
-        if is_rec:
-            records.append(t)
-        hits += beats
-        quality = (decimal_ratio(t * a, d) if m == 2
-                   else decimal_root(t * a**m, d_m, m))
-        lines.append(f"{t},{decimal_ratio(a, d * t)},{quality},"
-                     f"{int(is_rec)},{int(beats)}")
-    _write(args.out, "\n".join(lines) + "\n")
+    with (contextlib.nullcontext(sys.stdout) if args.out in (None, "-")
+          else open(args.out, "w")) as fh:
+        fh.write(f"{_csv_comment()}\n"
+                 "t,delta_star_decimal,quality_decimal,is_record,beats_fact_constant\n")
+        for t, a, is_rec, beats in rows:
+            if is_rec:
+                records.append(t)
+            hits += beats
+            quality = (decimal_ratio(t * a, d) if m == 2
+                       else decimal_root(t * a**m, d_m, m))
+            fh.write(f"{t},{decimal_ratio(a, d * t)},{quality},"
+                     f"{int(is_rec)},{int(beats)}\n")
     label = kappa.label if m == 2 else f"{m}/{m + 1}"
     print(f"records: {records}", file=sys.stderr)
     print(f"fact-constant hits ({label}): {hits}", file=sys.stderr)

@@ -516,15 +516,30 @@ def _hit_near_kappa():
     raise AssertionError("no k found")
 
 
-def _trunc_row(p, t):
+def _rebuilt_ts(monkeypatch):
+    """Patch _kernels.minmax_freqs_exact to record each t it is called at;
+    returns that list."""
+    exact, ts = _kernels.minmax_freqs_exact, []
+    monkeypatch.setattr(_kernels, "minmax_freqs_exact",
+                        lambda *a: ts.append(a[2]) or exact(*a))
+    return ts
+
+
+def _trunc_row(p, t, monkeypatch):
     """The second chunk's truncation as _chunks makes it, at row t:
-    (P~, g, P~'s table at t, the kernel's certificate for it)."""
+    (P~, g, P~'s table at t, whether the kernel rebuilt the row on p).
+    Either way the kernel returns p's table."""
     assert SECOND[0] <= t <= SECOND[1]
     nums, d = p.numerators, p.common_denominator
     p_trunc, a = _kernels.minmax_freqs_exact(nums, d, D_SECOND)
     g = -(-SECOND[1] * a // d)
-    _, f, sure = _kernels.minmax_scan(p_trunc, D_SECOND, t, t, True, g)
-    return p_trunc, g, f[0].tolist(), bool(sure[0])
+    _, f_trunc = _kernels.minmax_scan(p_trunc, D_SECOND, t, t, True)
+    f_true, _ = _kernels.minmax_freqs_exact(nums, d, t)
+    with monkeypatch.context() as mp:
+        rebuilt = _rebuilt_ts(mp)
+        _, f = _kernels.minmax_scan(p_trunc, D_SECOND, t, t, True, (nums, d, g))
+    assert f[0].tolist() == f_true and rebuilt in ([], [t])
+    return p_trunc, g, f_trunc[0].tolist(), rebuilt == [t]
 
 
 T_NEAR = 6000   # a row of the second chunk
@@ -609,7 +624,7 @@ def test_screened_fold_matches_row_by_row_oracle(p):
         assert (table.t, table.freqs) == (best.t, best.freqs)
 
 
-def test_screened_cases_exercise_their_rows():
+def test_screened_cases_exercise_their_rows(monkeypatch):
     """The constructed sources put their rows where the screen is tested."""
     pair, (t1, t2) = _close_pair()
     recs = [t for t, rec, _ in exact_fold(pair, FOLD_T_MAX) if rec]
@@ -624,20 +639,63 @@ def test_screened_cases_exercise_their_rows():
     # near-integer: the truncated floor of t*p_0 is wrong at T_NEAR, and
     # condition (1) sends the row to the exact rebuild
     p = _near_integer()
-    p_trunc, g, _, sure = _trunc_row(p, T_NEAR)
+    p_trunc, g, _, rebuilt = _trunc_row(p, T_NEAR, monkeypatch)
     assert (T_NEAR * p.numerators[0] // p.common_denominator
             < T_NEAR * p_trunc[0] // D_SECOND)
     rem = [T_NEAR * v % D_SECOND for v in p_trunc]
-    assert not all(g <= v < D_SECOND - g for v in rem) and not sure
+    assert not all(g <= v < D_SECOND - g for v in rem) and rebuilt
     # cut pair: P~'s table at T_NEAR is not p's, condition (1) holds, and
-    # only the cut gap (3) keeps the row from being certified
+    # only the cut gap (3) sends the row to the exact rebuild
     p = _cut_pair()
-    p_trunc, g, f_trunc, sure = _trunc_row(p, T_NEAR)
+    p_trunc, g, f_trunc, rebuilt = _trunc_row(p, T_NEAR, monkeypatch)
     f_true, _ = _kernels.minmax_freqs_exact(p.numerators, p.common_denominator,
                                             T_NEAR)
     assert f_trunc != f_true
     rem = [T_NEAR * v % D_SECOND for v in p_trunc]
-    assert all(g <= v < D_SECOND - g for v in rem) and not sure
+    assert all(g <= v < D_SECOND - g for v in rem) and rebuilt
+
+
+# m = 4 sources p = (P~ + e)/D over the second chunk, with truncation
+# errors e: two symbols floored and two rounded up at t = D, max |e| =
+# 9/20, so P~/D is the chunk's truncation and g = ceil(hi * 9/20)
+SECOND4 = nth_span(4, 1)
+D_SECOND4 = ((1 << 62) - 1) // SECOND4[1]
+E_SECOND4 = (Fraction(-9, 200), Fraction(-9, 200), Fraction(9, 20), Fraction(-9, 25))
+
+
+@pytest.mark.parametrize("p_trunc, t, side", [
+    ([15503196651, 15503196651, 152675480617102, 222501878332317], 12101, "lower"),
+    ([15468682608, 15468682608, 57048501458771, 318128926518734], 12128, "upper"),
+], ids=["lower", "upper"])
+def test_each_side_of_condition_1_guards_a_row(monkeypatch, p_trunc, t, side):
+    """Each side of condition (1) is the only one of the three conditions
+    that keeps row t from being certified, where P~'s table is not p's.
+
+    At t the first two symbols are smalls and take the two round-ups, so
+    k = 0: the row does not shed (2) and rounds up no big (3 holds).
+    "lower": the last symbol's remainder lies below g, and its true floor
+    is one less, so p rounds up the third symbol.  "upper": the third
+    symbol's remainder lies within g of D, and its true floor is one
+    more, so p sheds from the last.  Found by a seeded search
+    (random.Random(0)) over rows near the chunk's end, with the
+    remainders t*P~_i mod D drawn in those ranges and P~ solved from them.
+    """
+    p = ProbabilityVector([(v + e) / D_SECOND4 for v, e in zip(p_trunc, E_SECOND4)])
+    nums, d = p.numerators, p.common_denominator
+    _, chunk = itertools.islice(_chunks(p, SECOND4[1]), 2)
+    assert (chunk.lo, chunk.hi, chunk.den) == (*SECOND4, D_SECOND4)
+    assert chunk.big_p == p_trunc and chunk.g == -(-SECOND4[1] * 9 // 20)
+    g, n = chunk.g, [t * v // D_SECOND4 for v in p_trunc]
+    rem = [t * v % D_SECOND4 for v in p_trunc]
+    assert n[:2] == [0, 0] and t - sum(n) == 2          # k = 0
+    assert (min(rem) >= g, max(rem) <= D_SECOND4 - 1 - g) == (side == "upper",
+                                                              side == "lower")
+    f_true, _ = _kernels.minmax_freqs_exact(nums, d, t)
+    _, f_trunc = _kernels.minmax_scan(p_trunc, D_SECOND4, t, t, True)
+    assert f_trunc[0].tolist() != f_true
+    rebuilt = _rebuilt_ts(monkeypatch)
+    _, f = _kernels.minmax_scan(p_trunc, D_SECOND4, t, t, True, chunk.exact)
+    assert f[0].tolist() == f_true and rebuilt == [t]
 
 
 def test_m3_cases_exercise_the_fold(monkeypatch):
@@ -705,14 +763,19 @@ def test_truncation_lemma_bounds_every_row(seed):
             assert abs(d * a_tilde - den * a_true) <= t * a <= d * chunk.g
 
 
-def test_slack_past_the_denominator_certifies_no_row():
+def test_slack_past_the_denominator_certifies_no_row(monkeypatch):
     # a chunk's g stays below 2**62 but may exceed D; the kernel then
-    # takes it as D, keeping 2g in int64, and certifies no row
+    # takes it as D, keeping 2g in int64, certifies no row and rebuilds
+    # every one
     p = ProbabilityVector(_digit_probs(np.random.default_rng(89), 4))
+    nums, d = p.numerators, p.common_denominator
     chunk = next(_chunks(p, 5000))
-    _, _, sure = _kernels.minmax_scan(chunk.big_p, chunk.den, chunk.lo, chunk.hi,
-                                      True, (1 << 62) - 1)
-    assert not sure.any()
+    want = [_kernels.minmax_freqs_exact(nums, d, t)[0] for t in chunk.ts.tolist()]
+    rebuilt = _rebuilt_ts(monkeypatch)
+    _, f = _kernels.minmax_scan(chunk.big_p, chunk.den, chunk.lo, chunk.hi,
+                                True, (nums, d, (1 << 62) - 1))
+    assert rebuilt == chunk.ts.tolist()
+    assert f.tolist() == want
 
 
 # ---- exact hit caps and batched record tables --------------------------------
@@ -835,10 +898,7 @@ def test_wide_alphabet_scans_on_the_int64_kernel(monkeypatch):
     delta = rng.integers(-50, 51, 100)
     delta[-1] -= delta.sum()
     p = ProbabilityVector([Fraction(10**4 + int(v), 10**6) for v in delta])
-    exact = _kernels.minmax_freqs_exact
-    calls = []
-    monkeypatch.setattr(_kernels, "minmax_freqs_exact",
-                        lambda *a: calls.append(a[2]) or exact(*a))
+    calls = _rebuilt_ts(monkeypatch)
     table = best_table_under_width(p, 16)
     chunks = len(list(_spans(p.m, 1 << 16, _FIRST_CHUNK)))
     assert len(calls) <= chunks + 1 and calls[-1] == table.t
@@ -970,10 +1030,7 @@ def test_truncated_candidates_take_certified_tables(monkeypatch):
     p = ProbabilityVector(_digit_probs(np.random.default_rng(79), 24))
     t_max = 12305
     want = record_scan(p, t_max)
-    exact = _kernels.minmax_freqs_exact
-    calls = []
-    monkeypatch.setattr(_kernels, "minmax_freqs_exact",
-                        lambda *a: calls.append(a[2]) or exact(*a))
+    calls = _rebuilt_ts(monkeypatch)
     res = record_scan(p, t_max)
     assert res == want and len(res.fact_hits) > t_max // 2
     assert len(calls) <= (t_max - p.m + 1) // 100
@@ -1109,6 +1166,30 @@ def test_wide_alphabet_width_search_screens_its_chunks(monkeypatch):
     assert max(built + kept) <= 2 * approx._MAX_CHUNK
 
 
+PLAN20_SPEC = ("0.31240712345678901234,0.25189398765432109876,"
+               "0.17569888888888988891,0.25999999999999999999")
+
+
+@pytest.mark.parametrize("work, calls", [
+    (lambda: list(scan_rows(parse_probability_vector(
+        "0.31240712345678901234,0.25189398765432109876,0.43569888888888988890"),
+        6000)), 2),
+    (lambda: record_scan(parse_probability_vector(WIDE_SPEC), 12305), 4),
+    (lambda: best_table_under_width(parse_probability_vector(WIDE_SPEC), 22), 261),
+    (lambda: bounds.plan_precision(parse_probability_vector(PLAN20_SPEC), "1e-11",
+                                   mode="opportunistic"), 657),
+    (lambda: bounds.plan_precision(parse_probability_vector(PLAN20_SPEC), "1e-8"), 12),
+], ids=["scan-m3", "records-m24", "width-m24", "plan-opportunistic", "plan-guaranteed"])
+def test_stand_in_requests_call_the_exact_reference_as_often(monkeypatch, work,
+                                                             calls):
+    # every chunk's truncation, every row the kernel's certificate leaves
+    # and every single table (round_min_max, the plan's candidates) is one
+    # minmax_freqs_exact call; these sources overflow int64 on every chunk
+    rebuilt = _rebuilt_ts(monkeypatch)
+    work()
+    assert len(rebuilt) == calls
+
+
 _V23 = [40000 + 150 * i for i in range(23)]
 M24_SPEC = ",".join(f"{x / 1e6:.6f}" for x in _V23 + [10**6 - sum(_V23)])  # CI's m = 24
 
@@ -1240,7 +1321,7 @@ def test_binary_paths_do_not_scan(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("scanned")
 
-    monkeypatch.setattr(A, "_chunks", no_scan)
+    monkeypatch.setattr(A, "_Chunk", no_scan)     # every scan builds its chunks
     res = record_scan(golden_pair(), 1 << 30, kappa=KAPPA_GOLDEN)
     assert res.record_ts == [f for f in FIB_TO_2_40 if f <= 1 << 30]
     assert best_table_under_width(golden_pair(), 30).t == res.record_ts[-1]

@@ -61,7 +61,7 @@ class TestApproximate:
         def no_scan(*args, **kwargs):
             raise AssertionError("scanned")
 
-        monkeypatch.setattr(A, "_chunks", no_scan)
+        monkeypatch.setattr(A, "_Chunk", no_scan)     # every scan builds its chunks
         code, stdout, err = run(capsys, "approximate", "-p", probs, "-W", "40")
         assert code == 2 and stdout == ""
         assert "W = 40" in err and "24" in err
@@ -160,6 +160,25 @@ class TestScan:
             next(scan_rows(golden_pair(), 1))
         code, stdout, err = run(capsys, "scan", "-p", "golden", "--t-max", "1")
         assert code == 2 and not stdout and "t_max = 1 < m = 2" in err
+
+    def test_rows_stream_to_the_output(self, tmp_path, capsys, monkeypatch):
+        # each row is written as the scan yields it: four times the rows
+        # leave the peak of traced memory within 1 MB, where holding every
+        # line until the end took about 293 bytes per row.  The decimals
+        # are a fixed string of their length here: tracing their integer
+        # arithmetic took 10 s, and it holds nothing across rows
+        digits = "0." + "0" * 30
+        monkeypatch.setattr(cli, "decimal_ratio", lambda *a: digits)
+        monkeypatch.setattr(cli, "decimal_root", lambda *a: digits)
+        peaks = []
+        for t_max in (20000, 80000):
+            tracemalloc.start()
+            code, _, _ = run(capsys, "scan", "-p", "0.312407,0.451893,0.235700",
+                             "--t-max", str(t_max), "-o", str(tmp_path / "s.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert code == 0
+        assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
 
 
 class TestPlan:
