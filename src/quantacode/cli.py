@@ -32,7 +32,7 @@ from .errors import (
     QuantacodeError,
     TargetUnachievableWithinScan,
 )
-from .precision import decimal_ratio, decimal_root
+from .precision import scan_formatter
 from .prob_model import PRESETS, FrequencyTable, parse_probability_vector
 
 _EXIT_OK = 0
@@ -97,8 +97,8 @@ def cmd_scan(args) -> int:
     before the output opens, so an error raised there writes nothing."""
     p = _probs(args.probs)
     kappa = _kappa(args.kappa)
-    m, d = p.m, p.common_denominator
-    d_m = d**m
+    m = p.m
+    decimals = scan_formatter(p.common_denominator, m)
     rows = scan_rows(p, args.t_max, kappa=kappa)
     rows = itertools.chain([next(rows)], rows)
     records, hits = [], 0
@@ -110,10 +110,8 @@ def cmd_scan(args) -> int:
             if is_rec:
                 records.append(t)
             hits += beats
-            quality = (decimal_ratio(t * a, d) if m == 2
-                       else decimal_root(t * a**m, d_m, m))
-            fh.write(f"{t},{decimal_ratio(a, d * t)},{quality},"
-                     f"{int(is_rec)},{int(beats)}\n")
+            delta, quality = decimals(t, a)
+            fh.write(f"{t},{delta},{quality},{int(is_rec)},{int(beats)}\n")
     label = kappa.label if m == 2 else f"{m}/{m + 1}"
     print(f"records: {records}", file=sys.stderr)
     print(f"fact-constant hits ({label}): {hits}", file=sys.stderr)

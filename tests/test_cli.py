@@ -1,6 +1,9 @@
+import inspect
 import struct
+import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath as mp
@@ -24,7 +27,7 @@ from quantacode import (
     scan_rows,
     __version__,
 )
-from quantacode import cli
+from quantacode import cli, precision
 from quantacode.cli import main
 
 
@@ -168,8 +171,14 @@ class TestScan:
         # are a fixed string of their length here: tracing their integer
         # arithmetic took 10 s, and it holds nothing across rows
         digits = "0." + "0" * 30
-        monkeypatch.setattr(cli, "decimal_ratio", lambda *a: digits)
-        monkeypatch.setattr(cli, "decimal_root", lambda *a: digits)
+        rows = [0]
+
+        def formatter(d, m):
+            def decimals(t, a):
+                rows[0] += 1
+                return digits, digits
+            return decimals
+        monkeypatch.setattr(cli, "scan_formatter", formatter)
         peaks = []
         for t_max in (20000, 80000):
             tracemalloc.start()
@@ -179,6 +188,38 @@ class TestScan:
             tracemalloc.stop()
             assert code == 0
         assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+        assert rows[0] == (20000 - 2) + (80000 - 2)     # every row, t >= m = 3
+
+    @pytest.mark.parametrize("probs, calls", [
+        ("golden", {"scan_formatter": 1}),
+        # decimal_root takes the 13 perfect cubes t = j**3 <= 3000, whose
+        # quality is rational and may be an exact tie
+        ("0.312407,0.451893,0.235700", {"scan_formatter": 1, "decimal_root": 13}),
+    ])
+    def test_rows_call_no_public_decimal_function(self, probs, calls, tmp_path,
+                                                  capsys, monkeypatch):
+        # a tracer that wraps the public functions of each module (as the
+        # benchmark's does) sees a constant number of precision calls per
+        # scan, plus one per row the fixed-point root cannot decide
+        seen = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        public = {fn: name for name, fn in vars(precision).items()
+                  if not name.startswith("_") and inspect.isfunction(fn)
+                  and fn.__module__ == precision.__name__}
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("quantacode") and mod is not None:
+                for attr, val in list(vars(mod).items()):
+                    if inspect.isfunction(val) and val in public:
+                        monkeypatch.setattr(mod, attr, counted(public[val], val))
+        code, _, _ = run(capsys, "scan", "-p", probs, "--t-max", "3000",
+                         "-o", str(tmp_path / "s.csv"))
+        assert code == 0
+        assert seen == calls
 
 
 class TestPlan:

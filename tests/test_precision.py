@@ -10,18 +10,22 @@ values have no exact ties, so mpmath's string is their reference.
 
 import math
 import random
+import types
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from quantacode import precision
 from quantacode.precision import (
     _iroot,
+    _iroot_floor,
     decimal_ratio,
     decimal_root,
     format_decimal,
     format_exact,
+    scan_formatter,
 )
 
 
@@ -167,3 +171,132 @@ def test_square_root_decimal_matches_isqrt():
         rounded = (s // 10**j + 5) // 10 * 10 ** (j + 1)
         assert decimal_root(x, 1, 2) == decimal_ratio(rounded, 1)
         assert decimal_root(s * s, 1, 2) == decimal_ratio(s, 1)
+
+
+# ---- scan_formatter against decimal_ratio and decimal_root ------------------
+
+BIG_D = 7 * 10**4299 + 12345            # 4,300 digits
+SCAN_MS = (2, 3, 4, 6, 13, 24, 64)
+
+
+def exact_row(d, m, t, a):
+    return (decimal_ratio(a, d * t),
+            decimal_ratio(t * a, d) if m == 2 else decimal_root(t * a**m, d**m, m))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The (n, q, m) of every decimal_root call scan_formatter makes; the
+    tests' own exact rows call the original."""
+    calls = []
+
+    def counted(n, q, m, sig=30):
+        calls.append((n, q, m))
+        return decimal_root(n, q, m, sig)
+    monkeypatch.setattr(precision, "decimal_root", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [10**6, 10**20, 10**60, BIG_D],
+                         ids=["d6", "d20", "d60", "d4300"])
+def test_scan_formatter_matches_exact_on_random_rows(d, fallbacks):
+    # 3 * 7 * 470 + 7 * 12 = 9,954 rows plus the A = 0 ones, none of which
+    # the root's error bound leaves undecided; A spans every decade of d
+    rnd = random.Random(len(str(d)))
+    digits = len(str(d))
+    for m in SCAN_MS:
+        fmt = scan_formatter(d, m)
+        assert fmt(rnd.randint(2, 1 << 24), 0) == ("0.0", "0.0")
+        for _ in range(12 if d == BIG_D else 470):
+            t = rnd.randint(2, 1 << 24)
+            a = rnd.randint(1, 10 ** rnd.randint(1, digits))
+            assert fmt(t, a) == exact_row(d, m, t, a), (m, t, a)
+    assert not fallbacks
+
+
+def a_below(v, t, m, d):
+    """A with t**(1/m) * A/d within one step d/t**(1/m) of the value v."""
+    r = _iroot_floor(t * 10 ** (150 * m), m)      # t**(1/m) * 10**150, floored
+    return v.numerator * d * 10**150 // (v.denominator * r)
+
+
+def boundaries(rnd):
+    """(31-digit value at a rounding boundary, its exponent): random ties,
+    the 9.99...95 carry, and values at the layout switches -10 and 30."""
+    out = [(Fraction(10 * rnd.randrange(10**29, 10**30) + 5), e)
+           for e in (-1, 0, 3)]
+    out += [(Fraction(15 * 10**29), e) for e in (-11, -10, -9, 29, 30, 31)]
+    out += [(Fraction(10**31 - 5), e) for e in (-11, -10, -1, 0, 29)]
+    return [(x * Fraction(10) ** (e - 30), e) for x, e in out]
+
+
+@pytest.mark.parametrize("m", SCAN_MS[1:])
+def test_scan_formatter_hands_near_ties_to_decimal_root(m, fallbacks):
+    # d = 10**60 puts A/d within 10**-60 of any value: the quality's
+    # 31-digit x = Q * 10**(30 - e) is then 10**-29 from a rounding
+    # boundary (no bound of the fixed-point root decides it), or from the
+    # half-way point past it (the root decides it, carries included)
+    d = 10**60
+    fmt = scan_formatter(d, m)
+    rnd = random.Random(m)
+    for v, e in boundaries(rnd):
+        for t in (3, 1000, rnd.randint(2, 1 << 24)):
+            if round(t ** (1 / m)) ** m == t:
+                continue
+            half = v + Fraction(10) ** (e - 30) / 2
+            for a0, undecided in ((a_below(v, t, m, d), True),
+                                  (a_below(half, t, m, d), False)):
+                for a in range(a0 - 2, a0 + 3):
+                    fallbacks.clear()
+                    assert fmt(t, a) == exact_row(d, m, t, a), (m, t, a)
+                    assert len(fallbacks) == undecided, (m, t, a)
+
+
+@pytest.mark.parametrize("d", [10**6, 10**60, BIG_D], ids=["d6", "d60", "d4300"])
+@pytest.mark.parametrize("m", SCAN_MS[1:])
+def test_scan_formatter_hands_perfect_powers_to_decimal_root(m, d, fallbacks):
+    # t = j**m: the root is rational and the quality j * A/d a terminating
+    # decimal for d = 10**k, exact ties included
+    rnd = random.Random(m)
+    fmt = scan_formatter(d, m)
+    rows = [(j**m, rnd.randint(1, d)) for j in range(1, 5)]
+    if d == 10**60:
+        rows += [(2**m, int(v * d / 2)) for v, _ in boundaries(rnd)]
+    for t, a in rows:
+        fallbacks.clear()
+        assert fmt(t, a) == exact_row(d, m, t, a), (m, t, a)
+        assert fallbacks == [(t * a**m, d**m, m)], (m, t, a)
+
+
+def test_scan_formatter_ratios_round_exact_ties():
+    # m = 2 takes no root: delta_star = A/(d t) and the quality t A/d are
+    # exact at terminating ties, just below them and at the carries
+    d = 10**60
+    fmt = scan_formatter(d, 2)
+    for v, _ in boundaries(random.Random(2)):
+        for t in (5, 8, 1 << 20):
+            a = int(v * d * t)                      # delta_star = v
+            for a in (a - 1, a, a + 1):
+                assert fmt(t, a) == exact_row(d, 2, t, a), (t, a)
+        a = int(v * d / 5)                          # quality at t = 5 is v
+        for a in (a - 1, a, a + 1):
+            assert fmt(5, a) == exact_row(d, 2, 5, a), a
+
+
+@pytest.mark.parametrize("skew", [-1.7, 0.6])
+def test_scan_formatter_digits_do_not_depend_on_float_guesses(skew, monkeypatch,
+                                                             fallbacks):
+    # log10(t) off by `skew` decades moves every exponent guess by it (the
+    # skews of log10(A) and log10(d) cancel): a guess below the exponent
+    # sheds digits, one above retries a ratio's division and hands a root's
+    # row to decimal_root, and no digit changes
+    skewed = types.SimpleNamespace(**vars(math))
+    skewed.log10 = lambda x: math.log10(x) + skew
+    monkeypatch.setattr(precision, "math", skewed)
+    rnd = random.Random(10)
+    for m in (2, 3, 24):
+        fmt = scan_formatter(10**20, m)
+        for _ in range(100):
+            t, a = rnd.randint(2, 1 << 24), rnd.randint(1, 10**20)
+            assert fmt(t, a) == exact_row(10**20, m, t, a), (m, t, a)
+    assert bool(fallbacks) == (skew > 0)
