@@ -118,7 +118,7 @@ def _iroot_floor(x: int, m: int) -> int:
 
 
 def decimal_root(n: int, q: int, m: int, sig: int = 30) -> str:
-    """(n/q)**(1/m) for n >= 0, q > 0, m >= 1, rounded half up to sig
+    """(n/q)**(1/m) for n >= 0, q > 0, m >= 2, rounded half up to sig
     significant digits and laid out like mpmath.nstr(x, sig,
     strip_zeros=False); exact, in Python integers.
 
@@ -132,9 +132,7 @@ def decimal_root(n: int, q: int, m: int, sig: int = 30) -> str:
     e = math.floor(lv)  # may be off by one
     while True:
         k = (sig - e) * m
-        y = n * 10**k // q if k >= 0 else n // (q * 10**-k)
-        if m > 1:
-            y = _iroot_floor(y, m)
+        y = _iroot_floor(n * 10**k // q if k >= 0 else n // (q * 10**-k), m)
         if y >= 10 ** (sig + 1):
             e += 1
         elif y < 10**sig:
@@ -187,9 +185,10 @@ def scan_formatter(d: int, m: int, sig: int = 30):
       own floor(x).
 
     Every other row goes to decimal_root: x within err/D (about 2**-30) of
-    an integer, a seed too far off, or a guess above the exponent.  So does
-    every t = j**m.  Its r is rational, x can be an integer, and no error
-    bound decides that; at any other t, x is irrational.
+    an integer, a seed too far off, or a guess above the exponent.  An
+    integer x (a perfect power t = j**m with a terminating quality, exact
+    ties included) is always among them, as X % D < err or X % D > D - err
+    there.
     """
     pow10 = _powers(sig)
     lo, hi = pow10[sig], pow10[sig + 1]
@@ -215,7 +214,7 @@ def scan_formatter(d: int, m: int, sig: int = 30):
         f = two_f.bit_length() - 1
         v = num**m
         u = (((t << f * m) - v) << w) // v
-        if -u_max <= u <= u_max and round(s) ** m != t:
+        if -u_max <= u <= u_max:
             c = (1 << w) + u // m - ((m - 1) * u * u >> w) // c2
             e = math.floor(la + math.log10(s))
             k = sig - e

@@ -192,8 +192,8 @@ class TestScan:
 
     @pytest.mark.parametrize("probs, calls", [
         ("golden", {"scan_formatter": 1}),
-        # decimal_root takes the 13 perfect cubes t = j**3 <= 3000, whose
-        # quality is rational and may be an exact tie
+        # decimal_root takes the 13 perfect cubes t = j**3 <= 3000: their
+        # quality j * A/d has at most 31 digits, on a rounding boundary
         ("0.312407,0.451893,0.235700", {"scan_formatter": 1, "decimal_root": 13}),
     ])
     def test_rows_call_no_public_decimal_function(self, probs, calls, tmp_path,

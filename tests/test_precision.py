@@ -252,20 +252,43 @@ def test_scan_formatter_hands_near_ties_to_decimal_root(m, fallbacks):
                     assert len(fallbacks) == undecided, (m, t, a)
 
 
-@pytest.mark.parametrize("d", [10**6, 10**60, BIG_D], ids=["d6", "d60", "d4300"])
+def has_integer_x(n, q, sig=30):
+    """Whether the sig + 1 leading digits of n/q are all of it: then x, the
+    formatter's n/q * 10**(sig - e), is an integer."""
+    v = Fraction(n, q)
+    e = math.floor(math.log10(n) - math.log10(q))
+    while Fraction(10) ** e > v:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= v:
+        e += 1
+    return (v * Fraction(10) ** (sig - e)).denominator == 1
+
+
+@pytest.mark.parametrize("d", [10**6, 10**20, 10**60, BIG_D],
+                         ids=["d6", "d20", "d60", "d4300"])
 @pytest.mark.parametrize("m", SCAN_MS[1:])
 def test_scan_formatter_hands_perfect_powers_to_decimal_root(m, d, fallbacks):
-    # t = j**m: the root is rational and the quality j * A/d a terminating
-    # decimal for d = 10**k, exact ties included
+    # t = j**m: the root is rational, and the quality j * A/d is a
+    # terminating decimal for d = 10**k, exact ties included.  Rows whose
+    # x is an integer lie on a rounding boundary, so the root's error bound
+    # leaves them undecided; at every other row it decides x's floor
     rnd = random.Random(m)
     fmt = scan_formatter(d, m)
     rows = [(j**m, rnd.randint(1, d)) for j in range(1, 5)]
     if d == 10**60:
         rows += [(2**m, int(v * d / 2)) for v, _ in boundaries(rnd)]
+    undecided = 0
     for t, a in rows:
+        j = round(t ** (1 / m))
         fallbacks.clear()
         assert fmt(t, a) == exact_row(d, m, t, a), (m, t, a)
-        assert fallbacks == [(t * a**m, d**m, m)], (m, t, a)
+        integer = has_integer_x(j * a, d)
+        assert fallbacks == ([(t * a**m, d**m, m)] if integer else []), (m, t, a)
+        undecided += integer
+    if d < 10**30:      # j * A/d has at most 23 digits
+        assert undecided == len(rows)
+    elif d == 10**60:   # the boundary rows, not the random ones
+        assert undecided == len(rows) - 4
 
 
 def test_scan_formatter_ratios_round_exact_ties():
